@@ -21,13 +21,13 @@ the ladder algorithm, and the Hasse diagram is the transitive reduction.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import permutations as iperm
 
 from . import crystal
 from .errors import BoundExceededError, NotSinglyAtypicalError, PreconditionError
-from .kl_classical import DEFAULT_KL_BOUND, ideal_class_invariant
+from .kl_classical import DEFAULT_KL_BOUND, classical_inclusion, ideal_class_invariant
 from .posets import transitive_reduction
 from .super_inclusion import frame, inclusion
 from .tableaux import involution_count, tau_of_weight
@@ -75,20 +75,17 @@ class IdealPoset:
 
     def class_of(self, weight: SuperWeight) -> IdealClass:
         key = (weight.right[0], str(ideal_class_invariant(weight.left)))
-        cls = self._lookup().get(key)
+        cls = self._lookup.get(key)
         if cls is None:
             raise KeyError(f"{weight} does not label an ideal of this poset")
         return cls
 
+    @cached_property
     def _lookup(self) -> dict:
-        cached = getattr(self, "_lookup_cache", None)
-        if cached is None:
-            cached = {
-                (c.i_index, str(ideal_class_invariant(c.representative.left))): c
-                for c in self.classes
-            }
-            object.__setattr__(self, "_lookup_cache", cached)
-        return cached
+        return {
+            (c.i_index, str(ideal_class_invariant(c.representative.left))): c
+            for c in self.classes
+        }
 
 
 def _orbit_weights(m: int, i: int) -> list[SuperWeight]:
@@ -109,6 +106,8 @@ def enumerate_X(m: int, *, bound: int = DEFAULT_KL_BOUND, **kw) -> IdealPoset:
     total count must be (m+1)/2 times the involution number, which is
     asserted.
     """
+    if m < 1:
+        raise PreconditionError(f"the augmentation poset needs m >= 1, got {m}")
     if m > bound:
         raise BoundExceededError("augmentation poset rank", m, bound)
     classes: list[IdealClass] = []
@@ -245,8 +244,6 @@ def irreducible_components(
             image_weights[ci] = w
         iso = len(set(images.values())) == len(members)
         if iso:
-            from .kl_classical import classical_inclusion
-
             for a in members:
                 for b in members:
                     if a == b:

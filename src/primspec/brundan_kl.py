@@ -28,14 +28,13 @@ a wall-crossing condition plus nonvanishing of that pairing.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Sequence
 
 from .errors import BoundExceededError, PreconditionError
-from .laurent import ONE, ZERO, LaurentPolynomial, Q
-from .posets import strongly_connected_components, transitive_closure
+from .laurent import ONE, ZERO, LaurentPolynomial
+from .posets import Preorder
 from .weights import SuperWeight, central_character
 
 __all__ = [
@@ -509,11 +508,7 @@ class SuperOrder:
                     continue
                 if table.mu(alpha, beta):
                     edges.add((ia, ib))  # beta below alpha
-        comp = strongly_connected_components(len(self.weights), edges)
-        ncomp = max(comp, default=-1) + 1
-        comp_edges = {(comp[a], comp[b]) for a, b in edges if comp[a] != comp[b]}
-        self._comp = comp
-        self._closure = transitive_closure(ncomp, comp_edges)
+        self.preorder = Preorder(len(self.weights), edges)
 
     @staticmethod
     def _wall_condition(alpha: SuperWeight, beta: SuperWeight, m: int, n: int) -> bool:
@@ -527,12 +522,11 @@ class SuperOrder:
 
     def leq(self, beta: SuperWeight, alpha: SuperWeight) -> bool:
         """beta below-or-equivalent-to alpha in the left order."""
-        ca = self._comp[self._index[alpha]]
-        cb = self._comp[self._index[beta]]
-        return bool(self._closure[ca] >> cb & 1)
+        return self.preorder.leq(self._index[beta], self._index[alpha])
 
     def same_class(self, a: SuperWeight, b: SuperWeight) -> bool:
-        return self._comp[self._index[a]] == self._comp[self._index[b]]
+        classes = self.preorder
+        return classes.class_id(self._index[a]) == classes.class_id(self._index[b])
 
     def relations(self) -> set[tuple[SuperWeight, SuperWeight]]:
         """All (beta, alpha) pairs with beta strictly below alpha."""

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import aug_poset, brundan_kl, crystal, kl_classical, super_inclusion
-from .errors import PrimspecError, UnsupportedRegimeError
+from .errors import PreconditionError, PrimspecError, UnsupportedRegimeError
 from .weights import SuperWeight
 
 __all__ = ["Config", "main"]
@@ -37,11 +37,10 @@ class Config:
 
     cache_dir: Path
     kl_rank_bound: int = kl_classical.DEFAULT_KL_BOUND
-    tensor_rank_bound: int = brundan_kl.DEFAULT_RANK_BOUND
     output_format: str = "json"
 
     def __post_init__(self):
-        if self.kl_rank_bound <= 0 or self.tensor_rank_bound <= 0:
+        if self.kl_rank_bound <= 0:
             raise ValueError("bounds must be positive")
 
 
@@ -83,16 +82,13 @@ def cmd_aug_poset(args) -> int:
     assignments = aug_poset.strata(poset)
     if cfg.output_format == "dot":
         text = aug_poset.to_dot(poset, assignments, cluster=args.cluster)
-        if args.out:
-            Path(args.out).write_text(text)
-        else:
-            sys.stdout.write(text)
     else:
         doc = aug_poset.to_json_dict(poset, assignments)
-        if args.out:
-            Path(args.out).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-        else:
-            _emit(doc)
+        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    if args.out:
+        Path(args.out).write_text(text)
+    else:
+        sys.stdout.write(text)
     return 0
 
 
@@ -118,6 +114,13 @@ def cmd_crystal(args) -> int:
     return 0
 
 
+def _pair_word(text: str, m: int) -> tuple[int, ...]:
+    word = tuple(int(t) for t in text.split(","))
+    if sorted(word) != list(range(1, m + 1)):
+        raise PreconditionError(f"--pair word {text!r} is not a permutation of 1..{m}")
+    return word
+
+
 def cmd_kl(args) -> int:
     cfg = _config(args)
     table = kl_classical.kl_table(args.m, **_table_kwargs(cfg))
@@ -128,8 +131,7 @@ def cmd_kl(args) -> int:
     }
     if args.pair:
         x_text, y_text = args.pair.split(";")
-        x = tuple(int(t) for t in x_text.split(","))
-        y = tuple(int(t) for t in y_text.split(","))
+        x, y = _pair_word(x_text, args.m), _pair_word(y_text, args.m)
         doc["pair"] = {
             "x": list(x),
             "y": list(y),
@@ -141,15 +143,12 @@ def cmd_kl(args) -> int:
 
 
 def cmd_super_kl(args) -> int:
-    cfg = _config(args)
     block = [SuperWeight.parse(text) for text in args.weights]
     interval = None
     if args.interval:
         lo, hi = args.interval.split(":")
         interval = (int(lo), int(hi))
-    table = brundan_kl.canonical_basis(
-        block, interval, rank_bound=cfg.tensor_rank_bound, interval_bound=args.interval_bound
-    )
+    table = brundan_kl.canonical_basis(block, interval, interval_bound=args.interval_bound)
     doc = table.to_json_dict()
     order = brundan_kl.kl_left_order(table.weights, table)
     doc["order"] = sorted(

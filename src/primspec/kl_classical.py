@@ -29,12 +29,13 @@ import json
 import os
 import tempfile
 import threading
+from itertools import permutations as iperm
 from pathlib import Path
 from typing import Iterable, Literal, Sequence
 
 from .errors import BoundExceededError, CacheVersionError
 from .laurent import ONE, ZERO, LaurentPolynomial
-from .posets import strongly_connected_components, transitive_closure
+from .posets import Preorder
 from .tableaux import (
     Permutation,
     StandardTableau,
@@ -44,7 +45,7 @@ from .tableaux import (
     rank_word,
     robinson_schensted,
 )
-from .weights import SuperWeight
+from .weights import SuperWeight, orbit_equal
 
 __all__ = [
     "KLTable",
@@ -260,6 +261,11 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "primspec"
 
 
+def _check_rank(m: int, bound: int) -> None:
+    if m > bound:
+        raise BoundExceededError("KL table rank", m, bound)
+
+
 def kl_table(
     m: int,
     *,
@@ -271,8 +277,7 @@ def kl_table(
 
     Raises BoundExceededError (naming the bound) for m above `bound`.
     """
-    if m > bound:
-        raise BoundExceededError("KL table rank", m, bound)
+    _check_rank(m, bound)
     with _lock:
         path = Path(cache_dir) if cache_dir is not None else default_cache_dir()
         cache_file = path / f"kl_m{m}.jsonl"
@@ -340,41 +345,33 @@ class LeftOrder:
                 if ascent_mask[lam] & descent_mask[nu]:
                     edges.add((lam, nu))
 
-        comp = strongly_connected_components(n_nodes, edges)
-        n_comp = max(comp) + 1
-        comp_edges = {
-            (comp[a], comp[b]) for a, b in edges if comp[a] != comp[b]
-        }
-        closure = transitive_closure(n_comp, comp_edges)
-        self._comp = comp
-        self._closure = closure
+        self.preorder = Preorder(n_nodes, edges)
 
     def node(self, r: Permutation) -> int:
         return self.index[tuple(r)]
 
     def leq(self, r_small: Permutation, r_big: Permutation) -> bool:
         """Is the ideal at rank word r_small included in the one at r_big?"""
-        ca = self._comp[self.node(r_big)]
-        cb = self._comp[self.node(r_small)]
-        return bool(self._closure[ca] >> cb & 1)
+        return self.preorder.leq(self.node(r_small), self.node(r_big))
 
     def same_class(self, r1: Permutation, r2: Permutation) -> bool:
-        return self._comp[self.node(r1)] == self._comp[self.node(r2)]
+        return self.class_id(r1) == self.class_id(r2)
 
     def class_id(self, r: Permutation) -> int:
-        return self._comp[self.node(r)]
+        return self.preorder.class_id(self.node(r))
 
     def class_count(self) -> int:
-        return max(self._comp) + 1
+        return self.preorder.class_count()
 
 
-def left_preorder(m: int, **table_kwargs) -> LeftOrder:
-    """The left preorder for rank m (cached)."""
+def left_preorder(m: int, *, bound: int = DEFAULT_KL_BOUND, **table_kwargs) -> LeftOrder:
+    """The left preorder for rank m (cached; the bound is checked first)."""
+    _check_rank(m, bound)
     with _lock:
         order = _orders.get(m)
     if order is not None:
         return order
-    table = kl_table(m, **table_kwargs)
+    table = kl_table(m, bound=bound, **table_kwargs)
     order = LeftOrder(table)
     with _lock:
         _orders[m] = order
@@ -420,9 +417,7 @@ def classical_inclusion(delta: SuperWeight, gamma: SuperWeight, **kw) -> bool:
     the conjunction of the factor decisions, each routed through longest
     coset representatives into the regular-orbit preorder.
     """
-    if (delta.m, delta.n) != (gamma.m, gamma.n):
-        raise ValueError("weights live in different Z^(m|n)")
-    if sorted(delta.left) != sorted(gamma.left) or sorted(delta.right) != sorted(gamma.right):
+    if not orbit_equal(delta, gamma):
         return False
     return _factor_leq(delta.left, gamma.left, "left", **kw) and _factor_leq(
         delta.right, gamma.right, "right", **kw
@@ -431,38 +426,17 @@ def classical_inclusion(delta: SuperWeight, gamma: SuperWeight, **kw) -> bool:
 
 def classical_equal(delta: SuperWeight, gamma: SuperWeight) -> bool:
     """Equality of the two annihilators, via the tableau invariant."""
-    if (delta.m, delta.n) != (gamma.m, gamma.n):
-        raise ValueError("weights live in different Z^(m|n)")
-    if sorted(delta.left) != sorted(gamma.left) or sorted(delta.right) != sorted(gamma.right):
-        return False
-    return ideal_class_invariant(delta.left, "left") == ideal_class_invariant(
-        gamma.left, "left"
-    ) and ideal_class_invariant(delta.right, "right") == ideal_class_invariant(
-        gamma.right, "right"
+    return (
+        orbit_equal(delta, gamma)
+        and _factor_equal(delta.left, gamma.left, "left")
+        and _factor_equal(delta.right, gamma.right, "right")
     )
 
 
-def _orbit_class_nodes(
-    labels: Sequence[int], orientation: Literal["left", "right"], **kw
-):
-    """One preorder class id per ideal class realized in the orbit of `labels`."""
-    from itertools import permutations as iperm
-
-    if len(labels) <= 1:
-        return {0}
-    order = left_preorder(len(labels), **kw)
-    return {order.class_id(_factor_words(w, orientation)) for w in set(iperm(labels))}
-
-
-def _factor_strictly_less(
-    delta: Sequence[int], gamma: Sequence[int],
-    orientation: Literal["left", "right"], **kw,
+def _factor_equal(
+    delta: Sequence[int], gamma: Sequence[int], orientation: Literal["left", "right"]
 ) -> bool:
-    if len(delta) <= 1:
-        return False
-    order = left_preorder(len(delta), **kw)
-    rd, rg = _factor_words(delta, orientation), _factor_words(gamma, orientation)
-    return order.leq(rd, rg) and not order.same_class(rd, rg)
+    return ideal_class_invariant(delta, orientation) == ideal_class_invariant(gamma, orientation)
 
 
 def _factor_cover(
@@ -470,29 +444,27 @@ def _factor_cover(
     orientation: Literal["left", "right"], **kw,
 ) -> bool:
     """Is the delta-class covered by the gamma-class within their orbit poset?"""
-    if not _factor_strictly_less(delta, gamma, orientation, **kw):
+    if len(delta) <= 1:
         return False
     order = left_preorder(len(delta), **kw)
-    rd, rg = _factor_words(delta, orientation), _factor_words(gamma, orientation)
-    cd, cg = order.class_id(rd), order.class_id(rg)
-    for cz in _orbit_class_nodes(delta, orientation, **kw):
-        if cz in (cd, cg):
-            continue
-        if (order._closure[cg] >> cz & 1) and (order._closure[cz] >> cd & 1):
-            return False
-    return True
+    cd = order.class_id(_factor_words(delta, orientation))
+    cg = order.class_id(_factor_words(gamma, orientation))
+    classes = order.preorder
+    if cd == cg or not classes.class_leq(cd, cg):
+        return False
+    orbit = {order.class_id(_factor_words(w, orientation)) for w in set(iperm(delta))}
+    return not any(
+        cz not in (cd, cg) and classes.class_leq(cz, cg) and classes.class_leq(cd, cz)
+        for cz in orbit
+    )
 
 
 def classical_cover(delta: SuperWeight, gamma: SuperWeight, **kw) -> bool:
     """Covering relation in the product poset of the two factor orbits."""
     if not classical_inclusion(delta, gamma, **kw):
         return False
-    left_eq = ideal_class_invariant(delta.left, "left") == ideal_class_invariant(
-        gamma.left, "left"
-    )
-    right_eq = ideal_class_invariant(delta.right, "right") == ideal_class_invariant(
-        gamma.right, "right"
-    )
+    left_eq = _factor_equal(delta.left, gamma.left, "left")
+    right_eq = _factor_equal(delta.right, gamma.right, "right")
     if left_eq and right_eq:
         return False
     if left_eq:

@@ -4,7 +4,40 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-__all__ = ["transitive_closure", "transitive_reduction", "strongly_connected_components"]
+__all__ = [
+    "Preorder",
+    "transitive_closure",
+    "transitive_reduction",
+    "strongly_connected_components",
+]
+
+
+class Preorder:
+    """The preorder on nodes 0..n-1 generated by edges (upper, lower).
+
+    Equivalence classes are the strongly connected components; the quotient
+    poset is held as one reachability bitset per class.
+    """
+
+    def __init__(self, n: int, edges: set[tuple[int, int]]):
+        comp = strongly_connected_components(n, edges)
+        self._comp = comp
+        comp_edges = {(comp[a], comp[b]) for a, b in edges if comp[a] != comp[b]}
+        self._closure = transitive_closure(self.class_count(), comp_edges)
+
+    def class_id(self, node: int) -> int:
+        return self._comp[node]
+
+    def class_count(self) -> int:
+        return max(self._comp, default=-1) + 1
+
+    def class_leq(self, lower: int, upper: int) -> bool:
+        """Is class `lower` reachable from class `upper`?"""
+        return bool(self._closure[upper] >> lower & 1)
+
+    def leq(self, lower: int, upper: int) -> bool:
+        """Is node `lower` below or equivalent to node `upper`?"""
+        return self.class_leq(self._comp[lower], self._comp[upper])
 
 
 def transitive_closure(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:

@@ -29,12 +29,8 @@ from typing import Literal
 
 from . import crystal
 from .errors import NotSinglyAtypicalError, PreconditionError, UnsupportedRegimeError
-from .kl_classical import (
-    classical_cover,
-    classical_equal,
-    classical_inclusion,
-    ideal_class_invariant,
-)
+from .kl_classical import classical_cover, classical_equal, classical_inclusion
+from .posets import transitive_reduction
 from .weights import (
     SuperWeight,
     atypicality_degree,
@@ -148,17 +144,16 @@ def frame(weight: SuperWeight) -> AtypicalityFrame:
     return AtypicalityFrame(a, i_set, p_value, q_values)
 
 
+def _shifted(alpha: SuperWeight, fa: AtypicalityFrame, p: int) -> SuperWeight:
+    """alpha with the atypical pair of its frame `fa` moved to a+p."""
+    for pos in fa.i_set[:2]:
+        alpha = alpha.replace(pos, fa.a_value + p)
+    return alpha
+
+
 def theta_representative(alpha: SuperWeight, p: int) -> SuperWeight:
     """The weight obtained by shifting alpha's atypical pair to a+p."""
-    fr = frame(alpha)
-    pos_right, pos_left = None, None
-    for pos in fr.i_set[:2]:
-        if pos <= alpha.m:
-            pos_left = pos
-        else:
-            pos_right = pos
-    out = alpha.replace(pos_left, fr.a_value + p)
-    return out.replace(pos_right, fr.a_value + p)
+    return _shifted(alpha, frame(alpha), p)
 
 
 def theta_membership(alpha: SuperWeight, beta: SuperWeight) -> int | None:
@@ -169,28 +164,26 @@ def theta_membership(alpha: SuperWeight, beta: SuperWeight) -> int | None:
     """
     if (alpha.m, alpha.n) != (beta.m, beta.n):
         raise ValueError("weights live in different Z^(m|n)")
-    fa, fb = frame(alpha), frame(beta)
-    p = fb.a_value - fa.a_value
-    if orbit_equal(theta_representative(alpha, p), beta):
-        return p
-    return None
-
-
-def gamma_delta(alpha: SuperWeight, beta: SuperWeight) -> tuple[SuperWeight, SuperWeight]:
-    """The classical surrogate pair (gamma for alpha, delta for beta).
-
-    Requires beta in the shifted orbit of alpha with 0 <= p <= p_alpha.
-    All labels at most a+p drop by one except along alpha's ladder, where
-    they saturate at a+p after advancing by their run lengths; on the beta
-    side only the two atypical labels nearest the separator survive the
-    drop.
-    """
     fa = frame(alpha)
-    p = theta_membership(alpha, beta)
-    if p is None or not 0 <= p <= fa.p_value:
-        raise PreconditionError(
-            f"{beta} is not in the shifted orbits of {alpha} for 0 <= p <= {fa.p_value}"
-        )
+    p = frame(beta).a_value - fa.a_value
+    return p if orbit_equal(_shifted(alpha, fa, p), beta) else None
+
+
+def _ladder(
+    alpha: SuperWeight, fa: AtypicalityFrame, beta: SuperWeight
+) -> tuple[int, SuperWeight, SuperWeight] | None:
+    """The ladder pass: (p, gamma, delta), or None unless beta lies in the
+    orbit of alpha's atypical pair shifted by 0 <= p <= p_alpha.
+
+    `fa` is alpha's frame.  All labels at most a+p drop by one except along
+    alpha's ladder, where they saturate at a+p after advancing by their run
+    lengths; on the beta side only the two atypical labels nearest the
+    separator survive the drop.
+    """
+    fb = frame(beta)
+    p = fb.a_value - fa.a_value
+    if not orbit_equal(_shifted(alpha, fa, p), beta) or not 0 <= p <= fa.p_value:
+        return None
     cap = fa.a_value + p
     gamma_labels = []
     for pos, lab in enumerate(alpha.labels, start=1):
@@ -201,7 +194,6 @@ def gamma_delta(alpha: SuperWeight, beta: SuperWeight) -> tuple[SuperWeight, Sup
         else:
             gamma_labels.append(lab)
 
-    fb = frame(beta)
     keep = set(fb.i_set[:2])
     delta_labels = []
     for pos, lab in enumerate(beta.labels, start=1):
@@ -213,6 +205,28 @@ def gamma_delta(alpha: SuperWeight, beta: SuperWeight) -> tuple[SuperWeight, Sup
     m = alpha.m
     gamma = SuperWeight(tuple(gamma_labels[:m]), tuple(gamma_labels[m:]))
     delta = SuperWeight(tuple(delta_labels[:m]), tuple(delta_labels[m:]))
+    return p, gamma, delta
+
+
+def _required_ladder(
+    alpha: SuperWeight, beta: SuperWeight
+) -> tuple[AtypicalityFrame, int, SuperWeight, SuperWeight]:
+    """alpha's frame and the ladder pass, which must apply to the pair."""
+    fa = frame(alpha)
+    found = _ladder(alpha, fa, beta)
+    if found is None:
+        raise PreconditionError(
+            f"{beta} is not in the shifted orbits of {alpha} for 0 <= p <= {fa.p_value}"
+        )
+    return (fa, *found)
+
+
+def gamma_delta(alpha: SuperWeight, beta: SuperWeight) -> tuple[SuperWeight, SuperWeight]:
+    """The classical surrogate pair (gamma for alpha, delta for beta).
+
+    Requires beta in the shifted orbit of alpha with 0 <= p <= p_alpha.
+    """
+    _, _, gamma, delta = _required_ladder(alpha, beta)
     return gamma, delta
 
 
@@ -284,12 +298,12 @@ def reduction_trace(alpha: SuperWeight, beta: SuperWeight) -> ReductionTrace:
     copies of it are pushed down, and the ladder is climbed one value at a
     time; the final weights are cross-checked against the closed formulas.
     """
-    fa = frame(alpha)
-    p = theta_membership(alpha, beta)
-    if p is None or not 0 <= p <= fa.p_value:
-        raise PreconditionError(
-            f"{beta} is not in the shifted orbits of {alpha} for 0 <= p <= {fa.p_value}"
-        )
+    return _trace(alpha, beta)[1]
+
+
+def _trace(alpha: SuperWeight, beta: SuperWeight) -> tuple[int, ReductionTrace]:
+    """The shift p and the reduction trace of a ladder pair."""
+    fa, p, gamma, delta = _required_ladder(alpha, beta)
     a = fa.a_value
     steps: list[TraceStep] = []
 
@@ -320,13 +334,12 @@ def reduction_trace(alpha: SuperWeight, beta: SuperWeight) -> ReductionTrace:
         for side in ("alpha", "beta"):
             chains[side] = _apply_power(side, op, value - 1, count, chains[side], steps)
 
-    gamma, delta = gamma_delta(alpha, beta)
     if chains["alpha"] != gamma or chains["beta"] != delta:
         raise AssertionError(
             f"reduction mismatch: trace ended at ({chains['alpha']}, {chains['beta']}), "
             f"formulas give ({gamma}, {delta})"
         )
-    return ReductionTrace(tuple(steps), gamma, delta)
+    return p, ReductionTrace(tuple(steps), gamma, delta)
 
 
 # -- the decision procedure ---------------------------------------------------
@@ -379,11 +392,10 @@ def inclusion(alpha: SuperWeight, beta: SuperWeight, **kw) -> bool:
         return classical_inclusion(beta, alpha, **kw)
     da, db = atypicality_degree(alpha), atypicality_degree(beta)
     if da == 1 and db == 1:
-        fa = frame(alpha)
-        p = theta_membership(alpha, beta)
-        if p is None or not 0 <= p <= fa.p_value:
+        found = _ladder(alpha, frame(alpha), beta)
+        if found is None:
             return False
-        gamma, delta = gamma_delta(alpha, beta)
+        _, gamma, delta = found
         return classical_inclusion(delta, gamma, **kw)
     if _gl22_doubly_atypical(alpha) and _gl22_doubly_atypical(beta):
         return _gl22_cross_includes(alpha, beta)
@@ -393,10 +405,8 @@ def inclusion(alpha: SuperWeight, beta: SuperWeight, **kw) -> bool:
     )
 
 
-def equal_ideal(alpha: SuperWeight, beta: SuperWeight, **kw) -> bool:
+def equal_ideal(alpha: SuperWeight, beta: SuperWeight) -> bool:
     """J(alpha) == J(beta): same orbit and equal classical invariants."""
-    if (alpha.m, alpha.n) != (beta.m, beta.n):
-        raise ValueError("weights live in different Z^(m|n)")
     return classical_equal(alpha, beta)
 
 
@@ -406,7 +416,7 @@ def relation(alpha: SuperWeight, beta: SuperWeight, **kw) -> str:
     'subset' means J(alpha) is strictly contained in J(beta).
     """
     try:
-        if equal_ideal(alpha, beta, **kw):
+        if equal_ideal(alpha, beta):
             return "equal"
         if inclusion(beta, alpha, **kw):
             return "subset"
@@ -430,7 +440,7 @@ class Decision:
     trace: ReductionTrace | None = None
 
     def to_json_dict(self) -> dict:
-        doc = {
+        return {
             "alpha": str(self.alpha),
             "beta": str(self.beta),
             "relation": self.relation,
@@ -449,7 +459,6 @@ class Decision:
                 for s in (self.trace.steps if self.trace else ())
             ],
         }
-        return doc
 
 
 def decide(alpha: SuperWeight, beta: SuperWeight, **kw) -> Decision:
@@ -463,32 +472,28 @@ def decide(alpha: SuperWeight, beta: SuperWeight, **kw) -> Decision:
             and atypicality_degree(big) == 1
             and atypicality_degree(small) == 1
         ):
-            p = theta_membership(big, small)
-            gamma, delta = gamma_delta(big, small)
-            trace = reduction_trace(big, small)
+            p, trace = _trace(big, small)
+            gamma, delta = trace.final_gamma, trace.final_delta
     return Decision(alpha, beta, rel, p, gamma, delta, trace)
 
 
 def covers(alpha: SuperWeight, beta: SuperWeight, **kw) -> bool:
     """Does J(alpha) cover J(beta) (strict inclusion, nothing in between)?"""
-    if not inclusion(alpha, beta, **kw) or equal_ideal(alpha, beta, **kw):
+    if not inclusion(alpha, beta, **kw) or equal_ideal(alpha, beta):
         return False
-    if orbit_equal(alpha, beta):
-        da = atypicality_degree(alpha)
-        if da == 1:
-            gamma, delta = gamma_delta(alpha, beta)
-            return classical_cover(delta, gamma, **kw)
-        if da == 0:
-            return classical_cover(beta, alpha, **kw)
-        if _gl22_doubly_atypical(alpha):
-            return _gl22_cover(alpha, beta, **kw)
-        raise UnsupportedRegimeError(
-            f"covering undecidable at atypicality {da} for gl({alpha.m}|{alpha.n})"
-        )
-    if atypicality_degree(alpha) == 1 and atypicality_degree(beta) == 1:
-        gamma, delta = gamma_delta(alpha, beta)
+    da = atypicality_degree(alpha)
+    if da == 1 and atypicality_degree(beta) == 1:
+        _, _, gamma, delta = _required_ladder(alpha, beta)
         return classical_cover(delta, gamma, **kw)
-    return _gl22_cover(alpha, beta, **kw)
+    if not orbit_equal(alpha, beta):
+        return _gl22_cover(alpha, beta, **kw)
+    if da == 0:
+        return classical_cover(beta, alpha, **kw)
+    if _gl22_doubly_atypical(alpha):
+        return _gl22_cover(alpha, beta, **kw)
+    raise UnsupportedRegimeError(
+        f"covering undecidable at atypicality {da} for gl({alpha.m}|{alpha.n})"
+    )
 
 
 def _gl22_neighborhood(weight: SuperWeight) -> list[SuperWeight]:
@@ -507,7 +512,7 @@ def _gl22_neighborhood(weight: SuperWeight) -> list[SuperWeight]:
 
 def _gl22_cover(alpha: SuperWeight, beta: SuperWeight, **kw) -> bool:
     for kappa in _gl22_neighborhood(alpha):
-        if equal_ideal(kappa, alpha, **kw) or equal_ideal(kappa, beta, **kw):
+        if equal_ideal(kappa, alpha) or equal_ideal(kappa, beta):
             continue
         if inclusion(alpha, kappa, **kw) and inclusion(kappa, beta, **kw):
             return False
@@ -537,7 +542,7 @@ def gl22_component_classes(
     classes: list[list[SuperWeight]] = []
     for w in sorted(set(weights), key=lambda x: x.labels):
         for cls in classes:
-            if equal_ideal(w, cls[0], **kw):
+            if equal_ideal(w, cls[0]):
                 cls.append(w)
                 break
         else:
@@ -550,7 +555,7 @@ def gl22_component_classes(
             if i != j and inclusion(classes[j][0], classes[i][0], **kw):
                 strict.add((i, j))
     # connected component of the seed
-    seed_class = next(i for i, cls in enumerate(classes) if equal_ideal(cls[0], seed, **kw))
+    seed_class = next(i for i, cls in enumerate(classes) if equal_ideal(cls[0], seed))
     component = {seed_class}
     frontier = [seed_class]
     while frontier:
@@ -562,8 +567,6 @@ def gl22_component_classes(
                     frontier.append(nxt)
     kept = sorted(component)
     remap = {old: new for new, old in enumerate(kept)}
-    from .posets import transitive_reduction
-
     strict_kept = {(remap[i], remap[j]) for i, j in strict if i in remap and j in remap}
     hasse = transitive_reduction(len(kept), strict_kept)
     return [classes[old] for old in kept], hasse

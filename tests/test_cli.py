@@ -78,6 +78,11 @@ class TestAugPoset:
         assert code == 1
         assert "2" in err
 
+    def test_rank_zero_refused(self, capsys):
+        code, out, err = run(capsys, "aug-poset", "--m", "0")
+        assert code == 1 and out == ""
+        assert "error" in err and "m >= 1" in err
+
     def test_file_output(self, capsys, tmp_path):
         target = tmp_path / "poset.json"
         code, out, _ = run(
@@ -121,6 +126,14 @@ class TestKl:
         assert doc["pair"]["mu"] == 1
         assert (tmp_path / "kl_m4.jsonl").exists()
 
+    def test_pair_word_not_a_permutation(self, capsys, tmp_path):
+        code, out, err = run(
+            capsys, "--cache-dir", str(tmp_path), "kl", "--m", "4",
+            "--pair", "1,2,3;1,2,3,4",
+        )
+        assert code == 1 and out == ""
+        assert "permutation of 1..4" in err
+
 
 class TestSuperKl:
     def test_block_dump(self, capsys):
@@ -152,6 +165,11 @@ class TestComponents:
         assert all(
             c["order_isomorphic_to_regular_stratum"] for c in doc["components"]
         )
+
+    def test_rank_zero_refused(self, capsys):
+        code, out, err = run(capsys, "components", "--m", "0")
+        assert code == 1 and out == ""
+        assert "m >= 1" in err
 
 
 class TestDeterminism:

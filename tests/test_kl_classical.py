@@ -15,6 +15,7 @@ from primspec.kl_classical import (
     mu,
 )
 from primspec.laurent import ONE, LaurentPolynomial
+from primspec.super_inclusion import inclusion
 from primspec.tableaux import (
     all_permutations,
     identity,
@@ -160,6 +161,14 @@ class TestLeftPreorder:
 
         for m in (2, 3, 4, 5):
             assert left_preorder(m, **NO_DISK).class_count() == involution_count(m)
+
+    def test_cached_order_still_honours_bound(self):
+        # a cached rank-5 order must not answer for a caller bounded at 3
+        left_preorder(5, **NO_DISK)
+        with pytest.raises(BoundExceededError):
+            left_preorder(5, bound=3, **NO_DISK)
+        with pytest.raises(BoundExceededError):
+            inclusion(W("4,3,2,1,0|"), W("0,1,2,3,4|"), bound=3, **NO_DISK)
 
 
 class TestClassicalInclusion:
