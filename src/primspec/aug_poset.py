@@ -26,7 +26,12 @@ from functools import cached_property
 from itertools import permutations as iperm
 
 from . import crystal
-from .errors import BoundExceededError, NotSinglyAtypicalError, PreconditionError
+from .errors import (
+    BoundExceededError,
+    InvariantError,
+    NotSinglyAtypicalError,
+    PreconditionError,
+)
 from .kl_classical import DEFAULT_KL_BOUND, classical_inclusion, ideal_class_invariant
 from .posets import transitive_reduction
 from .super_inclusion import frame, inclusion
@@ -120,9 +125,10 @@ def enumerate_X(m: int, *, bound: int = DEFAULT_KL_BOUND, **kw) -> IdealPoset:
                 IdealClass(len(classes), i, members[0], tuple(members))
             )
     expected = (m + 1) * involution_count(m) // 2
-    assert len(classes) == expected, (
-        f"enumerated {len(classes)} classes, counting identity gives {expected}"
-    )
+    if len(classes) != expected:
+        raise InvariantError(
+            f"enumerated {len(classes)} classes, counting identity gives {expected}"
+        )
 
     strict: set[tuple[int, int]] = set()
     for a in classes:
@@ -156,7 +162,8 @@ def strata(poset: IdealPoset) -> dict[int, StratumAssignment]:
     for cls in poset.classes:
         i = cls.i_index
         p_values = {frame(w).p_value for w in cls.members}
-        assert len(p_values) == 1, f"ladder length not class-invariant on {cls}"
+        if len(p_values) != 1:
+            raise InvariantError(f"ladder length not class-invariant on {cls}")
         p = p_values.pop()
         tau_positions = tau_of_weight(cls.representative.left)
         j_tau = max(
@@ -164,7 +171,7 @@ def strata(poset: IdealPoset) -> dict[int, StratumAssignment]:
         )
         j = m - 1 - i - p
         if j_tau != j:
-            raise AssertionError(
+            raise InvariantError(
                 f"stratum disagreement on {cls.representative}: descent route "
                 f"gives {j_tau}, ladder route gives {j}"
             )
@@ -184,7 +191,8 @@ def minimal_elements(poset: IdealPoset) -> list[IdealClass]:
     for k in range(m):
         labels = list(range(1, k)) + [k, k] + list(range(k + 1, m)) if k else list(range(m))
         expected.append(poset.class_of(SuperWeight(tuple(labels), (k,))))
-    assert sorted(c.index for c in minimal) == sorted(c.index for c in expected)
+    if sorted(c.index for c in minimal) != sorted(c.index for c in expected):
+        raise InvariantError("the minimal ideals are not one per stratum")
     return minimal
 
 
@@ -222,10 +230,11 @@ def irreducible_components(
             for c in poset.classes
             if c.index == q_k.index or (q_k.index, c.index) in poset.strict
         }
-        assert by_stratum == by_upset, (
-            f"component {k}: stratum window {sorted(by_stratum)} differs from "
-            f"up-set {sorted(by_upset)}"
-        )
+        if by_stratum != by_upset:
+            raise InvariantError(
+                f"component {k}: stratum window {sorted(by_stratum)} differs from "
+                f"up-set {sorted(by_upset)}"
+            )
         members = sorted(by_stratum)
 
         # crystal chain e_{k-1} ... e_0 maps Z_k onto the regular-stratum model
@@ -236,7 +245,7 @@ def irreducible_components(
             for color in range(k):
                 nxt = crystal.e_tilde(w, color)
                 if nxt is None:
-                    raise AssertionError(
+                    raise InvariantError(
                         f"raising chain broke at color {color} on {w}"
                     )
                 w = nxt
@@ -289,10 +298,10 @@ def counts(poset: IdealPoset) -> CountsReport:
     for c in poset.classes:
         sizes[c.i_index] = sizes.get(c.i_index, 0) + 1
     s_m = involution_count(m)
-    assert sizes[0] == s_m
-    assert all(sizes[i] == s_m // 2 for i in range(1, m))
+    expected = {i: s_m if i == 0 else s_m // 2 for i in range(m)}
     total = len(poset.classes)
-    assert total == (m + 1) * s_m // 2
+    if sizes != expected or total != (m + 1) * s_m // 2:
+        raise InvariantError(f"{total} classes in strata {sizes}, expected {expected}")
     return CountsReport(m, total, s_m, sizes)
 
 

@@ -29,12 +29,13 @@ a wall-crossing condition plus nonvanishing of that pairing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 from typing import Iterable, Sequence
 
-from .errors import BoundExceededError, PreconditionError
+from .errors import BoundExceededError, InvariantError, PreconditionError
 from .laurent import ONE, ZERO, LaurentPolynomial
-from .posets import Preorder
+from .posets import Preorder, topological_order, wall_edges
 from .weights import SuperWeight, central_character
 
 __all__ = [
@@ -111,53 +112,27 @@ class BarInvolution:
 
     def apply_f(self, i: int, vec: Vector, k: int) -> Vector:
         """F_i on the first k slots (lowering; dual slots twist later factors)."""
-        out: Vector = {}
-        for mono, coeff in vec.items():
-            for j in range(k):
-                a = mono[j]
-                if self._is_dual(j):
-                    if a != i + 1:
-                        continue
-                    target = mono[:j] + (i,) + mono[j + 1:]
-                else:
-                    if a != i:
-                        continue
-                    target = mono[:j] + (i + 1,) + mono[j + 1:]
-                twist = 0
-                for l in range(j + 1, k):
-                    w = 1 if mono[l] == i else -1 if mono[l] == i + 1 else 0
-                    twist += w if self._is_dual(l) else -w
-                _add(out, target, coeff.shift(twist))
-        return out
+        return self._chevalley(i, vec, k, raising=False)
 
     def apply_e(self, i: int, vec: Vector, k: int) -> Vector:
         """E_i on the first k slots (raising; twists act on earlier factors)."""
+        return self._chevalley(i, vec, k, raising=True)
+
+    def _chevalley(self, i: int, vec: Vector, k: int, raising: bool) -> Vector:
         out: Vector = {}
         for mono, coeff in vec.items():
             for j in range(k):
-                a = mono[j]
-                if self._is_dual(j):
-                    if a != i:
-                        continue
-                    target = mono[:j] + (i + 1,) + mono[j + 1:]
-                else:
-                    if a != i + 1:
-                        continue
-                    target = mono[:j] + (i,) + mono[j + 1:]
+                # label i moves up to i+1 in a V slot under F, in a W slot under E
+                up = self._is_dual(j) == raising
+                if mono[j] != (i if up else i + 1):
+                    continue
+                target = mono[:j] + ((i + 1) if up else i,) + mono[j + 1:]
                 twist = 0
-                for l in range(j):
+                for l in range(j) if raising else range(j + 1, k):
                     w = 1 if mono[l] == i else -1 if mono[l] == i + 1 else 0
-                    twist += -w if self._is_dual(l) else w
+                    twist += w if self._is_dual(l) != raising else -w
                 _add(out, target, coeff.shift(twist))
         return out
-
-    def weight_exponent(self, mono: Mono, i: int) -> int:
-        """Exponent of the K_i eigenvalue on a monomial."""
-        total = 0
-        for j, a in enumerate(mono):
-            w = 1 if a == i else -1 if a == i + 1 else 0
-            total += -w if self._is_dual(j) else w
-        return total
 
     # -- q-commutator chains ---------------------------------------------------
 
@@ -176,28 +151,17 @@ class BarInvolution:
         if hit is not None:
             return hit
         base: Vector = {mono: ONE}
-        if kind == 0:  # G_{start,end}, recursion lowers `start`
-            if start == end - 1:
-                result = self.apply_f(start, base, k)
-            else:
-                inner_of_f = self._chain_apply(0, start + 1, end, self.apply_f(start, base, k), k)
-                f_of_inner = self.apply_f(start, self._chain_mono(0, start + 1, end, mono, k), k)
-                result = inner_of_f
-                for tgt, c in f_of_inner.items():
-                    _add(result, tgt, c * _MINUS_Q)
-        else:  # G'_{end,start}, recursion raises `end`
-            if end == start + 1:
-                result = self.apply_f(start, base, k)
-            else:
-                chain_of_f = self._chain_apply(
-                    1, start, end - 1, self.apply_f(end - 1, base, k), k
-                )
-                f_of_chain = self.apply_f(
-                    end - 1, self._chain_mono(1, start, end - 1, mono, k), k
-                )
-                result = chain_of_f
-                for tgt, c in f_of_chain.items():
-                    _add(result, tgt, c * _MINUS_Q)
+        if end == start + 1:
+            result = self.apply_f(start, base, k)
+        else:
+            if kind == 0:  # G_{start,end}, recursion lowers `start`
+                color, inner = start, (start + 1, end)
+            else:  # G'_{end,start}, recursion raises `end`
+                color, inner = end - 1, (start, end - 1)
+            result = self._chain_apply(kind, *inner, self.apply_f(color, base, k), k)
+            f_of_inner = self.apply_f(color, self._chain_mono(kind, *inner, mono, k), k)
+            for tgt, c in f_of_inner.items():
+                _add(result, tgt, c * _MINUS_Q)
         self._chain[key] = result
         return result
 
@@ -232,14 +196,9 @@ class BarInvolution:
         return result
 
 
-_bar_registry: dict[TensorWindow, BarInvolution] = {}
-
-
+@cache
 def bar_involution(window: TensorWindow) -> BarInvolution:
-    bar = _bar_registry.get(window)
-    if bar is None:
-        bar = _bar_registry[window] = BarInvolution(window)
-    return bar
+    return BarInvolution(window)
 
 
 def _counts_key(mono: Mono, m: int) -> tuple[tuple[int, int], ...]:
@@ -334,6 +293,14 @@ class CanonicalBasisTable:
         """dim Ext^1 between the simples: q-linear terms of d both ways."""
         return self.d(alpha, beta).coeff(1) + self.d(beta, alpha).coeff(1)
 
+    def mu_pairs(self) -> Iterable[tuple[SuperWeight, SuperWeight, int]]:
+        """All (alpha, beta, mu) with mu != 0; D is unitriangular, so at most
+        one of d(alpha, beta) and d(beta, alpha) is nonzero: each pair once."""
+        ws = self.weights
+        for (i, j), poly in self._d.items():
+            if poly.coeff(1):
+                yield ws[i], ws[j], poly.coeff(1)
+
     def to_json_dict(self) -> dict:
         entries = []
         ws = self.weights
@@ -358,7 +325,7 @@ def _solve_canonical(
     n = len(monos)
     # R: conjugated bar matrix, R[j] maps row index -> polynomial
     R: list[dict[int, LaurentPolynomial]] = []
-    edges = []
+    touched_by: list[list[int]] = [[] for _ in range(n)]  # i -> j whose bar image has i
     for j, mono in enumerate(monos):
         image = bar.psi(mono)
         row: dict[int, LaurentPolynomial] = {}
@@ -369,72 +336,35 @@ def _solve_canonical(
                 )
             i = index[tgt]
             row[i] = coeff.bar()
-        assert row.get(j) == ONE, "bar involution must be unitriangular"
+        if row.get(j) != ONE:
+            raise InvariantError("bar involution must be unitriangular")
         for i in row:
             if i != j:
-                edges.append((j, i))
+                touched_by[i].append(j)
         R.append(row)
 
-    order = _linearize(n, edges)
-    pos = {node: k for k, node in enumerate(order)}
+    # the canonical basis is unique, so every linear extension gives the same D
+    order = topological_order(n, touched_by)
     D: dict[tuple[int, int], LaurentPolynomial] = {}
-    col: dict[int, LaurentPolynomial] = {}
-    for j in order:
-        col = {j: ONE}
+    for pos, j in enumerate(order):
+        col_bar = {j: ONE}  # bar of each solved entry of column j
         # rows strictly below j in the linear order, nearest first
-        below = sorted((i for i in range(n) if pos[i] < pos[j]), key=lambda i: -pos[i])
-        for i in below:
+        for i in reversed(order[:pos]):
             f = ZERO
-            for k, dkj in col.items():
-                rik = R[k].get(i) if k != i else None
-                if k == i:
-                    continue
+            for k, dkj_bar in col_bar.items():
+                rik = R[k].get(i)
                 if rik is not None:
-                    f = f + rik * dkj.bar()
+                    f = f + rik * dkj_bar
             if f.is_zero():
                 continue
             # f must be bar-antisymmetric with no constant term
-            assert f.bar() == -f and f.coeff(0) == 0, "canonical correction failed"
+            if f.bar() != -f or f.coeff(0) != 0:
+                raise InvariantError("canonical correction failed")
             c = LaurentPolynomial({e: cf for e, cf in f.items() if e > 0})
             if c:
-                col[i] = c
-        for i, poly in col.items():
-            if i != j:
-                D[(i, j)] = poly
+                D[(i, j)] = c
+                col_bar[i] = c.bar()
     return D
-
-
-def _linearize(n: int, edges: list[tuple[int, int]]) -> list[int]:
-    """Topological order with bar-fixed monomials first.
-
-    An edge a -> b records that the bar image of monomial a touches
-    monomial b, so b must precede a.
-    """
-    from heapq import heapify, heappop, heappush
-
-    deps: list[set[int]] = [set() for _ in range(n)]
-    rdeps: dict[int, list[int]] = {}
-    for a, b in edges:
-        if b not in deps[a]:
-            deps[a].add(b)
-            rdeps.setdefault(b, []).append(a)
-    remaining = [len(d) for d in deps]
-    waiting = [i for i in range(n) if remaining[i] == 0]
-    heapify(waiting)
-    order: list[int] = []
-    while waiting:
-        node = heappop(waiting)
-        order.append(node)
-        for parent in rdeps.get(node, ()):
-            remaining[parent] -= 1
-            if remaining[parent] == 0:
-                heappush(waiting, parent)
-    if len(order) != n:
-        raise PreconditionError("bar involution support is not acyclic")
-    return order
-
-
-_table_registry: dict[tuple, CanonicalBasisTable] = {}
 
 
 def canonical_basis(
@@ -472,14 +402,13 @@ def canonical_basis(
         if not window.contains(w):
             raise PreconditionError(f"{w} lies outside the interval {interval}")
 
-    key = (window, _counts_key(first.labels, m))
-    table = _table_registry.get(key)
-    if table is None:
-        monos = _weight_space(window, _counts_key(first.labels, m))
-        d_matrix = _solve_canonical(bar_involution(window), monos)
-        table = CanonicalBasisTable(window, monos, d_matrix)
-        _table_registry[key] = table
-    return table
+    return _table(window, _counts_key(first.labels, m))
+
+
+@cache
+def _table(window: TensorWindow, key: tuple[tuple[int, int], ...]) -> CanonicalBasisTable:
+    monos = _weight_space(window, key)
+    return CanonicalBasisTable(window, monos, _solve_canonical(bar_involution(window), monos))
 
 
 def mu_super(alpha: SuperWeight, beta: SuperWeight, table: CanonicalBasisTable) -> int:
@@ -492,33 +421,22 @@ class SuperOrder:
 
     Generated per simple reflection by the wall conditions (strictly on
     the wall's negative side for the upper weight, weakly positive for the
-    lower) plus nonvanishing Ext^1; closed transitively.
+    lower) plus nonvanishing Ext^1; closed transitively.  Raises KeyError
+    for a weight outside the table's weight space.
     """
 
     def __init__(self, weights: Sequence[SuperWeight], table: CanonicalBasisTable):
         self.weights = list(weights)
         self._index = {w: i for i, w in enumerate(self.weights)}
-        m, n = self.weights[0].m, self.weights[0].n
-        edges = set()
-        for ia, alpha in enumerate(self.weights):
-            for ib, beta in enumerate(self.weights):
-                if ia == ib:
-                    continue
-                if not self._wall_condition(alpha, beta, m, n):
-                    continue
-                if table.mu(alpha, beta):
-                    edges.add((ia, ib))  # beta below alpha
-        self.preorder = Preorder(len(self.weights), edges)
-
-    @staticmethod
-    def _wall_condition(alpha: SuperWeight, beta: SuperWeight, m: int, n: int) -> bool:
-        for p in range(m - 1):
-            if alpha.left[p] > alpha.left[p + 1] and beta.left[p] <= beta.left[p + 1]:
-                return True
-        for j in range(n - 1):
-            if alpha.right[j] < alpha.right[j + 1] and beta.right[j] >= beta.right[j + 1]:
-                return True
-        return False
+        for w in self.weights:
+            table._key(w)
+        masks = [_wall_mask(w) for w in self.weights]
+        pairs = [
+            (self._index[alpha], self._index[beta])
+            for alpha, beta, _ in table.mu_pairs()
+            if alpha in self._index and beta in self._index
+        ]
+        self.preorder = Preorder(len(self.weights), wall_edges(masks, pairs))
 
     def leq(self, beta: SuperWeight, alpha: SuperWeight) -> bool:
         """beta below-or-equivalent-to alpha in the left order."""
@@ -536,6 +454,16 @@ class SuperOrder:
                 if a != b and self.leq(b, a) and not self.same_class(a, b):
                     out.add((b, a))
         return out
+
+
+def _wall_mask(weight: SuperWeight) -> int:
+    """Bit p for a strict descent of the left labels at p, bit m+j for a
+    strict ascent of the right labels at j: the walls the weight is
+    strictly on the negative side of."""
+    m, left, right = weight.m, weight.left, weight.right
+    return sum(1 << p for p in range(m - 1) if left[p] > left[p + 1]) + sum(
+        1 << (m + j) for j in range(weight.n - 1) if right[j] < right[j + 1]
+    )
 
 
 def kl_left_order(

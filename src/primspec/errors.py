@@ -8,6 +8,7 @@ __all__ = [
     "PreconditionError",
     "UnsupportedRegimeError",
     "CacheVersionError",
+    "InvariantError",
 ]
 
 
@@ -62,3 +63,8 @@ class UnsupportedRegimeError(PrimspecError):
 
 class CacheVersionError(PrimspecError):
     """An on-disk cache file has an incompatible version header."""
+
+
+class InvariantError(PrimspecError, AssertionError):
+    """A computed result broke a guaranteed invariant (raised, not asserted,
+    so ``python -O`` keeps the check; still an AssertionError for callers)."""

@@ -33,9 +33,9 @@ from itertools import permutations as iperm
 from pathlib import Path
 from typing import Iterable, Literal, Sequence
 
-from .errors import BoundExceededError, CacheVersionError
+from .errors import BoundExceededError, CacheVersionError, InvariantError
 from .laurent import ONE, ZERO, LaurentPolynomial
-from .posets import Preorder
+from .posets import Preorder, wall_edges
 from .tableaux import (
     Permutation,
     StandardTableau,
@@ -229,7 +229,8 @@ def _build_kl_table(m: int) -> KLTable:
             if mu_z and lengths[right_mult[zi][p]] < lengths[zi]:
                 for xi, zpoly in h[zi].items():
                     add(prod, xi, zpoly, scale=-mu_z)
-        assert prod.get(yi) == {0: 1}, "new-basis element is not unitriangular"
+        if prod.get(yi) != {0: 1}:
+            raise InvariantError("new-basis element is not unitriangular")
         h[yi] = prod
 
     p_polys: dict[tuple[int, int], tuple[int, ...]] = {}
@@ -238,13 +239,13 @@ def _build_kl_table(m: int) -> KLTable:
             if xi == yi:
                 continue
             gap = lengths[yi] - lengths[xi]
-            assert all(0 < e <= gap and (gap - e) % 2 == 0 for e in poly), (
-                "h-polynomial violates degree bounds"
-            )
+            if not all(0 < e <= gap and (gap - e) % 2 == 0 for e in poly):
+                raise InvariantError("h-polynomial violates degree bounds")
             coeffs = [0] * ((gap + 1) // 2 if gap % 2 else gap // 2 + 1)
             for e, c in poly.items():
                 coeffs[(gap - e) // 2] = c
-            assert coeffs[0] == 1, "KL polynomial must have constant term 1"
+            if coeffs[0] != 1:
+                raise InvariantError("KL polynomial must have constant term 1")
             p_polys[(xi, yi)] = tuple(coeffs)
     return KLTable(m, perms, p_polys)
 
@@ -319,33 +320,22 @@ class LeftOrder:
         perms = sorted(all_permutations(m))
         self.index = {w: i for i, w in enumerate(perms)}
         self.perms = perms
-        n_nodes = len(perms)
 
-        ascent_mask = []
-        descent_mask = []
-        for r in perms:
-            asc = desc = 0
-            for p in range(m - 1):
-                if r[p] < r[p + 1]:
-                    asc |= 1 << p
-                else:
-                    desc |= 1 << p
-            ascent_mask.append(asc)
-            descent_mask.append(desc)
+        # bit p: strictly on the positive side of wall p (an ascent of the word)
+        ascent_mask = [
+            sum(1 << p for p in range(m - 1) if r[p] < r[p + 1]) for r in perms
+        ]
 
         def node_of_base_element(u: Permutation) -> int:
             # u is the antidominant-based Weyl element; its weight's rank
             # word is inverse(u w0), with (u w0) = reversed one-line word.
             return self.index[inverse(tuple(reversed(u)))]
 
-        edges: set[tuple[int, int]] = set()
-        for x, y, _ in table.mu_pairs():
-            a, b = node_of_base_element(x), node_of_base_element(y)
-            for lam, nu in ((a, b), (b, a)):
-                if ascent_mask[lam] & descent_mask[nu]:
-                    edges.add((lam, nu))
-
-        self.preorder = Preorder(n_nodes, edges)
+        pairs = (
+            (node_of_base_element(x), node_of_base_element(y))
+            for x, y, _ in table.mu_pairs()
+        )
+        self.preorder = Preorder(len(perms), wall_edges(ascent_mask, pairs))
 
     def node(self, r: Permutation) -> int:
         return self.index[tuple(r)]

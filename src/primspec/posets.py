@@ -6,6 +6,8 @@ from typing import Iterable, Sequence
 
 __all__ = [
     "Preorder",
+    "wall_edges",
+    "topological_order",
     "transitive_closure",
     "transitive_reduction",
     "strongly_connected_components",
@@ -40,6 +42,18 @@ class Preorder:
         return self.class_leq(self._comp[lower], self._comp[upper])
 
 
+def wall_edges(masks: Sequence[int], pairs: Iterable[tuple[int, int]]) -> set[tuple[int, int]]:
+    """Generating edges (upper, lower) of a left order: each node pair with
+    nonzero Ext^1, in each direction where the upper node's wall bitmask has
+    a bit that the lower node's lacks."""
+    return {
+        (upper, lower)
+        for a, b in pairs
+        for upper, lower in ((a, b), (b, a))
+        if masks[upper] & ~masks[lower]
+    }
+
+
 def transitive_closure(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
     """Reachability bitsets over nodes 0..n-1; bit j of result[i] means i -> j.
 
@@ -49,7 +63,7 @@ def transitive_closure(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
     adj: list[list[int]] = [[] for _ in range(n)]
     for a, b in edges:
         adj[a].append(b)
-    order = _topological_order(n, adj)
+    order = topological_order(n, adj)
     for a in reversed(order):
         acc = reach[a]
         for b in adj[a]:
@@ -58,7 +72,8 @@ def transitive_closure(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
     return reach
 
 
-def _topological_order(n: int, adj: Sequence[Sequence[int]]) -> list[int]:
+def topological_order(n: int, adj: Sequence[Sequence[int]]) -> list[int]:
+    """Nodes 0..n-1 with a before b for every b in adj[a] (ValueError on a cycle)."""
     seen = [0] * n  # 0 unvisited, 1 on stack, 2 done
     order: list[int] = []
     for root in range(n):

@@ -28,9 +28,14 @@ from dataclasses import dataclass
 from typing import Literal
 
 from . import crystal
-from .errors import NotSinglyAtypicalError, PreconditionError, UnsupportedRegimeError
+from .errors import (
+    InvariantError,
+    NotSinglyAtypicalError,
+    PreconditionError,
+    UnsupportedRegimeError,
+)
 from .kl_classical import classical_cover, classical_equal, classical_inclusion
-from .posets import transitive_reduction
+from .posets import strongly_connected_components, transitive_reduction
 from .weights import (
     SuperWeight,
     atypicality_degree,
@@ -140,7 +145,8 @@ def frame(weight: SuperWeight) -> AtypicalityFrame:
             else:
                 break
         q_values[i_set[idx]] = run
-    assert sum(q_values.values()) == p_value, "ladder run lengths must sum to p"
+    if sum(q_values.values()) != p_value:
+        raise InvariantError("ladder run lengths must sum to p")
     return AtypicalityFrame(a, i_set, p_value, q_values)
 
 
@@ -335,7 +341,7 @@ def _trace(alpha: SuperWeight, beta: SuperWeight) -> tuple[int, ReductionTrace]:
             chains[side] = _apply_power(side, op, value - 1, count, chains[side], steps)
 
     if chains["alpha"] != gamma or chains["beta"] != delta:
-        raise AssertionError(
+        raise InvariantError(
             f"reduction mismatch: trace ended at ({chains['alpha']}, {chains['beta']}), "
             f"formulas give ({gamma}, {delta})"
         )
@@ -554,18 +560,10 @@ def gl22_component_classes(
         for j in range(n):
             if i != j and inclusion(classes[j][0], classes[i][0], **kw):
                 strict.add((i, j))
-    # connected component of the seed
+    # connected component of the seed: strongly connected once symmetrized
     seed_class = next(i for i, cls in enumerate(classes) if equal_ideal(cls[0], seed))
-    component = {seed_class}
-    frontier = [seed_class]
-    while frontier:
-        node = frontier.pop()
-        for i, j in strict:
-            for nxt in ((j,) if i == node else (i,) if j == node else ()):
-                if nxt not in component:
-                    component.add(nxt)
-                    frontier.append(nxt)
-    kept = sorted(component)
+    comp = strongly_connected_components(n, strict | {(j, i) for i, j in strict})
+    kept = [i for i in range(n) if comp[i] == comp[seed_class]]
     remap = {old: new for new, old in enumerate(kept)}
     strict_kept = {(remap[i], remap[j]) for i, j in strict if i in remap and j in remap}
     hasse = transitive_reduction(len(kept), strict_kept)

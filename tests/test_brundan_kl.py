@@ -11,7 +11,7 @@ from primspec.brundan_kl import (
     mu_super,
 )
 from primspec.errors import BoundExceededError, PreconditionError
-from primspec.kl_classical import kl_table
+from primspec.kl_classical import kl_table, left_preorder
 from primspec.laurent import ONE, LaurentPolynomial
 from primspec.super_inclusion import inclusion
 from primspec.tableaux import inversions, rank_word
@@ -159,6 +159,16 @@ class TestCanonicalBasis:
                 if a != b:
                     assert not (table.d(a, b).coeff(1) and table.d(b, a).coeff(1))
 
+    def test_mu_pairs_lists_each_nonzero_mu_once(self):
+        table = canonical_basis([W("1,0|0,1")], interval=(-1, 3))
+        listed = [(frozenset((a, b)), value) for a, b, value in table.mu_pairs()]
+        ws = table.weights
+        expected = {
+            frozenset((a, b)): table.mu(a, b)
+            for a in ws for b in ws if a != b and table.mu(a, b)
+        }
+        assert len(listed) == len(expected) and dict(listed) == expected
+
     def test_gl22_ext_values(self):
         table = canonical_basis([W("1,0|0,1")], interval=(-1, 3))
         top = W("1,0|0,1")
@@ -211,6 +221,24 @@ class TestLeftOrder:
             assert order.leq(W(text), top)
         assert not order.leq(W("2,1|1,2"), top)
         assert order.leq(top, top)
+
+    def test_weight_outside_the_table_raises(self):
+        # the check must not wait for a pair to pass the wall test
+        table = canonical_basis([W("1,0|1")], interval=(-1, 2))
+        for stray in ("3,0|3", "1,1|0"):
+            with pytest.raises(KeyError, match="not in this table's weight space"):
+                kl_left_order([W("1,0|1"), W(stray)], table)
+
+    @pytest.mark.parametrize("seed, interval", [("3,2,1,0|", (-1, 4)), ("2,1,0|", (-1, 3))])
+    def test_regular_even_block_matches_classical_left_preorder(self, seed, interval):
+        # the super order and the classical order are one construction
+        table = canonical_basis([W(seed)], interval=interval)
+        order = kl_left_order(table.weights, table)
+        classical = left_preorder(W(seed).m, use_disk=False)
+        for a in table.weights:
+            for b in table.weights:
+                expected = classical.leq(rank_word(b.left), rank_word(a.left))
+                assert order.leq(b, a) == expected
 
     def test_rank_four_block_reproduces_full_classical_table(self):
         # pure even rank 4, where the first nontrivial classical KL

@@ -1,7 +1,9 @@
 """Cross-module invariants that don't belong to a single unit file."""
 
+import ast
 import doctest
 import random
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +16,7 @@ import primspec.weights
 from primspec import crystal
 from primspec.aug_poset import enumerate_X
 from primspec.brundan_kl import kl_left_order
+from primspec.errors import InvariantError, PrimspecError
 from primspec.super_inclusion import equal_ideal, frame, reduction_trace, theta_representative
 from primspec.weights import SuperWeight, atypicality_degree
 
@@ -34,6 +37,21 @@ W = SuperWeight.parse
 def test_doctests(module):
     failures, _ = doctest.testmod(module)
     assert failures == 0
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips asserts; a result invariant raises InvariantError,
+    # which code catching AssertionError still catches
+    assert issubclass(InvariantError, PrimspecError)
+    assert issubclass(InvariantError, AssertionError)
+    package = Path(primspec.weights.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 def _random_singly_atypical(rng, m, n):
