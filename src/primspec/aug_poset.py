@@ -15,8 +15,9 @@ lies on, and every Z_k is order-isomorphic to the classical poset of the
 regular stratum through an explicit chain of crystal raising maps.
 
 Enumeration is exact: equality classes are keyed by the stratum and the
-insertion-tableau invariant, strict inclusions are decided pairwise by
-the ladder algorithm, and the Hasse diagram is the transitive reduction.
+insertion-tableau invariant, strict inclusions are decided by the ladder
+algorithm from data computed once per class, and the Hasse diagram is the
+transitive reduction.
 """
 
 from __future__ import annotations
@@ -32,11 +33,16 @@ from .errors import (
     NotSinglyAtypicalError,
     PreconditionError,
 )
-from .kl_classical import DEFAULT_KL_BOUND, classical_inclusion, ideal_class_invariant
+from .kl_classical import (
+    DEFAULT_KL_BOUND,
+    LeftOrder,
+    ideal_class_invariant,
+    left_preorder,
+)
 from .posets import transitive_reduction
-from .super_inclusion import frame, inclusion
-from .tableaux import involution_count, tau_of_weight
-from .weights import SuperWeight, atypicality_degree
+from .super_inclusion import _delta, _gamma, frame
+from .tableaux import involution_count, rank_word, tau_of_weight
+from .weights import SuperWeight, atypicality_degree, dominant_representative
 
 __all__ = [
     "IdealClass",
@@ -130,15 +136,54 @@ def enumerate_X(m: int, *, bound: int = DEFAULT_KL_BOUND, **kw) -> IdealPoset:
             f"enumerated {len(classes)} classes, counting identity gives {expected}"
         )
 
-    strict: set[tuple[int, int]] = set()
-    for a in classes:
-        for b in classes:
-            if a.index != b.index and inclusion(
-                b.representative, a.representative, **kw
-            ):
-                strict.add((a.index, b.index))
+    strict = _strict_pairs(classes, **kw)
     hasse = transitive_reduction(len(classes), strict)
     return IdealPoset(m, tuple(classes), frozenset(strict), tuple(hasse))
+
+
+def _node(order: LeftOrder, weight: SuperWeight) -> tuple[SuperWeight, int]:
+    """What `classical_inclusion` reads of a gl(m|1) weight: its orbit (the
+    dominant representative) and the preorder class of its left factor.
+    The one-label right factor never constrains."""
+    return dominant_representative(weight), order.class_id(rank_word(weight.left))
+
+
+def _node_leq(order: LeftOrder, lower: tuple, upper: tuple) -> bool:
+    """`classical_inclusion` on two nodes: equal orbits and one closure bit."""
+    return lower[0] == upper[0] and order.preorder.class_leq(lower[1], upper[1])
+
+
+def _strict_pairs(classes: list[IdealClass], **kw) -> set[tuple[int, int]]:
+    """(lower, upper) with J(lower) strictly inside J(upper), as `inclusion`
+    decides it, from data computed once per class.
+
+    Only a lower class with atypical value a_upper + p, 0 <= p <= p_upper,
+    can lie below: below upper itself at p = 0 (one orbit), or with delta(lower)
+    below gamma(upper, p).  Each stratum is a single orbit, the one that upper's
+    pair shifted by p lands in, so the ladder's orbit test always holds.
+    """
+    if len(classes) < 2:
+        return set()
+    order = left_preorder(classes[0].representative.m, **kw)
+    frames = [frame(c.representative) for c in classes]
+    own = [_node(order, c.representative) for c in classes]
+    delta = [_node(order, _delta(c.representative, f)) for c, f in zip(classes, frames)]
+    by_a: dict[int, list[int]] = {}
+    for c, f in zip(classes, frames):
+        by_a.setdefault(f.a_value, []).append(c.index)
+
+    strict: set[tuple[int, int]] = set()
+    for hi, fa in enumerate(frames):
+        alpha = classes[hi].representative
+        for p in range(fa.p_value + 1):
+            if p:
+                top, below = _node(order, _gamma(alpha, fa, p)), delta
+            else:
+                top, below = own[hi], own
+            for lo in by_a.get(fa.a_value + p, ()):
+                if lo != hi and _node_leq(order, below[lo], top):
+                    strict.add((lo, hi))
+    return strict
 
 
 @dataclass(frozen=True, slots=True)
@@ -181,11 +226,8 @@ def strata(poset: IdealPoset) -> dict[int, StratumAssignment]:
 
 def minimal_elements(poset: IdealPoset) -> list[IdealClass]:
     """The minimal ideals; exactly one per stratum, pairwise incomparable."""
-    minimal = [
-        c
-        for c in poset.classes
-        if not any((x, c.index) in poset.strict for x in range(len(poset.classes)))
-    ]
+    above_some = {upper for _, upper in poset.strict}
+    minimal = [c for c in poset.classes if c.index not in above_some]
     expected = []
     m = poset.m
     for k in range(m):
@@ -218,18 +260,9 @@ def irreducible_components(
     reports = []
     minimal = {c.i_index: c for c in minimal_elements(poset)}
     for k in range(m):
-        by_stratum = {
-            c.index
-            for c in poset.classes
-            if assignments[c.index].i_index <= k <= assignments[c.index].i_index
-            + assignments[c.index].p_value
-        }
-        q_k = minimal[k]
-        by_upset = {
-            c.index
-            for c in poset.classes
-            if c.index == q_k.index or (q_k.index, c.index) in poset.strict
-        }
+        by_stratum = {c.index for c in poset.classes if k in assignments[c.index].z_set}
+        q_k = minimal[k].index
+        by_upset = {q_k} | {upper for lower, upper in poset.strict if lower == q_k}
         if by_stratum != by_upset:
             raise InvariantError(
                 f"component {k}: stratum window {sorted(by_stratum)} differs from "
@@ -252,18 +285,15 @@ def irreducible_components(
             images[ci] = str(ideal_class_invariant(w.left))
             image_weights[ci] = w
         iso = len(set(images.values())) == len(members)
-        if iso:
-            for a in members:
-                for b in members:
-                    if a == b:
-                        continue
-                    upstairs = (a, b) in poset.strict
-                    downstairs = classical_inclusion(image_weights[a], image_weights[b])
-                    if upstairs != downstairs:
-                        iso = False
-                        break
-                if not iso:
-                    break
+        if iso and len(members) > 1:
+            order = left_preorder(m)
+            nodes = {ci: _node(order, w) for ci, w in image_weights.items()}
+            iso = all(
+                ((a, b) in poset.strict) == _node_leq(order, nodes[a], nodes[b])
+                for a in members
+                for b in members
+                if a != b
+            )
         reports.append(ComponentReport(k, tuple(members), images, iso))
     return reports
 

@@ -166,26 +166,31 @@ class KLTable:
 
     @classmethod
     def load(cls, path: Path, m: int) -> "KLTable":
+        """Read a table written by `save`; a file that does not parse as one
+        raises CacheVersionError naming the path."""
         with open(path) as fh:
-            header = json.loads(fh.readline())
-            if header.get("format") != _CACHE_FORMAT or header.get("version") != _CACHE_VERSION:
-                raise CacheVersionError(
-                    f"cache {path} has header {header}, expected format "
-                    f"{_CACHE_FORMAT!r} version {_CACHE_VERSION}; refusing to overwrite"
-                )
-            if header.get("m") != m:
-                raise CacheVersionError(f"cache {path} is for m={header.get('m')}, not {m}")
-            perms = sorted(all_permutations(m), key=lambda w: (inversions(w), w))
-            index = {w: i for i, w in enumerate(perms)}
-            p_polys: dict[tuple[int, int], tuple[int, ...]] = {}
-            for line in fh:
-                x, y, pairs = json.loads(line)
-                coeffs = [0] * (max(k for k, _ in pairs) + 1)
-                for k, c in pairs:
-                    coeffs[k] = c
-                p_polys[(index[tuple(x)], index[tuple(y)])] = tuple(coeffs)
-            if len(p_polys) != header["count"]:
-                raise CacheVersionError(f"cache {path} is truncated")
+            try:
+                header = json.loads(fh.readline())
+                if header.get("format") != _CACHE_FORMAT or header.get("version") != _CACHE_VERSION:
+                    raise CacheVersionError(
+                        f"cache {path} has header {header}, expected format "
+                        f"{_CACHE_FORMAT!r} version {_CACHE_VERSION}; refusing to overwrite"
+                    )
+                if header.get("m") != m:
+                    raise CacheVersionError(f"cache {path} is for m={header.get('m')}, not {m}")
+                perms = sorted(all_permutations(m), key=lambda w: (inversions(w), w))
+                index = {w: i for i, w in enumerate(perms)}
+                p_polys: dict[tuple[int, int], tuple[int, ...]] = {}
+                for line in fh:
+                    x, y, pairs = json.loads(line)
+                    coeffs = [0] * (max(k for k, _ in pairs) + 1)
+                    for k, c in pairs:
+                        coeffs[k] = c
+                    p_polys[(index[tuple(x)], index[tuple(y)])] = tuple(coeffs)
+                if len(p_polys) != header["count"]:
+                    raise CacheVersionError(f"cache {path} is truncated")
+            except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                raise CacheVersionError(f"cache {path} is corrupt: {exc!r}") from exc
         return cls(m, perms, p_polys)
 
 
@@ -292,8 +297,11 @@ def kl_table(
         if use_disk and not cache_file.exists():
             try:
                 table.save(cache_file)
-            except OSError:
-                pass  # caching is best-effort; the table is still valid
+            except OSError as exc:  # caching is best-effort; the table is still valid
+                import logging  # lazily: importing it costs each process 0.5 MB
+                logging.getLogger(__name__).warning(
+                    "could not write the KL cache %s: %s", cache_file, exc
+                )
         return table
 
 

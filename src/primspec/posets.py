@@ -103,12 +103,14 @@ def topological_order(n: int, adj: Sequence[Sequence[int]]) -> list[int]:
 def transitive_reduction(
     n: int, strict: set[tuple[int, int]]
 ) -> list[tuple[int, int]]:
-    """Hasse edges of a strict partial order given as ordered pairs (a < b)."""
-    edges = []
+    """Hasse edges of a strict partial order given as ordered pairs (a < b):
+    the pairs with no node c such that a < c and c < b."""
+    up = [0] * n  # bit c of up[a]: a < c
+    down = [0] * n  # bit c of down[b]: c < b
     for a, b in strict:
-        if not any((a, c) in strict and (c, b) in strict for c in range(n)):
-            edges.append((a, b))
-    return sorted(edges)
+        up[a] |= 1 << b
+        down[b] |= 1 << a
+    return sorted((a, b) for a, b in strict if not up[a] & down[b])
 
 
 def strongly_connected_components(

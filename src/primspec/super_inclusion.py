@@ -175,43 +175,43 @@ def theta_membership(alpha: SuperWeight, beta: SuperWeight) -> int | None:
     return p if orbit_equal(_shifted(alpha, fa, p), beta) else None
 
 
+def _gamma(alpha: SuperWeight, fa: AtypicalityFrame, p: int) -> SuperWeight:
+    """alpha's classical surrogate at shift p (`fa` is alpha's frame): labels
+    up to a+p drop by one, except along the ladder, where they advance by
+    their run lengths and saturate at a+p."""
+    cap = fa.a_value + p
+    labels = [
+        lab if lab > cap
+        else min(lab + fa.q_values[pos], cap) if pos in fa.q_values
+        else lab - 1
+        for pos, lab in enumerate(alpha.labels, start=1)
+    ]
+    return SuperWeight(tuple(labels[: alpha.m]), tuple(labels[alpha.m:]))
+
+
+def _delta(beta: SuperWeight, fb: AtypicalityFrame) -> SuperWeight:
+    """beta's classical surrogate (`fb` is beta's frame), the same for every
+    alpha since a_alpha + p = a_beta: labels up to a_beta drop by one, except
+    the atypical pair nearest the separator."""
+    keep = fb.i_set[:2]
+    labels = [
+        lab - 1 if lab <= fb.a_value and pos not in keep else lab
+        for pos, lab in enumerate(beta.labels, start=1)
+    ]
+    return SuperWeight(tuple(labels[: beta.m]), tuple(labels[beta.m:]))
+
+
 def _ladder(
     alpha: SuperWeight, fa: AtypicalityFrame, beta: SuperWeight
 ) -> tuple[int, SuperWeight, SuperWeight] | None:
     """The ladder pass: (p, gamma, delta), or None unless beta lies in the
-    orbit of alpha's atypical pair shifted by 0 <= p <= p_alpha.
-
-    `fa` is alpha's frame.  All labels at most a+p drop by one except along
-    alpha's ladder, where they saturate at a+p after advancing by their run
-    lengths; on the beta side only the two atypical labels nearest the
-    separator survive the drop.
-    """
+    orbit of alpha's atypical pair shifted by 0 <= p <= p_alpha (`fa` is
+    alpha's frame)."""
     fb = frame(beta)
     p = fb.a_value - fa.a_value
     if not orbit_equal(_shifted(alpha, fa, p), beta) or not 0 <= p <= fa.p_value:
         return None
-    cap = fa.a_value + p
-    gamma_labels = []
-    for pos, lab in enumerate(alpha.labels, start=1):
-        if lab <= cap and pos in fa.q_values:
-            gamma_labels.append(min(lab + fa.q_values[pos], cap))
-        elif lab <= cap:
-            gamma_labels.append(lab - 1)
-        else:
-            gamma_labels.append(lab)
-
-    keep = set(fb.i_set[:2])
-    delta_labels = []
-    for pos, lab in enumerate(beta.labels, start=1):
-        if lab <= cap and pos not in keep:
-            delta_labels.append(lab - 1)
-        else:
-            delta_labels.append(lab)
-
-    m = alpha.m
-    gamma = SuperWeight(tuple(gamma_labels[:m]), tuple(gamma_labels[m:]))
-    delta = SuperWeight(tuple(delta_labels[:m]), tuple(delta_labels[m:]))
-    return p, gamma, delta
+    return p, _gamma(alpha, fa, p), _delta(beta, fb)
 
 
 def _required_ladder(

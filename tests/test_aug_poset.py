@@ -25,7 +25,7 @@ W = SuperWeight.parse
 
 @pytest.fixture(scope="module")
 def posets():
-    return {m: enumerate_X(m) for m in range(1, 6)}
+    return {m: enumerate_X(m) for m in range(1, 7)}
 
 
 @pytest.fixture(scope="module")
@@ -266,6 +266,26 @@ class TestOrderProperties:
                     expected = (b.index, a.index) in hasse
                     got = covers(a.representative, b.representative)
                     assert got == expected, (a.representative, b.representative)
+        # rank 6: every Hasse edge covers, every 8th other strict pair does not
+        poset = posets[6]
+        reps = [c.representative for c in poset.classes]
+        assert len(poset.hasse) == 695
+        for lower, upper in poset.hasse:
+            assert covers(reps[upper], reps[lower]), (reps[upper], reps[lower])
+        for lower, upper in sorted(poset.strict - set(poset.hasse))[::8]:
+            assert not covers(reps[upper], reps[lower]), (reps[upper], reps[lower])
+
+    def test_strict_pairs_match_pairwise_inclusion(self, posets):
+        # independent route: the ladder decision on every ordered class pair
+        for m in (2, 3, 4, 5):
+            classes = posets[m].classes
+            pairwise = {
+                (a.index, b.index)
+                for a in classes
+                for b in classes
+                if a.index != b.index and inclusion(b.representative, a.representative)
+            }
+            assert posets[m].strict == pairwise
 
     def test_q_k_cross_orbit_cover(self, posets):
         # the only covering of a minimal ideal from the previous stratum

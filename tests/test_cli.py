@@ -1,5 +1,6 @@
 import json
 
+from primspec import kl_classical
 from primspec.cli import main
 
 
@@ -133,6 +134,22 @@ class TestKl:
         )
         assert code == 1 and out == ""
         assert "permutation of 1..4" in err
+
+    def _corrupt_cache_run(self, capsys, tmp_path, monkeypatch, text):
+        monkeypatch.setattr(kl_classical, "_tables", {})  # force a disk read
+        path = tmp_path / "kl_m3.jsonl"
+        path.write_text(text)
+        code, out, err = run(capsys, "--cache-dir", str(tmp_path), "kl", "--m", "3")
+        assert code == 1 and out == ""
+        assert str(path) in err
+
+    def test_cache_file_not_json(self, capsys, tmp_path, monkeypatch):
+        self._corrupt_cache_run(capsys, tmp_path, monkeypatch, "not a cache file\n")
+
+    def test_cache_file_names_unknown_permutation(self, capsys, tmp_path, monkeypatch):
+        header = '{"count": 1, "format": "primspec-kl", "m": 3, "version": 1}'
+        line = "[[1, 2, 9], [2, 1, 3], [[0, 1]]]"
+        self._corrupt_cache_run(capsys, tmp_path, monkeypatch, f"{header}\n{line}\n")
 
 
 class TestSuperKl:

@@ -1,3 +1,4 @@
+import logging
 from itertools import permutations as iperm
 
 import pytest
@@ -140,6 +141,33 @@ class TestCache:
         path.write_text('{"format": "primspec-kl", "version": 999, "m": 3, "count": 0}\n')
         with pytest.raises(CacheVersionError):
             KLTable.load(path, 3)
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda header, line: "not a cache file\n",
+            lambda header, line: f"{header}\n{line[: len(line) // 2]}",
+            lambda header, line: f"{header}\n{line.replace('[1, 2, 3]', '[1, 2, 9]', 1)}\n",
+        ],
+        ids=["not-json", "truncated-line", "unknown-permutation"],
+    )
+    def test_corrupt_file_names_the_path(self, tmp_path, corrupt):
+        path = tmp_path / "kl_m3.jsonl"
+        kl_table(3, **NO_DISK).save(path)
+        header, line = path.read_text().splitlines()[:2]
+        assert "[1, 2, 3]" in line
+        path.write_text(corrupt(header, line))
+        with pytest.raises(CacheVersionError, match=str(path)):
+            KLTable.load(path, 3)
+
+    def test_failed_cache_write_is_logged(self, tmp_path, caplog):
+        # a regular file where the cache directory should be
+        blocker = tmp_path / "cache"
+        blocker.write_text("")
+        with caplog.at_level(logging.WARNING, logger="primspec.kl_classical"):
+            table = kl_table(3, cache_dir=blocker)
+        assert len(table) == len(kl_table(3, **NO_DISK))
+        assert str(blocker / "kl_m3.jsonl") in caplog.text
 
 
 class TestLeftPreorder:
