@@ -379,8 +379,9 @@ def odd_reflection_ad(alpha: SuperWeight) -> OddReflectionResult:
         (-1 if i < phi_index else 0) + (m - 1 - i) for i in range(m)
     )
     if sorted(ad_left) != mu_left_expected:
-        raise AssertionError(
-            f"dual weight {ad_weight} is not in the expected dual orbit {phi_index}"
+        raise PreconditionError(
+            f"{alpha} is outside the augmentation block: its dual weight "
+            f"{ad_weight} is not in the expected dual orbit {phi_index}"
         )
     return OddReflectionResult(ad_weight, moves, tuple(unchanged), phi_index)
 

@@ -80,9 +80,6 @@ class TensorWindow:
     def contains(self, weight: SuperWeight) -> bool:
         return all(self.lo <= x <= self.hi for x in weight.labels)
 
-    def enlarged(self, pad: int) -> "TensorWindow":
-        return TensorWindow(self.lo - pad, self.hi + pad, self.m, self.n)
-
 
 def _add(vec: Vector, mono: Mono, coeff: LaurentPolynomial) -> None:
     cur = vec.get(mono)

@@ -19,51 +19,31 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import aug_poset, brundan_kl, crystal, kl_classical, super_inclusion
 from .errors import PreconditionError, PrimspecError, UnsupportedRegimeError
 from .weights import SuperWeight
 
-__all__ = ["Config", "main"]
-
-
-@dataclass(frozen=True)
-class Config:
-    """Run-wide knobs, assembled from flags and the environment."""
-
-    cache_dir: Path
-    kl_rank_bound: int = kl_classical.DEFAULT_KL_BOUND
-    output_format: str = "json"
-
-    def __post_init__(self):
-        if self.kl_rank_bound <= 0:
-            raise ValueError("bounds must be positive")
-
-
-def _config(args) -> Config:
-    cache = args.cache_dir or os.environ.get("PRIMSPEC_CACHE")
-    cache_dir = Path(cache) if cache else kl_classical.default_cache_dir()
-    return Config(
-        cache_dir=cache_dir,
-        kl_rank_bound=args.kl_bound,
-        output_format=getattr(args, "format", "json"),
-    )
+__all__ = ["main"]
 
 
 def _emit(doc) -> None:
     print(json.dumps(doc, indent=2, sort_keys=True))
 
 
-def _table_kwargs(cfg: Config) -> dict:
-    return {"bound": cfg.kl_rank_bound, "cache_dir": cfg.cache_dir}
+def _table_kwargs(args) -> dict:
+    """KL-table kwargs from the flags; the cache dir falls back to
+    `default_cache_dir()`, which reads $PRIMSPEC_CACHE."""
+    if args.kl_bound <= 0:
+        raise ValueError("bounds must be positive")
+    cache = Path(args.cache_dir) if args.cache_dir else kl_classical.default_cache_dir()
+    return {"bound": args.kl_bound, "cache_dir": cache}
 
 
 def cmd_inclusion(args) -> int:
-    cfg = _config(args)
+    kwargs = _table_kwargs(args)
     first = SuperWeight.parse(args.weights[0])
     second = SuperWeight.parse(args.weights[1])
     for w in (first, second):
@@ -71,16 +51,15 @@ def cmd_inclusion(args) -> int:
             raise ValueError(f"{w} has {w.m} left labels, --m says {args.m}")
         if args.n is not None and w.n != args.n:
             raise ValueError(f"{w} has {w.n} right labels, --n says {args.n}")
-    decision = super_inclusion.decide(first, second, **_table_kwargs(cfg))
+    decision = super_inclusion.decide(first, second, **kwargs)
     _emit(decision.to_json_dict())
     return 2 if decision.relation == "unsupported" else 0
 
 
 def cmd_aug_poset(args) -> int:
-    cfg = _config(args)
-    poset = aug_poset.enumerate_X(args.m, **_table_kwargs(cfg))
+    poset = aug_poset.enumerate_X(args.m, **_table_kwargs(args))
     assignments = aug_poset.strata(poset)
-    if cfg.output_format == "dot":
+    if args.format == "dot":
         text = aug_poset.to_dot(poset, assignments, cluster=args.cluster)
     else:
         doc = aug_poset.to_json_dict(poset, assignments)
@@ -122,12 +101,12 @@ def _pair_word(text: str, m: int) -> tuple[int, ...]:
 
 
 def cmd_kl(args) -> int:
-    cfg = _config(args)
-    table = kl_classical.kl_table(args.m, **_table_kwargs(cfg))
+    kwargs = _table_kwargs(args)
+    table = kl_classical.kl_table(args.m, **kwargs)
     doc = {
         "m": args.m,
         "comparable_pairs": len(table),
-        "cache_file": str(cfg.cache_dir / f"kl_m{args.m}.jsonl"),
+        "cache_file": str(kwargs["cache_dir"] / f"kl_m{args.m}.jsonl"),
     }
     if args.pair:
         x_text, y_text = args.pair.split(";")
@@ -159,7 +138,7 @@ def cmd_super_kl(args) -> int:
 
 
 def cmd_counts(args) -> int:
-    cfg = _config(args)
+    kwargs = _table_kwargs(args)
     if ".." in args.m:
         lo, hi = (int(t) for t in args.m.split(".."))
     else:
@@ -168,8 +147,8 @@ def cmd_counts(args) -> int:
     for m in range(lo, hi + 1):
         s_m = aug_poset.involution_count(m)
         row = {"m": m, "s": s_m, "t": (m + 1) * s_m // 2}
-        if args.enumerate and m <= cfg.kl_rank_bound:
-            poset = aug_poset.enumerate_X(m, **_table_kwargs(cfg))
+        if args.enumerate and m <= args.kl_bound:
+            poset = aug_poset.enumerate_X(m, **kwargs)
             report = aug_poset.counts(poset)
             row["enumerated"] = report.total
             row["strata"] = report.stratum_sizes
@@ -179,8 +158,7 @@ def cmd_counts(args) -> int:
 
 
 def cmd_components(args) -> int:
-    cfg = _config(args)
-    poset = aug_poset.enumerate_X(args.m, **_table_kwargs(cfg))
+    poset = aug_poset.enumerate_X(args.m, **_table_kwargs(args))
     assignments = aug_poset.strata(poset)
     reports = aug_poset.irreducible_components(poset, assignments)
     _emit(

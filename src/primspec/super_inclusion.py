@@ -17,6 +17,10 @@ Decidable regimes and their routes:
 * m = n = 2 with both weights doubly atypical: the classification of the
   component of the augmentation ideal.  Cross-orbit inclusions exist only
   into ideals labeled (c+1,c|c,c+1), from exactly four shifted patterns.
+  No pattern has that form itself, so covers follow from the list: a
+  same-orbit cover is a classical cover, and (c+1,c|c,c+1) covers a
+  pattern unless another pattern of a different class lies classically
+  above it.
 
 Everything else raises UnsupportedRegimeError: a loud "cannot decide",
 distinct from False.
@@ -357,28 +361,20 @@ def _gl22_doubly_atypical(weight: SuperWeight) -> bool:
     )
 
 
-def _gl22_top_shift(alpha: SuperWeight) -> int | None:
-    """c such that alpha == (c+1, c | c, c+1), else None."""
+def _gl22_patterns(alpha: SuperWeight) -> tuple[SuperWeight, ...]:
+    """The four weights beta with J(beta) in J(alpha) across orbits, for
+    doubly atypical gl(2|2): nonempty only for alpha = (c+1, c | c, c+1)."""
     c = alpha.left[1]
-    if alpha == SuperWeight((c + 1, c), (c, c + 1)):
-        return c
-    return None
-
-
-def _gl22_cross_includes(alpha: SuperWeight, beta: SuperWeight) -> bool:
-    """Cross-orbit inclusion J(beta) in J(alpha) for doubly atypical gl(2|2)."""
-    c = _gl22_top_shift(alpha)
-    if c is None:
-        return False
-    patterns = (
-        ((1, 1), (1, 1)),
-        ((2, 1), (2, 1)),
-        ((1, 2), (1, 2)),
-        ((1, 2), (2, 1)),
-    )
-    return any(
-        beta == SuperWeight(tuple(x + c for x in l), tuple(x + c for x in r))
-        for l, r in patterns
+    if alpha != SuperWeight((c + 1, c), (c, c + 1)):
+        return ()
+    return tuple(
+        SuperWeight((c + l0, c + l1), (c + r0, c + r1))
+        for (l0, l1), (r0, r1) in (
+            ((1, 1), (1, 1)),
+            ((2, 1), (2, 1)),
+            ((1, 2), (1, 2)),
+            ((1, 2), (2, 1)),
+        )
     )
 
 
@@ -404,7 +400,7 @@ def inclusion(alpha: SuperWeight, beta: SuperWeight, **kw) -> bool:
         _, gamma, delta = found
         return classical_inclusion(delta, gamma, **kw)
     if _gl22_doubly_atypical(alpha) and _gl22_doubly_atypical(beta):
-        return _gl22_cross_includes(alpha, beta)
+        return beta in _gl22_patterns(alpha)
     raise UnsupportedRegimeError(
         f"cross-orbit inclusion undecidable here: atypicality degrees "
         f"({da}, {db}) for gl({alpha.m}|{alpha.n})"
@@ -484,7 +480,14 @@ def decide(alpha: SuperWeight, beta: SuperWeight, **kw) -> Decision:
 
 
 def covers(alpha: SuperWeight, beta: SuperWeight, **kw) -> bool:
-    """Does J(alpha) cover J(beta) (strict inclusion, nothing in between)?"""
+    """Does J(alpha) cover J(beta) (strict inclusion, nothing in between)?
+
+    Doubly atypical gl(2|2) pairs are read off the classification.  No
+    pattern has the form (d+1, d | d, d+1), so nothing outside a common
+    orbit lies between two same-orbit weights: those pairs are classical
+    covers.  Across orbits alpha is (c+1, c | c, c+1) and beta one of its
+    patterns, and only another pattern in beta's orbit can lie between.
+    """
     if not inclusion(alpha, beta, **kw) or equal_ideal(alpha, beta):
         return False
     da = atypicality_degree(alpha)
@@ -492,37 +495,15 @@ def covers(alpha: SuperWeight, beta: SuperWeight, **kw) -> bool:
         _, _, gamma, delta = _required_ladder(alpha, beta)
         return classical_cover(delta, gamma, **kw)
     if not orbit_equal(alpha, beta):
-        return _gl22_cover(alpha, beta, **kw)
-    if da == 0:
+        return not any(
+            not equal_ideal(kappa, beta) and classical_inclusion(beta, kappa, **kw)
+            for kappa in _gl22_patterns(alpha)
+        )
+    if da == 0 or _gl22_doubly_atypical(alpha):
         return classical_cover(beta, alpha, **kw)
-    if _gl22_doubly_atypical(alpha):
-        return _gl22_cover(alpha, beta, **kw)
     raise UnsupportedRegimeError(
         f"covering undecidable at atypicality {da} for gl({alpha.m}|{alpha.n})"
     )
-
-
-def _gl22_neighborhood(weight: SuperWeight) -> list[SuperWeight]:
-    """All doubly atypical gl(2|2) weights in a window around `weight`."""
-    lo = min(weight.labels) - 2
-    hi = max(weight.labels) + 2
-    out = []
-    for a in range(lo, hi + 1):
-        for b in range(a, hi + 1):
-            pairs = [(a, b)] if a == b else [(a, b), (b, a)]
-            for l in pairs:
-                for r in pairs:
-                    out.append(SuperWeight(l, r))
-    return out
-
-
-def _gl22_cover(alpha: SuperWeight, beta: SuperWeight, **kw) -> bool:
-    for kappa in _gl22_neighborhood(alpha):
-        if equal_ideal(kappa, alpha) or equal_ideal(kappa, beta):
-            continue
-        if inclusion(alpha, kappa, **kw) and inclusion(kappa, beta, **kw):
-            return False
-    return True
 
 
 def gl22_component_classes(

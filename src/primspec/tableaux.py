@@ -33,7 +33,6 @@ __all__ = [
     "strict_tau",
     "rank_word",
     "gamma_index_to_position",
-    "position_to_gamma_index",
     "involution_count",
 ]
 
@@ -232,10 +231,6 @@ def strict_tau(
 def gamma_index_to_position(i: int, m: int) -> int:
     """The simple root addressed by gamma-index i sits at position m - i."""
     return m - i
-
-
-def position_to_gamma_index(p: int, m: int) -> int:
-    return m - p
 
 
 def involution_count(m: int) -> int:

@@ -36,7 +36,6 @@ __all__ = [
     "is_dominant",
     "is_antidominant",
     "is_regular",
-    "is_typical",
     "orbit_equal",
     "dominant_representative",
     "antidominant_representative",
@@ -200,10 +199,6 @@ def atypicality_degree(weight: SuperWeight) -> int:
     """
     left, right = _count_sides(weight)
     return sum(min(c, right.get(x, 0)) for x, c in left.items())
-
-
-def is_typical(weight: SuperWeight) -> bool:
-    return atypicality_degree(weight) == 0
 
 
 def is_dominant(weight: SuperWeight) -> bool:

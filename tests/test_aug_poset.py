@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,7 @@ from primspec.aug_poset import (
     to_dot,
     to_json_dict,
 )
-from primspec.errors import BoundExceededError
+from primspec.errors import BoundExceededError, PreconditionError
 from primspec.super_inclusion import covers, frame, inclusion
 from primspec.tableaux import involution_count, tau_of_weight
 from primspec.weights import SuperWeight
@@ -343,6 +344,11 @@ class TestOddReflections:
         assert str(result.ad_weight) == "1,1,0|-1"
         assert odd_reflection_ad(W("2,0,1|0")).phi_index == 2
         assert odd_reflection_ad(W("2,1,0|0")).phi_index == 0
+
+    @pytest.mark.parametrize("text", ["5,0|5", "3,1,0|3"])
+    def test_outside_the_block_is_refused(self, text):
+        with pytest.raises(PreconditionError, match=re.escape(text)):
+            odd_reflection_ad(W(text))
 
     def test_antidominant_forces_full_walk(self):
         for m in (2, 3, 4):

@@ -127,6 +127,17 @@ class TestKl:
         assert doc["pair"]["mu"] == 1
         assert (tmp_path / "kl_m4.jsonl").exists()
 
+    def test_nonpositive_bound_refused(self, capsys):
+        code, out, err = run(capsys, "--kl-bound", "0", "kl", "--m", "3")
+        assert code == 1 and out == ""
+        assert "bounds must be positive" in err
+
+    def test_cache_dir_defaults_to_env(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("PRIMSPEC_CACHE", str(tmp_path))
+        code, out, _ = run(capsys, "kl", "--m", "3")
+        assert code == 0
+        assert json.loads(out)["cache_file"] == str(tmp_path / "kl_m3.jsonl")
+
     def test_pair_word_not_a_permutation(self, capsys, tmp_path):
         code, out, err = run(
             capsys, "--cache-dir", str(tmp_path), "kl", "--m", "4",

@@ -39,9 +39,15 @@ def test_doctests(module):
     assert failures == 0
 
 
+def _raises_assertion_error(node) -> bool:
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+
+
 def test_package_has_no_assert_statements():
     # python -O strips asserts; a result invariant raises InvariantError,
-    # which code catching AssertionError still catches
+    # which code catching AssertionError still catches, and a bare
+    # AssertionError is neither named nor a PrimspecError
     assert issubclass(InvariantError, PrimspecError)
     assert issubclass(InvariantError, AssertionError)
     package = Path(primspec.weights.__file__).parent
@@ -50,6 +56,7 @@ def test_package_has_no_assert_statements():
         for path in sorted(package.glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.Assert)
+        or isinstance(node, ast.Raise) and _raises_assertion_error(node)
     ]
     assert found == []
 

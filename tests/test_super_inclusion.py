@@ -265,6 +265,55 @@ class TestCovers:
         assert not covers(W("2,1,0|0"), W("0,1,2|0"))
 
 
+def _neighborhood_covers(alpha, beta):
+    """Reference for doubly atypical gl(2|2) covers: a strict inclusion with
+    no doubly atypical weight of a label window two wider strictly between."""
+    if not inclusion(alpha, beta) or equal_ideal(alpha, beta):
+        return False
+    lo, hi = min(alpha.labels) - 2, max(alpha.labels) + 2
+    for a in range(lo, hi + 1):
+        for b in range(a, hi + 1):
+            sides = [(a, b)] if a == b else [(a, b), (b, a)]
+            for left in sides:
+                for right in sides:
+                    kappa = SuperWeight(left, right)
+                    if equal_ideal(kappa, alpha) or equal_ideal(kappa, beta):
+                        continue
+                    if inclusion(alpha, kappa) and inclusion(kappa, beta):
+                        return False
+    return True
+
+
+def _gl22_doubly_atypical_weights(lo, hi):
+    labels = range(lo, hi + 1)
+    return [
+        SuperWeight((a, b), right)
+        for a in labels
+        for b in labels
+        for right in {(a, b), (b, a)}
+    ]
+
+
+class TestGl22Covers:
+    def test_covers_match_component_hasse(self):
+        classes, hasse = gl22_component_classes(-1, 4)
+        reps = [cls[0] for cls in classes]
+        assert len(reps) * (len(reps) - 1) == 600 and len(hasse) == 33
+        edges = set(hasse)
+        for upper, alpha in enumerate(reps):
+            for lower, beta in enumerate(reps):
+                if upper != lower:
+                    assert covers(alpha, beta) == ((lower, upper) in edges), (alpha, beta)
+
+    def test_covers_match_neighborhood_search(self):
+        weights = _gl22_doubly_atypical_weights(-1, 4)
+        assert len(weights) ** 2 == 4356
+        assert all(atypicality_degree(w) == 2 for w in weights)
+        for alpha in weights:
+            for beta in weights:
+                assert covers(alpha, beta) == _neighborhood_covers(alpha, beta), (alpha, beta)
+
+
 class TestGl22Component:
     def test_window_classes_and_edges(self):
         classes, hasse = gl22_component_classes(0, 2)
