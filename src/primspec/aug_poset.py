@@ -22,7 +22,7 @@ transitive reduction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import permutations as iperm
 
@@ -80,6 +80,7 @@ class IdealPoset:
     classes: tuple[IdealClass, ...]
     strict: frozenset[tuple[int, int]]  # (lower, upper) class indices
     hasse: tuple[tuple[int, int], ...]
+    order: LeftOrder | None = field(compare=False, repr=False)  # None at m = 1
 
     def leq(self, lower: int, upper: int) -> bool:
         return lower == upper or (lower, upper) in self.strict
@@ -136,9 +137,10 @@ def enumerate_X(m: int, *, bound: int = DEFAULT_KL_BOUND, **kw) -> IdealPoset:
             f"enumerated {len(classes)} classes, counting identity gives {expected}"
         )
 
-    strict = _strict_pairs(classes, **kw)
+    order = left_preorder(m, bound=bound, **kw) if len(classes) > 1 else None
+    strict = _strict_pairs(classes, order)
     hasse = transitive_reduction(len(classes), strict)
-    return IdealPoset(m, tuple(classes), frozenset(strict), tuple(hasse))
+    return IdealPoset(m, tuple(classes), frozenset(strict), tuple(hasse), order)
 
 
 def _node(order: LeftOrder, weight: SuperWeight) -> tuple[SuperWeight, int]:
@@ -153,7 +155,7 @@ def _node_leq(order: LeftOrder, lower: tuple, upper: tuple) -> bool:
     return lower[0] == upper[0] and order.preorder.class_leq(lower[1], upper[1])
 
 
-def _strict_pairs(classes: list[IdealClass], **kw) -> set[tuple[int, int]]:
+def _strict_pairs(classes: list[IdealClass], order: LeftOrder | None) -> set[tuple[int, int]]:
     """(lower, upper) with J(lower) strictly inside J(upper), as `inclusion`
     decides it, from data computed once per class.
 
@@ -162,9 +164,8 @@ def _strict_pairs(classes: list[IdealClass], **kw) -> set[tuple[int, int]]:
     below gamma(upper, p).  Each stratum is a single orbit, the one that upper's
     pair shifted by p lands in, so the ladder's orbit test always holds.
     """
-    if len(classes) < 2:
+    if order is None:
         return set()
-    order = left_preorder(classes[0].representative.m, **kw)
     frames = [frame(c.representative) for c in classes]
     own = [_node(order, c.representative) for c in classes]
     delta = [_node(order, _delta(c.representative, f)) for c, f in zip(classes, frames)]
@@ -286,7 +287,7 @@ def irreducible_components(
             image_weights[ci] = w
         iso = len(set(images.values())) == len(members)
         if iso and len(members) > 1:
-            order = left_preorder(m)
+            order = poset.order
             nodes = {ci: _node(order, w) for ci, w in image_weights.items()}
             iso = all(
                 ((a, b) in poset.strict) == _node_leq(order, nodes[a], nodes[b])

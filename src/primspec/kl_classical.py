@@ -11,6 +11,15 @@ The usual polynomials are recovered through
 ``h_{x,y}(v) = v^{l(y) - l(x)} P_{x,y}(v^{-2})``, and the mu-function is the
 coefficient of ``v`` in ``h_{x,y}``.
 
+Each ``h_{x,y}`` is stored as one int, its value at ``v = 2^16`` (a 16-bit
+slot per power of ``v``), so the recursion is int arithmetic: ``<< 16`` and
+an exact ``>> 16`` shift by ``v^{+-1}``, and ``mu`` is slot 1.  The ints
+decode exactly while every coefficient lies in ``[0, 2^16)``: KL positivity
+(Kazhdan-Lusztig 1980) keeps them nonnegative, so no slot borrows, they are
+at most 15 at rank 7, and a negative value or a slot reaching ``2^15``
+raises InvariantError.  A column stores its sorted row indices and interned
+polynomial ids; each distinct (h, length gap) is checked once.
+
 On top of the table sits the left preorder on a regular orbit of weight
 tuples, generated by wall-crossing conditions plus nonvanishing Ext^1
 between simples (equivalently nonvanishing mu), and the full inclusion
@@ -29,12 +38,14 @@ import json
 import os
 import tempfile
 import threading
+from array import array
+from bisect import bisect_left
 from itertools import permutations as iperm
 from pathlib import Path
 from typing import Iterable, Literal, Sequence
 
 from .errors import BoundExceededError, CacheVersionError, InvariantError
-from .laurent import ONE, ZERO, LaurentPolynomial
+from .laurent import ZERO, LaurentPolynomial
 from .posets import Preorder, wall_edges
 from .tableaux import (
     Permutation,
@@ -88,40 +99,75 @@ def bruhat_leq(x: Permutation, y: Permutation) -> bool:
     return True
 
 
-class KLTable:
-    """Immutable table of KL polynomials and mu values for one rank."""
+_SLOT = 16  # bits per power of v in a packed h-polynomial
+_SLOT_MASK = (1 << _SLOT) - 1
 
-    def __init__(
-        self,
-        m: int,
-        perms: list[Permutation],
-        p_polys: dict[tuple[int, int], tuple[int, ...]],
-    ):
+
+def _unpack(h: int, gap: int) -> tuple[tuple[int, int], ...]:
+    """The nonzero (power of q, coefficient) pairs of P_{x,y} from the packed
+    h_{x,y} of a pair x < y with length gap `gap`.  Raises InvariantError on
+    a negative h, a slot of 2^15 or more, or a failed degree or constant-term
+    check."""
+    slots = [h >> s & _SLOT_MASK for s in range(0, h.bit_length(), _SLOT)]
+    if h < 0 or any(c >= 1 << (_SLOT - 1) for c in slots):
+        raise InvariantError(
+            f"packed h-polynomial {h:#x} is negative or has a slot of 2^15 or more"
+        )
+    exps = [e for e, c in enumerate(slots) if c]
+    if not all(0 < e <= gap and (gap - e) % 2 == 0 for e in exps):
+        raise InvariantError("h-polynomial violates degree bounds")
+    if len(slots) != gap + 1 or slots[gap] != 1:
+        raise InvariantError("KL polynomial must have constant term 1")
+    return tuple(((gap - e) // 2, slots[e]) for e in reversed(exps))
+
+
+class KLTable:
+    """Immutable table of KL polynomials and mu values for one rank, once
+    `_build_kl_table` or `load` has added its columns in index order."""
+
+    def __init__(self, m: int):
         self.m = m
-        self.perms = perms
-        self.index = {w: i for i, w in enumerate(perms)}
-        self.lengths = [inversions(w) for w in perms]
-        self._p = p_polys
+        self.perms = sorted(all_permutations(m), key=lambda w: (inversions(w), w))
+        self.index = {w: i for i, w in enumerate(self.perms)}
+        self.lengths = [inversions(w) for w in self.perms]
+        self._rows: list[array] = []  # column y: the sorted x <= y, y last
+        self._ids: list[array] = []  # aligned with _rows: the id of each h_{x,y}
+        # by id (0 is the diagonal): packed h, P's pairs, the coefficient of v
+        self._packed = [1]
+        self._p_pairs: list[tuple[tuple[int, int], ...]] = [((0, 1),)]
+        self._slot_one = [0]
+        self._id_of: dict[tuple[int, int], int] = {}
         self._mu: dict[tuple[int, int], int] = {}
-        for (xi, yi), coeffs in p_polys.items():
-            gap = self.lengths[yi] - self.lengths[xi]
-            if gap % 2 == 1:
-                k = (gap - 1) // 2
-                if k < len(coeffs) and coeffs[k]:
-                    self._mu[(xi, yi)] = coeffs[k]
+
+    def _intern(self, h: int, gap: int) -> int:
+        """The id of an off-diagonal packed h at gap `gap`, checked once."""
+        pid = self._id_of.get((h, gap))
+        if pid is None:
+            self._p_pairs.append(_unpack(h, gap))
+            self._slot_one.append(h >> _SLOT & _SLOT_MASK)
+            pid = self._id_of[(h, gap)] = len(self._packed)
+            self._packed.append(h)
+        return pid
+
+    def _add_column(self, xs: Sequence[int], pids: Sequence[int]) -> None:
+        """Append the next column y: the sorted x < y with h_{x,y} != 0, and ids."""
+        yi = len(self._rows)
+        self._rows.append(array("I", [*xs, yi]))
+        self._ids.append(array("I", [*pids, 0]))
+        slot_one = self._slot_one
+        self._mu.update(((xi, yi), slot_one[pid]) for xi, pid in zip(xs, pids) if slot_one[pid])
 
     def __len__(self) -> int:
-        return len(self._p)
+        return sum(map(len, self._rows)) - len(self._rows)
 
     def kl_polynomial(self, x: Permutation, y: Permutation) -> LaurentPolynomial:
         """P_{x,y} in the variable q (1 on the diagonal, 0 unless x <= y)."""
         xi, yi = self.index[tuple(x)], self.index[tuple(y)]
-        if xi == yi:
-            return ONE
-        coeffs = self._p.get((xi, yi))
-        if coeffs is None:
+        column = self._rows[yi]
+        k = bisect_left(column, xi)
+        if k == len(column) or column[k] != xi:
             return ZERO
-        return LaurentPolynomial({k: c for k, c in enumerate(coeffs)})
+        return LaurentPolynomial(dict(self._p_pairs[self._ids[yi][k]]))
 
     def mu(self, x: Permutation, y: Permutation) -> int:
         """Symmetrized mu: the top-allowed coefficient of the comparable pair."""
@@ -140,24 +186,26 @@ class KLTable:
     # -- persistence ---------------------------------------------------------
 
     def save(self, path: Path) -> None:
-        """Atomically write the table; exact round-trip with `load`."""
-        header = {
-            "format": _CACHE_FORMAT,
-            "version": _CACHE_VERSION,
-            "m": self.m,
-            "count": len(self._p),
-        }
-        lines = [json.dumps(header, sort_keys=True)]
-        for (xi, yi) in sorted(self._p):
-            poly = self._p[(xi, yi)]
-            entry = [list(self.perms[xi]), list(self.perms[yi]),
-                     [[k, c] for k, c in enumerate(poly) if c]]
-            lines.append(json.dumps(entry))
+        """Atomically write the table, one line per pair x < y in index order;
+        exact round-trip with `load`."""
+        header = {"format": _CACHE_FORMAT, "version": _CACHE_VERSION, "m": self.m,
+                  "count": len(self)}
+        perm_text = [json.dumps(list(w)) for w in self.perms]
+        poly_text = [json.dumps([list(kc) for kc in pairs]) for pairs in self._p_pairs]
+        # the columns transposed into rows of (y, id), without the diagonal
+        rows = [array("I") for _ in self.perms]
+        for yi, (column, pids) in enumerate(zip(self._rows, self._ids)):
+            for xi, pid in zip(column[:-1], pids[:-1]):
+                rows[xi].extend((yi, pid))
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name)
         try:
             with os.fdopen(fd, "w") as fh:
-                fh.write("\n".join(lines) + "\n")
+                fh.write(json.dumps(header, sort_keys=True) + "\n")
+                for x_text, row in zip(perm_text, rows):
+                    it = iter(row)
+                    fh.writelines(f"[{x_text}, {perm_text[yi]}, {poly_text[pid]}]\n"
+                                  for yi, pid in zip(it, it))
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):
@@ -168,6 +216,9 @@ class KLTable:
     def load(cls, path: Path, m: int) -> "KLTable":
         """Read a table written by `save`; a file that does not parse as one
         raises CacheVersionError naming the path."""
+        table = cls(m)
+        xs = [array("I") for _ in table.perms]
+        pids = [array("I") for _ in table.perms]
         with open(path) as fh:
             try:
                 header = json.loads(fh.readline())
@@ -178,81 +229,55 @@ class KLTable:
                     )
                 if header.get("m") != m:
                     raise CacheVersionError(f"cache {path} is for m={header.get('m')}, not {m}")
-                perms = sorted(all_permutations(m), key=lambda w: (inversions(w), w))
-                index = {w: i for i, w in enumerate(perms)}
-                p_polys: dict[tuple[int, int], tuple[int, ...]] = {}
+                last = (-1, -1)
                 for line in fh:
                     x, y, pairs = json.loads(line)
-                    coeffs = [0] * (max(k for k, _ in pairs) + 1)
-                    for k, c in pairs:
-                        coeffs[k] = c
-                    p_polys[(index[tuple(x)], index[tuple(y)])] = tuple(coeffs)
-                if len(p_polys) != header["count"]:
+                    xi, yi = table.index[tuple(x)], table.index[tuple(y)]
+                    if (xi, yi) <= last:
+                        raise ValueError(f"pair {x}, {y} is out of order")
+                    last = (xi, yi)
+                    gap = table.lengths[yi] - table.lengths[xi]
+                    xs[yi].append(xi)
+                    h = sum(c << _SLOT * (gap - 2 * k) for k, c in pairs)
+                    pids[yi].append(table._intern(h, gap))
+                if sum(map(len, xs)) != header["count"]:
                     raise CacheVersionError(f"cache {path} is truncated")
-            except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            except (ValueError, KeyError, TypeError, AttributeError, InvariantError) as exc:
                 raise CacheVersionError(f"cache {path} is corrupt: {exc!r}") from exc
-        return cls(m, perms, p_polys)
+        for column in zip(xs, pids):
+            table._add_column(*column)
+        return table
 
 
 def _build_kl_table(m: int) -> KLTable:
-    perms = sorted(all_permutations(m), key=lambda w: (inversions(w), w))
-    index = {w: i for i, w in enumerate(perms)}
-    lengths = [inversions(w) for w in perms]
+    table = KLTable(m)
+    lengths, packed, rows, ids = table.lengths, table._packed, table._rows, table._ids
     right_mult = [
-        [index[w[:p] + (w[p + 1], w[p]) + w[p + 2:]] for p in range(m - 1)]
-        for w in perms
+        [table.index[w[:p] + (w[p + 1], w[p]) + w[p + 2:]] for p in range(m - 1)]
+        for w in table.perms
     ]
-
-    # h[yi]: dict xi -> dict v-exponent -> int
-    h: list[dict[int, dict[int, int]]] = [dict() for _ in perms]
-
-    def add(target: dict[int, dict[int, int]], xi: int, poly: dict[int, int],
-            shift: int = 0, scale: int = 1) -> None:
-        slot = target.setdefault(xi, {})
-        for e, c in poly.items():
-            s = slot.get(e + shift, 0) + scale * c
-            if s:
-                slot[e + shift] = s
-            else:
-                del slot[e + shift]
-        if not slot:
-            del target[xi]
-
-    for yi, y in enumerate(perms):
-        if lengths[yi] == 0:
-            h[yi] = {yi: {0: 1}}
-            continue
+    table._add_column([], [])  # the identity
+    for yi, y in enumerate(table.perms[1:], 1):
         p = next(p for p in range(m - 1) if y[p] > y[p + 1])
         y1i = right_mult[yi][p]
-        prod: dict[int, dict[int, int]] = {}
-        for xi, poly in h[y1i].items():
+        column = list(zip(rows[y1i], map(packed.__getitem__, ids[y1i])))
+        prod: dict[int, int] = {}
+        get = prod.get
+        # B_{y'} B_s, from H_x B_s = H_{xs} + v^{+-1} H_x (+ when xs > x)
+        for xi, h in column:
             xsi = right_mult[xi][p]
-            add(prod, xsi, poly)
-            add(prod, xi, poly, shift=1 if lengths[xsi] > lengths[xi] else -1)
-        for zi, poly in h[y1i].items():
-            mu_z = poly.get(1, 0)
+            prod[xsi] = get(xsi, 0) + h
+            prod[xi] = get(xi, 0) + (h << _SLOT if lengths[xsi] > lengths[xi] else h >> _SLOT)
+        for zi, h in column:
+            mu_z = h >> _SLOT & _SLOT_MASK
             if mu_z and lengths[right_mult[zi][p]] < lengths[zi]:
-                for xi, zpoly in h[zi].items():
-                    add(prod, xi, zpoly, scale=-mu_z)
-        if prod.get(yi) != {0: 1}:
+                for xi, hz in zip(rows[zi], map(packed.__getitem__, ids[zi])):
+                    prod[xi] = get(xi, 0) - mu_z * hz
+        if prod.pop(yi, None) != 1:
             raise InvariantError("new-basis element is not unitriangular")
-        h[yi] = prod
-
-    p_polys: dict[tuple[int, int], tuple[int, ...]] = {}
-    for yi, column in enumerate(h):
-        for xi, poly in column.items():
-            if xi == yi:
-                continue
-            gap = lengths[yi] - lengths[xi]
-            if not all(0 < e <= gap and (gap - e) % 2 == 0 for e in poly):
-                raise InvariantError("h-polynomial violates degree bounds")
-            coeffs = [0] * ((gap + 1) // 2 if gap % 2 else gap // 2 + 1)
-            for e, c in poly.items():
-                coeffs[(gap - e) // 2] = c
-            if coeffs[0] != 1:
-                raise InvariantError("KL polynomial must have constant term 1")
-            p_polys[(xi, yi)] = tuple(coeffs)
-    return KLTable(m, perms, p_polys)
+        xs = sorted(xi for xi, h in prod.items() if h)
+        table._add_column(xs, [table._intern(prod[xi], lengths[yi] - lengths[xi]) for xi in xs])
+    return table
 
 
 _tables: dict[int, KLTable] = {}

@@ -31,10 +31,6 @@ class LaurentPolynomial:
                     data[int(exp)] = int(c)
         self._coeffs = data
 
-    @classmethod
-    def monomial(cls, coeff: int, exp: int = 0) -> "LaurentPolynomial":
-        return cls({exp: coeff})
-
     # -- inspection ---------------------------------------------------------
 
     def coeff(self, exp: int) -> int:

@@ -172,6 +172,21 @@ class TestMinimalAndComponents:
             z0 = {posets[m].classes[c].i_index for c in reports[0].class_indices}
             assert z0 == {0}
 
+    def test_components_reuse_the_enumeration_order(self, tmp_path, monkeypatch):
+        # the iso check reads the order enumerate_X fetched with the caller's
+        # settings; fetching one with default settings would write a cache
+        # file into $PRIMSPEC_CACHE
+        from primspec import kl_classical
+
+        poset = enumerate_X(4, cache_dir=tmp_path / "given")
+        monkeypatch.setattr(kl_classical, "_orders", {})
+        default = tmp_path / "default"
+        default.mkdir()
+        monkeypatch.setenv("PRIMSPEC_CACHE", str(default))
+        reports = irreducible_components(poset)
+        assert all(r.order_isomorphic for r in reports)
+        assert list(default.iterdir()) == []
+
     def test_union_identity(self, posets, assignments):
         # the union of the first s+1 strata equals the union of the first
         # s+1 components

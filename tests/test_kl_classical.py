@@ -1,9 +1,11 @@
+import hashlib
 import logging
 from itertools import permutations as iperm
 
 import pytest
 
-from primspec.errors import BoundExceededError, CacheVersionError
+from primspec import kl_classical
+from primspec.errors import BoundExceededError, CacheVersionError, InvariantError
 from primspec.kl_classical import (
     KLTable,
     bruhat_leq,
@@ -49,6 +51,65 @@ def _subword_leq(x, y):
                 return _subword_leq(xs, ys) or _subword_leq(x, ys)
             return _subword_leq(x, ys)
     return False
+
+
+def _oracle_kl(m):
+    """Independent KL polynomials: {w: {x: coefficients of P_{x,w}(q),
+    ascending}} over S_m, by the left-descent recursion (Humphreys,
+    Reflection Groups and Coxeter Groups, 7.11): for s w < w and v = s w,
+
+        P_{x,w} = q^(1-c) P_{sx,v} + q^c P_{x,v}
+                  - sum_{z < v, sz < z} mu(z,v) q^((l(w)-l(z))/2) P_{x,z},
+
+    with c = 1 if sx < x and c = 0 otherwise.  Here s_i acts on the left,
+    swapping the values i and i+1 of the one-line word."""
+    perms = sorted(iperm(range(1, m + 1)), key=lambda w: (inversions(w), w))
+    length = {w: inversions(w) for w in perms}
+
+    def left(i, w):
+        return tuple(i + 1 if a == i else i if a == i + 1 else a for a in w)
+
+    def add(acc, poly, shift, scale=1):
+        for k, c in enumerate(poly):
+            acc[k + shift] = acc.get(k + shift, 0) + scale * c
+
+    def oracle_mu(z, v):
+        gap, poly = length[v] - length[z], P[v].get(z, [])
+        k = (gap - 1) // 2
+        return poly[k] if gap % 2 and k < len(poly) else 0
+
+    P = {}
+    for w in perms:
+        if length[w] == 0:
+            P[w] = {w: [1]}
+            continue
+        i = next(i for i in range(1, m) if w.index(i + 1) < w.index(i))
+        v = left(i, w)
+        terms = [
+            (z, oracle_mu(z, v)) for z in P[v]
+            if z != v and length[left(i, z)] < length[z] and oracle_mu(z, v)
+        ]
+        column = {}
+        for x in perms:
+            c = 1 if length[left(i, x)] < length[x] else 0
+            acc = {}
+            add(acc, P[v].get(left(i, x), []), 1 - c)
+            add(acc, P[v].get(x, []), c)
+            for z, k in terms:
+                add(acc, P[z].get(x, []), (length[w] - length[z]) // 2, -k)
+            if any(acc.values()):
+                column[x] = [acc.get(k, 0) for k in range(max(acc) + 1)]
+        P[w] = column
+    return P
+
+
+def _oracle_mu(P, x, y):
+    """Symmetrized mu from the oracle table."""
+    if inversions(x) > inversions(y):
+        x, y = y, x
+    gap, poly = inversions(y) - inversions(x), P[y].get(x, [])
+    k = (gap - 1) // 2
+    return poly[k] if x != y and gap % 2 and k < len(poly) else 0
 
 
 class TestBruhat:
@@ -102,6 +163,32 @@ class TestKLTable:
                     gap = inversions(y) - inversions(x)
                     assert 2 * p.degree <= gap - 1
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_against_left_descent_oracle(self, m):
+        P = _oracle_kl(m)
+        table = kl_table(m, **NO_DISK)
+        for x in all_permutations(m):
+            for y in all_permutations(m):
+                expected = LaurentPolynomial(dict(enumerate(P[y].get(x, []))))
+                assert table.kl_polynomial(x, y) == expected, (x, y)
+                assert table.mu(x, y) == _oracle_mu(P, x, y), (x, y)
+
+    def test_rank_six_digest(self):
+        # every (x, y, P, mu) with P != 0 at rank 6 (97,687 off-diagonal
+        # pairs), digested from the dict-of-dicts build this table replaced
+        table = kl_table(6, **NO_DISK)
+        perms = list(all_permutations(6))
+        digest = hashlib.sha256()
+        for y in perms:
+            for x in perms:
+                p = table.kl_polynomial(x, y)
+                if not p.is_zero():
+                    digest.update(repr((x, y, p.to_pairs(), table.mu(x, y))).encode())
+        assert len(table) == 97687
+        assert digest.hexdigest() == (
+            "52f020590a3ad93e8613c50e15418d610b6ac276ca2d7d812db1eaeeb227a0dc"
+        )
+
     def test_bound_refusal_names_bound(self):
         with pytest.raises(BoundExceededError) as err:
             kl_table(9, bound=7, **NO_DISK)
@@ -125,7 +212,45 @@ class TestMu:
                     assert mu(x, y, table) == 0
 
 
+class TestPacking:
+    def test_oversized_slot_is_refused(self):
+        # P = 1 + 2^15 q at gap 3 passes the degree and constant-term checks;
+        # only the slot-width guard stops it
+        h = (1 << 48) | (1 << 15 << 16)
+        with pytest.raises(InvariantError, match="slot of 2"):
+            kl_classical._unpack(h, 3)
+
+    def test_negative_value_is_refused(self):
+        with pytest.raises(InvariantError, match="negative"):
+            kl_classical._unpack(-(1 << 16), 1)
+
+    def test_unpack_reads_p_off_h(self):
+        # h = v^3 + v, gap 3: P = 1 + q
+        assert kl_classical._unpack((1 << 48) | (1 << 16), 3) == ((0, 1), (1, 1))
+        with pytest.raises(InvariantError, match="degree"):
+            kl_classical._unpack((1 << 48) | (1 << 32), 3)
+        with pytest.raises(InvariantError, match="constant term"):
+            kl_classical._unpack(2 << 16, 1)
+
+
+# sha256 of the cache files the dict-of-dicts build wrote, ranks 3..5
+SAVED_SHA256 = {
+    3: "d0f9e55034bcf1379eb3436541a622452a768af9170fef7b70e18bb17953c565",
+    4: "b76f6b6483e759e5de36268dc3ec17f78da83dd8b74172dc55265e31e971011e",
+    5: "84518fa91954fba6befbb61fabbaf2e4a0abaf4d34895410bddac980c558fd87",
+}
+
+
 class TestCache:
+    @pytest.mark.parametrize("m", sorted(SAVED_SHA256))
+    def test_saved_bytes(self, tmp_path, m):
+        path = tmp_path / f"kl_m{m}.jsonl"
+        kl_table(m, **NO_DISK).save(path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == SAVED_SHA256[m]
+        loaded = tmp_path / "again.jsonl"
+        KLTable.load(path, m).save(loaded)
+        assert loaded.read_bytes() == path.read_bytes()
+
     def test_round_trip(self, tmp_path):
         table = kl_table(4, **NO_DISK)
         path = tmp_path / "kl_m4.jsonl"
@@ -157,6 +282,24 @@ class TestCache:
         header, line = path.read_text().splitlines()[:2]
         assert "[1, 2, 3]" in line
         path.write_text(corrupt(header, line))
+        with pytest.raises(CacheVersionError, match=str(path)):
+            KLTable.load(path, 3)
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda lines: [lines[0], lines[1].replace("[[0, 1]]", "[[0, 2]]"), *lines[2:]],
+            lambda lines: [lines[0], lines[2], lines[1], *lines[3:]],
+        ],
+        ids=["bad-polynomial", "out-of-order"],
+    )
+    def test_bad_entry_in_full_file_names_the_path(self, tmp_path, corrupt):
+        # the count still matches, so only the per-entry checks refuse these
+        path = tmp_path / "kl_m3.jsonl"
+        kl_table(3, **NO_DISK).save(path)
+        lines = path.read_text().splitlines()
+        assert lines[1].endswith("[[0, 1]]]")
+        path.write_text("\n".join(corrupt(lines)) + "\n")
         with pytest.raises(CacheVersionError, match=str(path)):
             KLTable.load(path, 3)
 
