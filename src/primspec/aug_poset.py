@@ -23,7 +23,6 @@ transitive reduction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import permutations as iperm
 
 from . import crystal
@@ -84,20 +83,6 @@ class IdealPoset:
 
     def leq(self, lower: int, upper: int) -> bool:
         return lower == upper or (lower, upper) in self.strict
-
-    def class_of(self, weight: SuperWeight) -> IdealClass:
-        key = (weight.right[0], str(ideal_class_invariant(weight.left)))
-        cls = self._lookup.get(key)
-        if cls is None:
-            raise KeyError(f"{weight} does not label an ideal of this poset")
-        return cls
-
-    @cached_property
-    def _lookup(self) -> dict:
-        return {
-            (c.i_index, str(ideal_class_invariant(c.representative.left))): c
-            for c in self.classes
-        }
 
 
 def _orbit_weights(m: int, i: int) -> list[SuperWeight]:
@@ -229,11 +214,12 @@ def minimal_elements(poset: IdealPoset) -> list[IdealClass]:
     """The minimal ideals; exactly one per stratum, pairwise incomparable."""
     above_some = {upper for _, upper in poset.strict}
     minimal = [c for c in poset.classes if c.index not in above_some]
+    class_of = {w: c for c in poset.classes for w in c.members}
     expected = []
     m = poset.m
     for k in range(m):
         labels = list(range(1, k)) + [k, k] + list(range(k + 1, m)) if k else list(range(m))
-        expected.append(poset.class_of(SuperWeight(tuple(labels), (k,))))
+        expected.append(class_of[SuperWeight(tuple(labels), (k,))])
     if sorted(c.index for c in minimal) != sorted(c.index for c in expected):
         raise InvariantError("the minimal ideals are not one per stratum")
     return minimal

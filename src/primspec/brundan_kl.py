@@ -73,10 +73,6 @@ class TensorWindow:
         if self.hi < self.lo:
             raise ValueError("empty interval")
 
-    @property
-    def size(self) -> int:
-        return self.hi - self.lo + 1
-
     def contains(self, weight: SuperWeight) -> bool:
         return all(self.lo <= x <= self.hi for x in weight.labels)
 
@@ -133,20 +129,21 @@ class BarInvolution:
 
     # -- q-commutator chains ---------------------------------------------------
 
-    def _chain_apply(self, kind: int, start: int, end: int, vec: Vector, k: int) -> Vector:
+    def _chain_apply(self, kind: int, start: int, end: int, vec: Vector) -> Vector:
         """G_{a,b} (kind 0, a=start, b=end) or G'_{c,b} (kind 1, c=end, b=start)."""
         out: Vector = {}
         for mono, coeff in vec.items():
-            cached = self._chain_mono(kind, start, end, mono, k)
+            cached = self._chain_mono(kind, start, end, mono)
             for tgt, c in cached.items():
                 _add(out, tgt, coeff * c)
         return out
 
-    def _chain_mono(self, kind: int, start: int, end: int, mono: Mono, k: int) -> Vector:
+    def _chain_mono(self, kind: int, start: int, end: int, mono: Mono) -> Vector:
         key = (kind, start, end, mono)
         hit = self._chain.get(key)
         if hit is not None:
             return hit
+        k = len(mono)
         base: Vector = {mono: ONE}
         if end == start + 1:
             result = self.apply_f(start, base, k)
@@ -155,8 +152,8 @@ class BarInvolution:
                 color, inner = start, (start + 1, end)
             else:  # G'_{end,start}, recursion raises `end`
                 color, inner = end - 1, (start, end - 1)
-            result = self._chain_apply(kind, *inner, self.apply_f(color, base, k), k)
-            f_of_inner = self.apply_f(color, self._chain_mono(kind, *inner, mono, k), k)
+            result = self._chain_apply(kind, *inner, self.apply_f(color, base, k))
+            f_of_inner = self.apply_f(color, self._chain_mono(kind, *inner, mono), k)
             for tgt, c in f_of_inner.items():
                 _add(result, tgt, c * _MINUS_Q)
         self._chain[key] = result
@@ -184,9 +181,9 @@ class BarInvolution:
                 targets = range(self.window.lo, b)
             for t in targets:
                 if self._is_dual(slot):
-                    moved = self._chain_apply(1, b, t, inner, k - 1)
+                    moved = self._chain_apply(1, b, t, inner)
                 else:
-                    moved = self._chain_apply(0, t, b, inner, k - 1)
+                    moved = self._chain_apply(0, t, b, inner)
                 for pm, c in moved.items():
                     _add(result, pm + (t,), c * _CORR)
         self._psi[mono] = result

@@ -44,7 +44,7 @@ from itertools import permutations as iperm
 from pathlib import Path
 from typing import Iterable, Literal, Sequence
 
-from .errors import BoundExceededError, CacheVersionError, InvariantError
+from .errors import BoundExceededError, CacheVersionError, InvariantError, PreconditionError
 from .laurent import ZERO, LaurentPolynomial
 from .posets import Preorder, wall_edges
 from .tableaux import (
@@ -293,6 +293,8 @@ def default_cache_dir() -> Path:
 
 
 def _check_rank(m: int, bound: int) -> None:
+    if m < 1:
+        raise PreconditionError(f"a KL table needs rank m >= 1, got {m}")
     if m > bound:
         raise BoundExceededError("KL table rank", m, bound)
 

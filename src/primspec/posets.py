@@ -1,4 +1,10 @@
-"""Small finite-poset helpers shared by the enumeration modules."""
+"""Small finite-poset helpers shared by the enumeration modules.
+
+One iterative depth-first search serves every graph walk: the topological
+order is its reversed finishing order, the strongly connected components are
+Kosaraju's second search on the reversed graph, and the transitive closure
+follows the topological order.
+"""
 
 from __future__ import annotations
 
@@ -72,31 +78,32 @@ def transitive_closure(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
     return reach
 
 
+def _postorder(adj: Sequence[Sequence[int]], roots: Iterable[int], seen: list[bool]) -> list[int]:
+    """The nodes reachable from `roots` and not yet `seen`, in depth-first
+    finishing order; each one is marked seen."""
+    order: list[int] = []
+    stack = [(-1, iter(roots))]  # -1: a virtual parent of the roots
+    while stack:
+        node, it = stack[-1]
+        for nxt in it:
+            if not seen[nxt]:
+                seen[nxt] = True
+                stack.append((nxt, iter(adj[nxt])))
+                break
+        else:
+            order.append(node)
+            stack.pop()
+    order.pop()
+    return order
+
+
 def topological_order(n: int, adj: Sequence[Sequence[int]]) -> list[int]:
     """Nodes 0..n-1 with a before b for every b in adj[a] (ValueError on a cycle)."""
-    seen = [0] * n  # 0 unvisited, 1 on stack, 2 done
-    order: list[int] = []
-    for root in range(n):
-        if seen[root]:
-            continue
-        stack = [(root, iter(adj[root]))]
-        seen[root] = 1
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if seen[nxt] == 1:
-                    raise ValueError("cycle detected where a DAG was required")
-                if seen[nxt] == 0:
-                    seen[nxt] = 1
-                    stack.append((nxt, iter(adj[nxt])))
-                    advanced = True
-                    break
-            if not advanced:
-                seen[node] = 2
-                order.append(node)
-                stack.pop()
-    order.reverse()
+    order = _postorder(adj, range(n), [False] * n)[::-1]
+    position = {node: pos for pos, node in enumerate(order)}
+    # a cycle, self-loops included, leaves an edge pointing backwards
+    if any(position[a] >= position[b] for a in range(n) for b in adj[a]):
+        raise ValueError("cycle detected where a DAG was required")
     return order
 
 
@@ -116,50 +123,20 @@ def transitive_reduction(
 def strongly_connected_components(
     n: int, edges: Iterable[tuple[int, int]]
 ) -> list[int]:
-    """Map each node 0..n-1 to an SCC id (Tarjan, iterative)."""
+    """Map each node 0..n-1 to an SCC id (Kosaraju); ids follow a
+    topological order of the quotient, sources first."""
     adj: list[list[int]] = [[] for _ in range(n)]
+    radj: list[list[int]] = [[] for _ in range(n)]
     for a, b in edges:
         adj[a].append(b)
-    index = [0] * n
-    low = [0] * n
-    on_stack = [False] * n
+        radj[b].append(a)
+    finish = _postorder(adj, range(n), [False] * n)
     comp = [-1] * n
-    counter = 1
-    comp_count = 0
-    stack: list[int] = []
-    for root in range(n):
-        if index[root]:
-            continue
-        work = [(root, 0)]
-        while work:
-            node, pi = work[-1]
-            if pi == 0:
-                index[node] = low[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack[node] = True
-            advanced = False
-            for k in range(pi, len(adj[node])):
-                nxt = adj[node][k]
-                if not index[nxt]:
-                    work[-1] = (node, k + 1)
-                    work.append((nxt, 0))
-                    advanced = True
-                    break
-                if on_stack[nxt]:
-                    low[node] = min(low[node], index[nxt])
-            if advanced:
-                continue
-            if low[node] == index[node]:
-                while True:
-                    top = stack.pop()
-                    on_stack[top] = False
-                    comp[top] = comp_count
-                    if top == node:
-                        break
-                comp_count += 1
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
+    seen = [False] * n
+    count = 0
+    for root in reversed(finish):
+        if not seen[root]:
+            for node in _postorder(radj, (root,), seen):
+                comp[node] = count
+            count += 1
     return comp

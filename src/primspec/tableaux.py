@@ -103,10 +103,6 @@ class StandardTableau:
     def shape(self) -> tuple[int, ...]:
         return tuple(len(r) for r in self.rows)
 
-    @property
-    def size(self) -> int:
-        return sum(self.shape)
-
     def row_of(self, entry: int) -> int:
         """1-based row index of an entry."""
         for i, row in enumerate(self.rows):

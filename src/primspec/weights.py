@@ -70,12 +70,6 @@ class SuperWeight:
         """All m+n labels, left part first."""
         return self.left + self.right
 
-    def label(self, position: int) -> int:
-        """Label at a 1-based position in 1..m+n."""
-        if not 1 <= position <= self.m + self.n:
-            raise IndexError(f"position {position} out of range")
-        return self.labels[position - 1]
-
     def replace(self, position: int, value: int) -> "SuperWeight":
         """Copy with the label at a 1-based position replaced."""
         labels = list(self.labels)

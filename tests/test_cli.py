@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from primspec import kl_classical
 from primspec.cli import main
 
@@ -131,6 +133,13 @@ class TestKl:
         code, out, err = run(capsys, "--kl-bound", "0", "kl", "--m", "3")
         assert code == 1 and out == ""
         assert "bounds must be positive" in err
+
+    @pytest.mark.parametrize("m", ["0", "-1"])
+    def test_rank_below_one_refused(self, capsys, tmp_path, m):
+        code, out, err = run(capsys, "--cache-dir", str(tmp_path), "kl", "--m", m)
+        assert code == 1 and out == ""
+        assert f"m >= 1, got {m}" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_cache_dir_defaults_to_env(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("PRIMSPEC_CACHE", str(tmp_path))

@@ -2,11 +2,14 @@
 
 import ast
 import doctest
+import importlib
+import pkgutil
 import random
 from pathlib import Path
 
 import pytest
 
+import primspec
 import primspec.brundan_kl
 import primspec.crystal
 import primspec.kl_classical
@@ -59,6 +62,22 @@ def test_package_has_no_assert_statements():
         or isinstance(node, ast.Raise) and _raises_assertion_error(node)
     ]
     assert found == []
+
+
+def test_every_exported_name_resolves():
+    # a deleted function or class must not leave its name behind in __all__
+    modules = [primspec] + [
+        importlib.import_module(f"primspec.{info.name}")
+        for info in pkgutil.iter_modules(primspec.__path__)
+    ]
+    assert len(modules) > 10
+    stale = [
+        f"{module.__name__}.{name}"
+        for module in modules
+        for name in module.__all__
+        if not hasattr(module, name)
+    ]
+    assert stale == []
 
 
 def _random_singly_atypical(rng, m, n):

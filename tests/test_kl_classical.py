@@ -5,7 +5,12 @@ from itertools import permutations as iperm
 import pytest
 
 from primspec import kl_classical
-from primspec.errors import BoundExceededError, CacheVersionError, InvariantError
+from primspec.errors import (
+    BoundExceededError,
+    CacheVersionError,
+    InvariantError,
+    PreconditionError,
+)
 from primspec.kl_classical import (
     KLTable,
     bruhat_leq,
@@ -193,6 +198,12 @@ class TestKLTable:
         with pytest.raises(BoundExceededError) as err:
             kl_table(9, bound=7, **NO_DISK)
         assert "7" in str(err.value) and "9" in str(err.value)
+
+    def test_rank_below_one_refused(self):
+        with pytest.raises(PreconditionError, match="m >= 1"):
+            kl_table(0, **NO_DISK)
+        with pytest.raises(PreconditionError, match="m >= 1"):
+            left_preorder(-1, **NO_DISK)
 
 
 class TestMu:
