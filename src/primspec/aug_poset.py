@@ -15,7 +15,7 @@ lies on, and every Z_k is order-isomorphic to the classical poset of the
 regular stratum through an explicit chain of crystal raising maps.
 
 Enumeration is exact: equality classes are keyed by the stratum and the
-insertion-tableau invariant, strict inclusions are decided by the ladder
+left-cell id of the rank word, strict inclusions are decided by the ladder
 algorithm from data computed once per class, and the Hasse diagram is the
 transitive reduction.
 """
@@ -32,12 +32,7 @@ from .errors import (
     NotSinglyAtypicalError,
     PreconditionError,
 )
-from .kl_classical import (
-    DEFAULT_KL_BOUND,
-    LeftOrder,
-    ideal_class_invariant,
-    left_preorder,
-)
+from .kl_classical import DEFAULT_KL_BOUND, LeftOrder, left_preorder
 from .posets import transitive_reduction
 from .super_inclusion import _delta, _gamma, frame
 from .tableaux import involution_count, rank_word, tau_of_weight
@@ -99,20 +94,23 @@ def _orbit_weights(m: int, i: int) -> list[SuperWeight]:
 def enumerate_X(m: int, *, bound: int = DEFAULT_KL_BOUND, **kw) -> IdealPoset:
     """All primitive ideals below the augmentation ideal, fully ordered.
 
-    Classes are labeled by their lexicographically largest member.  The
-    total count must be (m+1)/2 times the involution number, which is
-    asserted.
+    Classes group each stratum by the left-cell id of the rank word (m = 1
+    has one weight and needs no order) and are labeled by their
+    lexicographically largest member.  The total count must be (m+1)/2
+    times the involution number, which is asserted.
     """
     if m < 1:
         raise PreconditionError(f"the augmentation poset needs m >= 1, got {m}")
     if m > bound:
         raise BoundExceededError("augmentation poset rank", m, bound)
+    order = left_preorder(m, bound=bound, **kw) if m > 1 else None
     classes: list[IdealClass] = []
     for i in range(m):
-        groups: dict[str, list[SuperWeight]] = {}
+        groups: dict[int, list[SuperWeight]] = {}
         for w in _orbit_weights(m, i):
-            groups.setdefault(str(ideal_class_invariant(w.left)), []).append(w)
-        for _, members in sorted(groups.items(), key=lambda kv: kv[1][0].labels, reverse=True):
+            cell = order.class_id(rank_word(w.left)) if order else 0
+            groups.setdefault(cell, []).append(w)
+        for members in sorted(groups.values(), key=lambda ws: ws[0].labels, reverse=True):
             classes.append(
                 IdealClass(len(classes), i, members[0], tuple(members))
             )
@@ -122,7 +120,6 @@ def enumerate_X(m: int, *, bound: int = DEFAULT_KL_BOUND, **kw) -> IdealPoset:
             f"enumerated {len(classes)} classes, counting identity gives {expected}"
         )
 
-    order = left_preorder(m, bound=bound, **kw) if len(classes) > 1 else None
     strict = _strict_pairs(classes, order)
     hasse = transitive_reduction(len(classes), strict)
     return IdealPoset(m, tuple(classes), frozenset(strict), tuple(hasse), order)
@@ -231,7 +228,6 @@ class ComponentReport:
 
     k: int
     class_indices: tuple[int, ...]
-    iso_images: dict[int, str]  # class index -> invariant of the image ideal
     order_isomorphic: bool
 
 
@@ -258,7 +254,6 @@ def irreducible_components(
         members = sorted(by_stratum)
 
         # crystal chain e_{k-1} ... e_0 maps Z_k onto the regular-stratum model
-        images: dict[int, str] = {}
         image_weights: dict[int, SuperWeight] = {}
         for ci in members:
             w = poset.classes[ci].representative
@@ -269,19 +264,16 @@ def irreducible_components(
                         f"raising chain broke at color {color} on {w}"
                     )
                 w = nxt
-            images[ci] = str(ideal_class_invariant(w.left))
             image_weights[ci] = w
-        iso = len(set(images.values())) == len(members)
-        if iso and len(members) > 1:
-            order = poset.order
-            nodes = {ci: _node(order, w) for ci, w in image_weights.items()}
-            iso = all(
-                ((a, b) in poset.strict) == _node_leq(order, nodes[a], nodes[b])
-                for a in members
-                for b in members
-                if a != b
-            )
-        reports.append(ComponentReport(k, tuple(members), images, iso))
+        order = poset.order  # None at m = 1, where Z_0 is one class
+        nodes = {ci: _node(order, w) for ci, w in image_weights.items()} if order else {}
+        iso = len(set(nodes.values())) == len(nodes) and all(
+            ((a, b) in poset.strict) == _node_leq(order, nodes[a], nodes[b])
+            for a in nodes
+            for b in nodes
+            if a != b
+        )
+        reports.append(ComponentReport(k, tuple(members), iso))
     return reports
 
 
@@ -404,8 +396,11 @@ def to_dot(
 ) -> str:
     """Graphviz source; node and edge emission is sorted for byte stability.
 
-    cluster may be "x" (group by stratum i) or "z" (group by component).
+    cluster may be "x" (group by stratum i) or "z" (group by component;
+    a class can lie on several, so by the lowest).
     """
+    if cluster not in (None, "x", "z"):
+        raise PreconditionError(f"cluster must be 'x', 'z' or None, got {cluster!r}")
     if assignments is None and cluster is not None:
         assignments = strata(poset)
     lines = ["graph ideals {", '  rankdir="BT";']
@@ -413,27 +408,18 @@ def to_dot(
     for c in poset.classes:
         label = " = ".join(str(w) for w in c.members)
         node_lines[c.index] = f'  n{c.index} [label="{label}"];'
-    if cluster == "x":
+    if cluster is None:
+        lines.extend(node_lines[ci] for ci in sorted(node_lines))
+    else:
         groups: dict[int, list[int]] = {}
         for c in poset.classes:
-            groups.setdefault(c.i_index, []).append(c.index)
-        for i in sorted(groups):
-            lines.append(f"  subgraph cluster_x{i} {{")
-            lines.append(f'    label="X_{i}";')
-            lines.extend("  " + node_lines[ci] for ci in sorted(groups[i]))
+            key = c.i_index if cluster == "x" else assignments[c.index].z_set[0]
+            groups.setdefault(key, []).append(c.index)
+        for g in sorted(groups):
+            lines.append(f"  subgraph cluster_{cluster}{g} {{")
+            lines.append(f'    label="{cluster.upper()}_{g}";')
+            lines.extend("  " + node_lines[ci] for ci in sorted(groups[g]))
             lines.append("  }")
-    elif cluster == "z":
-        # a class can lie on several components; cluster by the lowest
-        for k in sorted({assignments[c.index].z_set[0] for c in poset.classes}):
-            members = [
-                c.index for c in poset.classes if assignments[c.index].z_set[0] == k
-            ]
-            lines.append(f"  subgraph cluster_z{k} {{")
-            lines.append(f'    label="Z_{k}";')
-            lines.extend("  " + node_lines[ci] for ci in sorted(members))
-            lines.append("  }")
-    else:
-        lines.extend(node_lines[ci] for ci in sorted(node_lines))
     for lower, upper in sorted(poset.hasse):
         lines.append(f"  n{lower} -- n{upper};")
     lines.append("}")

@@ -12,7 +12,7 @@ components  irreducible components of an augmentation poset
 
 All machine output is JSON on stdout (DOT for ``--format dot``); identical
 invocations against an unchanged cache print identical bytes.  Exit codes:
-0 decided/ok, 1 parse or bound errors, 2 undecidable regime.
+0 decided/ok, 1 usage, parse or bound errors, 2 undecidable regime.
 """
 
 from __future__ import annotations
@@ -93,15 +93,20 @@ def cmd_crystal(args) -> int:
     return 0
 
 
-def _pair_word(text: str, m: int) -> tuple[int, ...]:
-    word = tuple(int(t) for t in text.split(","))
-    if sorted(word) != list(range(1, m + 1)):
-        raise PreconditionError(f"--pair word {text!r} is not a permutation of 1..{m}")
-    return word
+def _pair_words(text: str, m: int) -> list[tuple[int, ...]]:
+    if text.count(";") != 1:
+        raise PreconditionError(f"--pair {text!r} is not of the form x1,..,xm;y1,..,ym")
+    words = []
+    for half in text.split(";"):
+        words.append(tuple(int(t) for t in half.split(",")))
+        if sorted(words[-1]) != list(range(1, m + 1)):
+            raise PreconditionError(f"--pair word {half!r} is not a permutation of 1..{m}")
+    return words
 
 
 def cmd_kl(args) -> int:
     kwargs = _table_kwargs(args)
+    x, y = _pair_words(args.pair, args.m) if args.pair else (None, None)
     table = kl_classical.kl_table(args.m, **kwargs)
     doc = {
         "m": args.m,
@@ -109,8 +114,6 @@ def cmd_kl(args) -> int:
         "cache_file": str(kwargs["cache_dir"] / f"kl_m{args.m}.jsonl"),
     }
     if args.pair:
-        x_text, y_text = args.pair.split(";")
-        x, y = _pair_word(x_text, args.m), _pair_word(y_text, args.m)
         doc["pair"] = {
             "x": list(x),
             "y": list(y),
@@ -143,6 +146,8 @@ def cmd_counts(args) -> int:
         lo, hi = (int(t) for t in args.m.split(".."))
     else:
         lo = hi = int(args.m)
+    if lo > hi:
+        raise PreconditionError(f"--m range {args.m!r} is empty: {lo} > {hi}")
     rows = []
     for m in range(lo, hi + 1):
         s_m = aug_poset.involution_count(m)
@@ -177,8 +182,14 @@ def cmd_components(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # usage errors exit 1; 2 means undecidable
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="primspec",
         description="Inclusion order on primitive ideals of gl(m|n).",
     )

@@ -1,6 +1,7 @@
 import json
 import re
 from fractions import Fraction
+from itertools import permutations as iperm
 
 import pytest
 
@@ -16,6 +17,7 @@ from primspec.aug_poset import (
     to_json_dict,
 )
 from primspec.errors import BoundExceededError, PreconditionError
+from primspec.kl_classical import ideal_class_invariant
 from primspec.super_inclusion import covers, frame, inclusion
 from primspec.tableaux import involution_count, tau_of_weight
 from primspec.weights import SuperWeight
@@ -139,6 +141,27 @@ class TestCounts:
         assert report.total == 266
         assert report.stratum_sizes == {0: 76, 1: 38, 2: 38, 3: 38, 4: 38, 5: 38}
         assert exceptional_coverings(poset) == []
+
+
+class TestClassKeys:
+    def test_cells_group_as_insertion_tableaux(self, posets):
+        # reference grouping: each stratum's orbit, largest weight first,
+        # split by the insertion tableau of the left labels
+        for m in range(1, 7):
+            expected = []
+            for i in range(m):
+                multiset = [*range(m - 1, 0, -1), i] if i else list(range(m))
+                groups = {}
+                for left in sorted(set(iperm(multiset)), reverse=True):
+                    key = str(ideal_class_invariant(left))
+                    groups.setdefault(key, []).append(SuperWeight(left, (i,)))
+                expected.extend(tuple(g) for g in groups.values())
+            assert [c.members for c in posets[m].classes] == expected
+
+    def test_rank_one_fetches_no_order(self, tmp_path):
+        poset = enumerate_X(1, cache_dir=tmp_path)
+        assert poset.order is None and len(poset.classes) == 1
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestMinimalAndComponents:
@@ -387,3 +410,16 @@ class TestExport:
         assert a.count(" -- ") == len(posets[3].hasse)
         clustered = to_dot(posets[3], assignments[3], cluster="x")
         assert "cluster_x0" in clustered and "cluster_x2" in clustered
+
+    def test_dot_clusters_place_every_node_once(self, posets, assignments):
+        # four strata, and four components each holding its minimal ideal
+        poset, assign = posets[4], assignments[4]
+        for cluster in ("x", "z"):
+            text = to_dot(poset, assign, cluster=cluster)
+            for c in poset.classes:
+                assert text.count(f"  n{c.index} [label=") == 1
+            assert text.count("subgraph") == 4
+
+    def test_dot_unknown_cluster_refused(self, posets):
+        with pytest.raises(ValueError, match="cluster"):
+            to_dot(posets[3], cluster="w")

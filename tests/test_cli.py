@@ -155,6 +155,16 @@ class TestKl:
         assert code == 1 and out == ""
         assert "permutation of 1..4" in err
 
+    @pytest.mark.parametrize("pair", ["1,2", "1,2;2,1;1,2"])
+    def test_pair_without_one_separator(self, capsys, tmp_path, pair):
+        # refused before any table is built, so nothing is cached
+        code, out, err = run(
+            capsys, "--cache-dir", str(tmp_path), "kl", "--m", "2", "--pair", pair
+        )
+        assert code == 1 and out == ""
+        assert "--pair" in err and "x1,..,xm;y1,..,ym" in err
+        assert list(tmp_path.iterdir()) == []
+
     def _corrupt_cache_run(self, capsys, tmp_path, monkeypatch, text):
         monkeypatch.setattr(kl_classical, "_tables", {})  # force a disk read
         path = tmp_path / "kl_m3.jsonl"
@@ -193,6 +203,11 @@ class TestCounts:
         row = json.loads(out)["counts"][0]
         assert row["enumerated"] == row["t"] == 8
 
+    def test_reversed_range_refused(self, capsys):
+        code, out, err = run(capsys, "counts", "--m", "3..1")
+        assert code == 1 and out == ""
+        assert "3..1" in err
+
 
 class TestComponents:
     def test_m3(self, capsys):
@@ -207,6 +222,27 @@ class TestComponents:
         code, out, err = run(capsys, "components", "--m", "0")
         assert code == 1 and out == ""
         assert "m >= 1" in err
+
+
+class TestUsage:
+    @pytest.mark.parametrize(
+        "argv",
+        [("kl", "--m", "x"), ("inclusion", "--weights", "1|1"), ("no-such-command",)],
+    )
+    def test_usage_errors_exit_1(self, capsys, argv):
+        # exit 2 is reserved for the undecidable regime
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        captured = capsys.readouterr()
+        assert exc.value.code == 1
+        assert captured.out == "" and "usage:" in captured.err
+
+    @pytest.mark.parametrize("argv", [("--help",), ("kl", "--help")])
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 0
+        assert "usage:" in capsys.readouterr().out
 
 
 class TestDeterminism:

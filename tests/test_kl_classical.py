@@ -331,12 +331,16 @@ class TestLeftPreorder:
             assert order.leq(w, w)
 
     def test_classes_are_insertion_fibers(self):
-        for m in (2, 3, 4):
+        # left cells of S_m are the Robinson-Schensted fibres (KL 1979)
+        for m in range(1, 7):
             order = left_preorder(m, **NO_DISK)
+            by_tableau, by_cell = {}, {}
             for u in all_permutations(m):
-                for v in all_permutations(m):
-                    same = robinson_schensted(u)[0] == robinson_schensted(v)[0]
-                    assert order.same_class(u, v) == same
+                by_tableau.setdefault(robinson_schensted(u)[0], set()).add(u)
+                by_cell.setdefault(order.class_id(u), set()).add(u)
+            assert set(map(frozenset, by_tableau.values())) == set(
+                map(frozenset, by_cell.values())
+            )
 
     def test_class_count_is_involution_number(self):
         from primspec.tableaux import involution_count
