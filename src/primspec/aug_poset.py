@@ -396,13 +396,11 @@ def to_dot(
 ) -> str:
     """Graphviz source; node and edge emission is sorted for byte stability.
 
-    cluster may be "x" (group by stratum i) or "z" (group by component;
-    a class can lie on several, so by the lowest).
+    cluster may be "x" (group by stratum i, which each class carries, so
+    `assignments` is not read).
     """
-    if cluster not in (None, "x", "z"):
-        raise PreconditionError(f"cluster must be 'x', 'z' or None, got {cluster!r}")
-    if assignments is None and cluster is not None:
-        assignments = strata(poset)
+    if cluster not in (None, "x"):
+        raise PreconditionError(f"cluster must be 'x' or None, got {cluster!r}")
     lines = ["graph ideals {", '  rankdir="BT";']
     node_lines = {}
     for c in poset.classes:
@@ -413,11 +411,10 @@ def to_dot(
     else:
         groups: dict[int, list[int]] = {}
         for c in poset.classes:
-            key = c.i_index if cluster == "x" else assignments[c.index].z_set[0]
-            groups.setdefault(key, []).append(c.index)
+            groups.setdefault(c.i_index, []).append(c.index)
         for g in sorted(groups):
-            lines.append(f"  subgraph cluster_{cluster}{g} {{")
-            lines.append(f'    label="{cluster.upper()}_{g}";')
+            lines.append(f"  subgraph cluster_x{g} {{")
+            lines.append(f'    label="X_{g}";')
             lines.extend("  " + node_lines[ci] for ci in sorted(groups[g]))
             lines.append("  }")
     for lower, upper in sorted(poset.hasse):

@@ -93,12 +93,23 @@ def cmd_crystal(args) -> int:
     return 0
 
 
+def _ints(flag: str, text: str, sep: str) -> tuple[int, ...]:
+    """`text` split at `sep`, as integers; a part that is not one names `flag`."""
+    out = []
+    for part in text.split(sep):
+        try:
+            out.append(int(part))
+        except ValueError:
+            raise PreconditionError(f"{flag} {text!r}: {part!r} is not an integer") from None
+    return tuple(out)
+
+
 def _pair_words(text: str, m: int) -> list[tuple[int, ...]]:
     if text.count(";") != 1:
         raise PreconditionError(f"--pair {text!r} is not of the form x1,..,xm;y1,..,ym")
     words = []
     for half in text.split(";"):
-        words.append(tuple(int(t) for t in half.split(",")))
+        words.append(_ints("--pair", half, ","))
         if sorted(words[-1]) != list(range(1, m + 1)):
             raise PreconditionError(f"--pair word {half!r} is not a permutation of 1..{m}")
     return words
@@ -142,10 +153,10 @@ def cmd_super_kl(args) -> int:
 
 def cmd_counts(args) -> int:
     kwargs = _table_kwargs(args)
-    if ".." in args.m:
-        lo, hi = (int(t) for t in args.m.split(".."))
-    else:
-        lo = hi = int(args.m)
+    bounds = _ints("--m", args.m, "..")
+    if len(bounds) > 2:
+        raise PreconditionError(f"--m {args.m!r} is not a rank or a range like 1..6")
+    lo, hi = bounds[0], bounds[-1]
     if lo > hi:
         raise PreconditionError(f"--m range {args.m!r} is empty: {lo} > {hi}")
     rows = []
@@ -209,7 +220,7 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("aug-poset", help="augmentation-ideal poset of gl(m|1)")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--format", choices=["json", "dot"], default="json")
-    p.add_argument("--cluster", choices=["x", "z"], default=None)
+    p.add_argument("--cluster", choices=["x"], default=None)
     p.add_argument("--out", default=None, help="write to a file instead of stdout")
     p.set_defaults(func=cmd_aug_poset)
 

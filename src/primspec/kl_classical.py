@@ -26,7 +26,9 @@ between simples (equivalently nonvanishing mu), and the full inclusion
 decision for annihilators of simples of gl(m) and gl(m)+gl(n) at integral,
 possibly singular, central characters: a singular weight is routed through
 its longest coset representative, which realizes the translation-to-the-
-wall poset isomorphism.
+wall poset isomorphism.  Each factor is read once, as the rank word of that
+representative: inclusion and covers are read off its left cell, equality
+off its Robinson-Schensted insertion tableau (no KL table, no bound).
 
 Tables are immutable once built and are cached both in-process and on disk
 (one versioned file per rank).
@@ -42,14 +44,13 @@ from array import array
 from bisect import bisect_left
 from itertools import permutations as iperm
 from pathlib import Path
-from typing import Iterable, Literal, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import BoundExceededError, CacheVersionError, InvariantError, PreconditionError
 from .laurent import ZERO, LaurentPolynomial
 from .posets import Preorder, wall_edges
 from .tableaux import (
     Permutation,
-    StandardTableau,
     all_permutations,
     inverse,
     inversions,
@@ -68,7 +69,6 @@ __all__ = [
     "classical_inclusion",
     "classical_equal",
     "classical_cover",
-    "ideal_class_invariant",
     "DEFAULT_KL_BOUND",
 ]
 
@@ -379,9 +379,6 @@ class LeftOrder:
         """Is the ideal at rank word r_small included in the one at r_big?"""
         return self.preorder.leq(self.node(r_small), self.node(r_big))
 
-    def same_class(self, r1: Permutation, r2: Permutation) -> bool:
-        return self.class_id(r1) == self.class_id(r2)
-
     def class_id(self, r: Permutation) -> int:
         return self.preorder.class_id(self.node(r))
 
@@ -406,33 +403,15 @@ def left_preorder(m: int, *, bound: int = DEFAULT_KL_BOUND, **table_kwargs) -> L
 # -- label-tuple front end ---------------------------------------------------
 
 
-def _factor_words(
-    labels: Sequence[int], orientation: Literal["left", "right"]
-) -> Permutation:
-    if orientation == "right":
-        labels = tuple(reversed(labels))
-    return rank_word(labels)
-
-
-def ideal_class_invariant(
-    labels: Sequence[int], orientation: Literal["left", "right"] = "left"
-) -> StandardTableau:
-    """Insertion tableau of the longest-representative rank word.
-
-    Two same-orbit label tuples define equal annihilators exactly when
-    these tableaux agree (per factor).
-    """
-    return robinson_schensted(_factor_words(labels, orientation))[0]
-
-
-def _factor_leq(
-    delta: Sequence[int], gamma: Sequence[int],
-    orientation: Literal["left", "right"], **kw,
-) -> bool:
-    if len(delta) <= 1:
-        return True
-    order = left_preorder(len(delta), **kw)
-    return order.leq(_factor_words(delta, orientation), _factor_words(gamma, orientation))
+def _factors(
+    delta: SuperWeight, gamma: SuperWeight
+) -> Iterator[tuple[tuple[int, ...], Permutation, Permutation]]:
+    """For each factor of rank >= 2: delta's labels and the rank words of
+    delta and gamma, the right factor read reversed (a factor of rank <= 1
+    holds one ideal)."""
+    for d, g in ((delta.left, gamma.left), (delta.right[::-1], gamma.right[::-1])):
+        if len(d) > 1:
+            yield d, rank_word(d), rank_word(g)
 
 
 def classical_inclusion(delta: SuperWeight, gamma: SuperWeight, **kw) -> bool:
@@ -442,58 +421,38 @@ def classical_inclusion(delta: SuperWeight, gamma: SuperWeight, **kw) -> bool:
     the conjunction of the factor decisions, each routed through longest
     coset representatives into the regular-orbit preorder.
     """
-    if not orbit_equal(delta, gamma):
-        return False
-    return _factor_leq(delta.left, gamma.left, "left", **kw) and _factor_leq(
-        delta.right, gamma.right, "right", **kw
+    return orbit_equal(delta, gamma) and all(
+        left_preorder(len(labels), **kw).leq(d, g) for labels, d, g in _factors(delta, gamma)
     )
 
 
 def classical_equal(delta: SuperWeight, gamma: SuperWeight) -> bool:
-    """Equality of the two annihilators, via the tableau invariant."""
-    return (
-        orbit_equal(delta, gamma)
-        and _factor_equal(delta.left, gamma.left, "left")
-        and _factor_equal(delta.right, gamma.right, "right")
-    )
-
-
-def _factor_equal(
-    delta: Sequence[int], gamma: Sequence[int], orientation: Literal["left", "right"]
-) -> bool:
-    return ideal_class_invariant(delta, orientation) == ideal_class_invariant(gamma, orientation)
-
-
-def _factor_cover(
-    delta: Sequence[int], gamma: Sequence[int],
-    orientation: Literal["left", "right"], **kw,
-) -> bool:
-    """Is the delta-class covered by the gamma-class within their orbit poset?"""
-    if len(delta) <= 1:
-        return False
-    order = left_preorder(len(delta), **kw)
-    cd = order.class_id(_factor_words(delta, orientation))
-    cg = order.class_id(_factor_words(gamma, orientation))
-    classes = order.preorder
-    if cd == cg or not classes.class_leq(cd, cg):
-        return False
-    orbit = {order.class_id(_factor_words(w, orientation)) for w in set(iperm(delta))}
-    return not any(
-        cz not in (cd, cg) and classes.class_leq(cz, cg) and classes.class_leq(cd, cz)
-        for cz in orbit
+    """Equality of the two annihilators: same orbit and, per factor, the
+    same insertion tableau of the rank word (no KL table, no bound)."""
+    return orbit_equal(delta, gamma) and all(
+        robinson_schensted(d)[0] == robinson_schensted(g)[0] for _, d, g in _factors(delta, gamma)
     )
 
 
 def classical_cover(delta: SuperWeight, gamma: SuperWeight, **kw) -> bool:
-    """Covering relation in the product poset of the two factor orbits."""
-    if not classical_inclusion(delta, gamma, **kw):
+    """Covering relation in the product poset of the two factor orbits:
+    exactly one factor changes its left cell, to a cell covering the old one
+    among the cells of the rearrangements of its labels."""
+    if not orbit_equal(delta, gamma):
         return False
-    left_eq = _factor_equal(delta.left, gamma.left, "left")
-    right_eq = _factor_equal(delta.right, gamma.right, "right")
-    if left_eq and right_eq:
+    moved = None
+    for labels, d, g in _factors(delta, gamma):
+        order = left_preorder(len(labels), **kw)
+        cd, cg = order.class_id(d), order.class_id(g)
+        if cd != cg:
+            if moved or not order.preorder.class_leq(cd, cg):
+                return False
+            moved = labels, order, cd, cg
+    if moved is None:
         return False
-    if left_eq:
-        return _factor_cover(delta.right, gamma.right, "right", **kw)
-    if right_eq:
-        return _factor_cover(delta.left, gamma.left, "left", **kw)
-    return False
+    labels, order, cd, cg = moved
+    leq = order.preorder.class_leq
+    return not any(
+        cz not in (cd, cg) and leq(cd, cz) and leq(cz, cg)
+        for cz in {order.class_id(rank_word(w)) for w in set(iperm(labels))}
+    )

@@ -17,9 +17,8 @@ from primspec.aug_poset import (
     to_json_dict,
 )
 from primspec.errors import BoundExceededError, PreconditionError
-from primspec.kl_classical import ideal_class_invariant
 from primspec.super_inclusion import covers, frame, inclusion
-from primspec.tableaux import involution_count, tau_of_weight
+from primspec.tableaux import involution_count, rank_word, robinson_schensted, tau_of_weight
 from primspec.weights import SuperWeight
 from test_tableaux import egf_series
 
@@ -153,7 +152,7 @@ class TestClassKeys:
                 multiset = [*range(m - 1, 0, -1), i] if i else list(range(m))
                 groups = {}
                 for left in sorted(set(iperm(multiset)), reverse=True):
-                    key = str(ideal_class_invariant(left))
+                    key = str(robinson_schensted(rank_word(left))[0])
                     groups.setdefault(key, []).append(SuperWeight(left, (i,)))
                 expected.extend(tuple(g) for g in groups.values())
             assert [c.members for c in posets[m].classes] == expected
@@ -412,14 +411,15 @@ class TestExport:
         assert "cluster_x0" in clustered and "cluster_x2" in clustered
 
     def test_dot_clusters_place_every_node_once(self, posets, assignments):
-        # four strata, and four components each holding its minimal ideal
+        # four strata
         poset, assign = posets[4], assignments[4]
-        for cluster in ("x", "z"):
-            text = to_dot(poset, assign, cluster=cluster)
-            for c in poset.classes:
-                assert text.count(f"  n{c.index} [label=") == 1
-            assert text.count("subgraph") == 4
+        text = to_dot(poset, assign, cluster="x")
+        for c in poset.classes:
+            assert text.count(f"  n{c.index} [label=") == 1
+        assert text.count("subgraph") == 4
 
     def test_dot_unknown_cluster_refused(self, posets):
-        with pytest.raises(ValueError, match="cluster"):
-            to_dot(posets[3], cluster="w")
+        # no "z": z_set[0] is always the stratum index, so it would redraw "x"
+        for cluster in ("w", "z"):
+            with pytest.raises(ValueError, match="cluster"):
+                to_dot(posets[3], cluster=cluster)

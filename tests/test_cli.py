@@ -165,6 +165,14 @@ class TestKl:
         assert "--pair" in err and "x1,..,xm;y1,..,ym" in err
         assert list(tmp_path.iterdir()) == []
 
+    def test_pair_not_integers_names_the_flag(self, capsys, tmp_path):
+        code, out, err = run(
+            capsys, "--cache-dir", str(tmp_path), "kl", "--m", "2", "--pair", "a,b;1,2"
+        )
+        assert code == 1 and out == ""
+        assert err == "error: --pair 'a,b': 'a' is not an integer\n"
+        assert list(tmp_path.iterdir()) == []
+
     def _corrupt_cache_run(self, capsys, tmp_path, monkeypatch, text):
         monkeypatch.setattr(kl_classical, "_tables", {})  # force a disk read
         path = tmp_path / "kl_m3.jsonl"
@@ -202,6 +210,11 @@ class TestCounts:
         code, out, _ = run(capsys, "counts", "--m", "3")
         row = json.loads(out)["counts"][0]
         assert row["enumerated"] == row["t"] == 8
+
+    def test_range_not_integers_names_the_flag(self, capsys):
+        code, out, err = run(capsys, "counts", "--m", "1..x")
+        assert code == 1 and out == ""
+        assert err == "error: --m '1..x': 'x' is not an integer\n"
 
     def test_reversed_range_refused(self, capsys):
         code, out, err = run(capsys, "counts", "--m", "3..1")

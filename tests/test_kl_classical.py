@@ -1,5 +1,6 @@
 import hashlib
 import logging
+from itertools import combinations_with_replacement as multisets
 from itertools import permutations as iperm
 
 import pytest
@@ -17,7 +18,6 @@ from primspec.kl_classical import (
     classical_cover,
     classical_equal,
     classical_inclusion,
-    ideal_class_invariant,
     kl_table,
     left_preorder,
     mu,
@@ -458,3 +458,26 @@ class TestClassicalCover:
     def test_product_requires_one_factor_fixed(self):
         assert classical_cover(W("0,1|1,0"), W("1,0|1,0"), **NO_DISK)
         assert not classical_cover(W("0,1|0,1"), W("1,0|1,0"), **NO_DISK)
+
+    def test_matches_brute_force_covers(self):
+        # every ordered same-orbit pair of gl(m)+gl(n), m+n <= 4, labels 0..2:
+        # a cover is a strict inclusion with no orbit member strictly between
+        def below(a, b):
+            return classical_inclusion(a, b, **NO_DISK) and not classical_equal(a, b)
+
+        found = 0
+        for m, n in [(m, n) for m in range(1, 5) for n in range(5 - m)]:
+            for left in multisets(range(3), m):
+                for right in multisets(range(3), n):
+                    orbit = [
+                        SuperWeight(a, b)
+                        for a in set(iperm(left)) for b in set(iperm(right))
+                    ]
+                    for d in orbit:
+                        for g in orbit:
+                            expected = below(d, g) and not any(
+                                below(d, z) and below(z, g) for z in orbit
+                            )
+                            assert classical_cover(d, g, **NO_DISK) == expected, (d, g)
+                            found += expected
+        assert found == 338  # the reference is not vacuous
