@@ -41,5 +41,5 @@ for r in irreducible_components(poset, assign):
     )
 
 target = Path(__file__).with_name(f"aug_poset_gl{M}1.gv")
-target.write_text(to_dot(poset, assign, cluster="x"))
+target.write_text(to_dot(poset, cluster="x"))
 print(f"\nwrote {target} (render with: dot -Tpng -O {target.name})")

@@ -389,15 +389,10 @@ def to_json_dict(
     }
 
 
-def to_dot(
-    poset: IdealPoset,
-    assignments: dict[int, StratumAssignment] | None = None,
-    cluster: str | None = None,
-) -> str:
+def to_dot(poset: IdealPoset, cluster: str | None = None) -> str:
     """Graphviz source; node and edge emission is sorted for byte stability.
 
-    cluster may be "x" (group by stratum i, which each class carries, so
-    `assignments` is not read).
+    cluster may be "x" (group by stratum i, which each class carries).
     """
     if cluster not in (None, "x"):
         raise PreconditionError(f"cluster must be 'x' or None, got {cluster!r}")

@@ -58,11 +58,10 @@ def cmd_inclusion(args) -> int:
 
 def cmd_aug_poset(args) -> int:
     poset = aug_poset.enumerate_X(args.m, **_table_kwargs(args))
-    assignments = aug_poset.strata(poset)
     if args.format == "dot":
-        text = aug_poset.to_dot(poset, assignments, cluster=args.cluster)
+        text = aug_poset.to_dot(poset, cluster=args.cluster)
     else:
-        doc = aug_poset.to_json_dict(poset, assignments)
+        doc = aug_poset.to_json_dict(poset, aug_poset.strata(poset))
         text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if args.out:
         Path(args.out).write_text(text)
@@ -137,10 +136,9 @@ def cmd_kl(args) -> int:
 
 def cmd_super_kl(args) -> int:
     block = [SuperWeight.parse(text) for text in args.weights]
-    interval = None
-    if args.interval:
-        lo, hi = args.interval.split(":")
-        interval = (int(lo), int(hi))
+    interval = _ints("--interval", args.interval, ":") if args.interval else None
+    if interval and (len(interval) != 2 or interval[0] > interval[1]):
+        raise PreconditionError(f"--interval {args.interval!r} is not lo:hi with lo <= hi")
     table = brundan_kl.canonical_basis(block, interval, interval_bound=args.interval_bound)
     doc = table.to_json_dict()
     order = brundan_kl.kl_left_order(table.weights, table)

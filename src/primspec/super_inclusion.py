@@ -24,11 +24,17 @@ Decidable regimes and their routes:
 
 Everything else raises UnsupportedRegimeError: a loud "cannot decide",
 distinct from False.
+
+Each pair is classified once (`_classify`: central characters, orbit, one
+atypicality degree, both frames of a ladder pair).  `relation` and `decide`
+read both directions off that record, `decide` hands its frames to the
+trace, and `covers` enters through `inclusion`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count, product, takewhile
 from typing import Literal
 
 from . import crystal
@@ -93,16 +99,16 @@ def frame(weight: SuperWeight) -> AtypicalityFrame:
     >>> [f.q_values[i] for i in f.i_set]
     [0, 2, 0, 2, 0, 0]
     """
-    degree = atypicality_degree(weight)
-    if degree != 1:
-        raise NotSinglyAtypicalError(weight, degree)
     m = weight.m
-    a = next(x for x in weight.left if x in set(weight.right))
-
     left_positions = {}  # label -> positions ascending (1-based)
     right_positions = {}
     for pos, lab in enumerate(weight.labels, start=1):
         (left_positions if pos <= m else right_positions).setdefault(lab, []).append(pos)
+    shared = [x for x in left_positions if x in right_positions]
+    degree = sum(min(len(left_positions[x]), len(right_positions[x])) for x in shared)
+    if degree != 1:
+        raise NotSinglyAtypicalError(weight, degree)
+    a = shared[0]
 
     left_a = max(left_positions[a])  # nearest the separator
     right_a = min(right_positions[a])
@@ -112,25 +118,20 @@ def frame(weight: SuperWeight) -> AtypicalityFrame:
     # ones; extremal choices are optimal, so the walk is greedy.
     ladder: list[int] = []
     last_left, last_right = left_a, right_a
-    j = 1
-    while True:
-        target = a + j
+    for target in count(a + 1):
         if target in left_positions:
             candidates = [p for p in left_positions[target] if p < last_left]
             if not candidates:
                 break
-            pick = max(candidates)
-            last_left = pick
+            last_left = pick = max(candidates)
         elif target in right_positions:
             candidates = [p for p in right_positions[target] if p > last_right]
             if not candidates:
                 break
-            pick = min(candidates)
-            last_right = pick
+            last_right = pick = min(candidates)
         else:
             break
         ladder.append(pick)
-        j += 1
 
     p_value = len(ladder)
     if p_value and ladder[0] <= m:
@@ -142,16 +143,18 @@ def frame(weight: SuperWeight) -> AtypicalityFrame:
     q_values = {i_set[0]: 0}
     for idx in range(1, len(i_set)):
         side = i_set[idx] <= m
-        run = 0
-        for later in i_set[idx + 1:]:
-            if (later <= m) != side:
-                run += 1
-            else:
-                break
-        q_values[i_set[idx]] = run
+        run = takewhile(lambda later: (later <= m) != side, i_set[idx + 1:])
+        q_values[i_set[idx]] = len(list(run))
     if sum(q_values.values()) != p_value:
         raise InvariantError("ladder run lengths must sum to p")
     return AtypicalityFrame(a, i_set, p_value, q_values)
+
+
+_Frames = dict[SuperWeight, AtypicalityFrame]
+
+
+def _frames(alpha: SuperWeight, beta: SuperWeight) -> _Frames:
+    return {alpha: frame(alpha), beta: frame(beta)}
 
 
 def _shifted(alpha: SuperWeight, fa: AtypicalityFrame, p: int) -> SuperWeight:
@@ -206,12 +209,11 @@ def _delta(beta: SuperWeight, fb: AtypicalityFrame) -> SuperWeight:
 
 
 def _ladder(
-    alpha: SuperWeight, fa: AtypicalityFrame, beta: SuperWeight
+    frames: _Frames, alpha: SuperWeight, beta: SuperWeight
 ) -> tuple[int, SuperWeight, SuperWeight] | None:
     """The ladder pass: (p, gamma, delta), or None unless beta lies in the
-    orbit of alpha's atypical pair shifted by 0 <= p <= p_alpha (`fa` is
-    alpha's frame)."""
-    fb = frame(beta)
+    orbit of alpha's atypical pair shifted by 0 <= p <= p_alpha."""
+    fa, fb = frames[alpha], frames[beta]
     p = fb.a_value - fa.a_value
     if not orbit_equal(_shifted(alpha, fa, p), beta) or not 0 <= p <= fa.p_value:
         return None
@@ -219,16 +221,16 @@ def _ladder(
 
 
 def _required_ladder(
-    alpha: SuperWeight, beta: SuperWeight
-) -> tuple[AtypicalityFrame, int, SuperWeight, SuperWeight]:
-    """alpha's frame and the ladder pass, which must apply to the pair."""
-    fa = frame(alpha)
-    found = _ladder(alpha, fa, beta)
+    frames: _Frames, alpha: SuperWeight, beta: SuperWeight
+) -> tuple[int, SuperWeight, SuperWeight]:
+    """The ladder pass, which must apply to the pair."""
+    found = _ladder(frames, alpha, beta)
     if found is None:
         raise PreconditionError(
-            f"{beta} is not in the shifted orbits of {alpha} for 0 <= p <= {fa.p_value}"
+            f"{beta} is not in the shifted orbits of {alpha} "
+            f"for 0 <= p <= {frames[alpha].p_value}"
         )
-    return (fa, *found)
+    return found
 
 
 def gamma_delta(alpha: SuperWeight, beta: SuperWeight) -> tuple[SuperWeight, SuperWeight]:
@@ -236,8 +238,7 @@ def gamma_delta(alpha: SuperWeight, beta: SuperWeight) -> tuple[SuperWeight, Sup
 
     Requires beta in the shifted orbit of alpha with 0 <= p <= p_alpha.
     """
-    _, _, gamma, delta = _required_ladder(alpha, beta)
-    return gamma, delta
+    return _required_ladder(_frames(alpha, beta), alpha, beta)[1:]
 
 
 @dataclass(frozen=True, slots=True)
@@ -291,16 +292,6 @@ def _apply_power(
     return after
 
 
-def _normalization_ops(weight: SuperWeight, a: int) -> list[tuple[str, int, int]]:
-    """Crystal powers lowering every label below a by one, smallest first."""
-    ops = []
-    for value in sorted({lab for lab in weight.labels if lab < a}):
-        on_left = value in weight.left
-        count = weight.labels.count(value)
-        ops.append(("e" if on_left else "f", value - 1, count))
-    return ops
-
-
 def reduction_trace(alpha: SuperWeight, beta: SuperWeight) -> ReductionTrace:
     """Replay the ladder reduction as explicit crystal operator powers.
 
@@ -308,17 +299,21 @@ def reduction_trace(alpha: SuperWeight, beta: SuperWeight) -> ReductionTrace:
     copies of it are pushed down, and the ladder is climbed one value at a
     time; the final weights are cross-checked against the closed formulas.
     """
-    return _trace(alpha, beta)[1]
+    return _trace(_frames(alpha, beta), alpha, beta)[1]
 
 
-def _trace(alpha: SuperWeight, beta: SuperWeight) -> tuple[int, ReductionTrace]:
+def _trace(frames: _Frames, alpha: SuperWeight, beta: SuperWeight) -> tuple[int, ReductionTrace]:
     """The shift p and the reduction trace of a ladder pair."""
-    fa, p, gamma, delta = _required_ladder(alpha, beta)
-    a = fa.a_value
+    p, gamma, delta = _required_ladder(frames, alpha, beta)
+    a = frames[alpha].a_value
     steps: list[TraceStep] = []
 
-    # labels below a agree between the two weights, so one op list serves both
-    norm_ops = _normalization_ops(alpha, a)
+    # crystal powers lowering every label below a by one, smallest first; those
+    # labels agree between the two weights, so one op list serves both
+    norm_ops = [
+        ("e" if value in alpha.left else "f", value - 1, alpha.labels.count(value))
+        for value in sorted({lab for lab in alpha.labels if lab < a})
+    ]
     chains = {}
     for side, start in (("alpha", alpha), ("beta", beta)):
         current = start
@@ -326,23 +321,19 @@ def _trace(alpha: SuperWeight, beta: SuperWeight) -> tuple[int, ReductionTrace]:
             current = _apply_power(side, op, color, power, current, steps)
         chains[side] = current
     # push alpha's surplus copies of a below, keeping the separator-nearest
-    # pair; the same power applies on the beta side
+    # pair; the same power applies on the beta side (a zero power adds no step)
     surplus = alpha.labels.count(a) - 2
-    if surplus > 0:
-        on_left = alpha.left.count(a) > 1
-        for side in ("alpha", "beta"):
-            chains[side] = _apply_power(
-                side, "e" if on_left else "f", a - 1, surplus, chains[side], steps
-            )
+    op = "e" if alpha.left.count(a) > 1 else "f"
+    for side in ("alpha", "beta"):
+        chains[side] = _apply_power(side, op, a - 1, surplus, chains[side], steps)
 
     for stage in range(1, p + 1):
         value = a + stage  # the ladder value being absorbed
         zeta = chains["alpha"]
-        count = zeta.labels.count(value)
-        on_left = value in zeta.left
-        op = "e" if on_left else "f"
+        power = zeta.labels.count(value)
+        op = "e" if value in zeta.left else "f"
         for side in ("alpha", "beta"):
-            chains[side] = _apply_power(side, op, value - 1, count, chains[side], steps)
+            chains[side] = _apply_power(side, op, value - 1, power, chains[side], steps)
 
     if chains["alpha"] != gamma or chains["beta"] != delta:
         raise InvariantError(
@@ -353,12 +344,6 @@ def _trace(alpha: SuperWeight, beta: SuperWeight) -> tuple[int, ReductionTrace]:
 
 
 # -- the decision procedure ---------------------------------------------------
-
-
-def _gl22_doubly_atypical(weight: SuperWeight) -> bool:
-    return (
-        weight.m == 2 and weight.n == 2 and atypicality_degree(weight) == 2
-    )
 
 
 def _gl22_patterns(alpha: SuperWeight) -> tuple[SuperWeight, ...]:
@@ -378,33 +363,45 @@ def _gl22_patterns(alpha: SuperWeight) -> tuple[SuperWeight, ...]:
     )
 
 
+def _classify(alpha: SuperWeight, beta: SuperWeight) -> tuple[str, _Frames]:
+    """The route of two distinct weights, for both directions: 'central_character'
+    (incomparable), 'same_orbit', 'ladder' (with both frames) or 'gl22'.  Equal
+    central characters give equal atypicality degrees (m minus the positive
+    counts), so one degree serves both weights."""
+    if (alpha.m, alpha.n) != (beta.m, beta.n):
+        raise ValueError("weights live in different Z^(m|n)")
+    if central_character(alpha) != central_character(beta):
+        return "central_character", {}
+    if orbit_equal(alpha, beta):
+        return "same_orbit", {}
+    degree = atypicality_degree(alpha)
+    if degree == 1:
+        return "ladder", _frames(alpha, beta)
+    if degree == 2 and alpha.m == alpha.n == 2:
+        return "gl22", {}
+    raise UnsupportedRegimeError(
+        f"cross-orbit inclusion undecidable here: atypicality degrees "
+        f"({degree}, {degree}) for gl({alpha.m}|{alpha.n})"
+    )
+
+
+def _includes(route: str, frames: _Frames, alpha: SuperWeight, beta: SuperWeight, **kw) -> bool:
+    """J(beta) subseteq J(alpha) for a classified pair, in either direction."""
+    if route == "same_orbit":
+        return classical_inclusion(beta, alpha, **kw)
+    if route == "ladder":
+        found = _ladder(frames, alpha, beta)
+        return found is not None and classical_inclusion(found[2], found[1], **kw)
+    return route == "gl22" and beta in _gl22_patterns(alpha)
+
+
 def inclusion(alpha: SuperWeight, beta: SuperWeight, **kw) -> bool:
     """Decide J(beta) subseteq J(alpha).
 
     Raises UnsupportedRegimeError for cross-orbit pairs of atypicality
     degree >= 2 outside gl(2|2).
     """
-    if (alpha.m, alpha.n) != (beta.m, beta.n):
-        raise ValueError("weights live in different Z^(m|n)")
-    if alpha == beta:
-        return True
-    if central_character(alpha) != central_character(beta):
-        return False
-    if orbit_equal(alpha, beta):
-        return classical_inclusion(beta, alpha, **kw)
-    da, db = atypicality_degree(alpha), atypicality_degree(beta)
-    if da == 1 and db == 1:
-        found = _ladder(alpha, frame(alpha), beta)
-        if found is None:
-            return False
-        _, gamma, delta = found
-        return classical_inclusion(delta, gamma, **kw)
-    if _gl22_doubly_atypical(alpha) and _gl22_doubly_atypical(beta):
-        return beta in _gl22_patterns(alpha)
-    raise UnsupportedRegimeError(
-        f"cross-orbit inclusion undecidable here: atypicality degrees "
-        f"({da}, {db}) for gl({alpha.m}|{alpha.n})"
-    )
+    return alpha == beta or _includes(*_classify(alpha, beta), alpha, beta, **kw)
 
 
 def equal_ideal(alpha: SuperWeight, beta: SuperWeight) -> bool:
@@ -412,21 +409,27 @@ def equal_ideal(alpha: SuperWeight, beta: SuperWeight) -> bool:
     return classical_equal(alpha, beta)
 
 
+def _relate(alpha: SuperWeight, beta: SuperWeight, **kw) -> tuple[str, _Frames]:
+    """`relation` from one classification, with the frames of a ladder pair."""
+    if equal_ideal(alpha, beta):
+        return "equal", {}
+    try:
+        route, frames = _classify(alpha, beta)
+    except UnsupportedRegimeError:
+        return "unsupported", {}
+    if _includes(route, frames, beta, alpha, **kw):
+        return "subset", frames
+    if _includes(route, frames, alpha, beta, **kw):
+        return "superset", frames
+    return "incomparable", frames
+
+
 def relation(alpha: SuperWeight, beta: SuperWeight, **kw) -> str:
     """One of 'equal', 'subset', 'superset', 'incomparable', 'unsupported'.
 
     'subset' means J(alpha) is strictly contained in J(beta).
     """
-    try:
-        if equal_ideal(alpha, beta):
-            return "equal"
-        if inclusion(beta, alpha, **kw):
-            return "subset"
-        if inclusion(alpha, beta, **kw):
-            return "superset"
-    except UnsupportedRegimeError:
-        return "unsupported"
-    return "incomparable"
+    return _relate(alpha, beta, **kw)[0]
 
 
 @dataclass(frozen=True)
@@ -465,18 +468,12 @@ class Decision:
 
 def decide(alpha: SuperWeight, beta: SuperWeight, **kw) -> Decision:
     """Full decision record for the pair; relation of J(alpha) vs J(beta)."""
-    rel = relation(alpha, beta, **kw)
-    p = gamma = delta = trace = None
-    if rel in ("subset", "superset"):
-        big, small = (beta, alpha) if rel == "subset" else (alpha, beta)
-        if (
-            not orbit_equal(big, small)
-            and atypicality_degree(big) == 1
-            and atypicality_degree(small) == 1
-        ):
-            p, trace = _trace(big, small)
-            gamma, delta = trace.final_gamma, trace.final_delta
-    return Decision(alpha, beta, rel, p, gamma, delta, trace)
+    rel, frames = _relate(alpha, beta, **kw)
+    if rel not in ("subset", "superset") or not frames:
+        return Decision(alpha, beta, rel)
+    big, small = (beta, alpha) if rel == "subset" else (alpha, beta)
+    p, trace = _trace(frames, big, small)
+    return Decision(alpha, beta, rel, p, trace.final_gamma, trace.final_delta, trace)
 
 
 def covers(alpha: SuperWeight, beta: SuperWeight, **kw) -> bool:
@@ -490,19 +487,20 @@ def covers(alpha: SuperWeight, beta: SuperWeight, **kw) -> bool:
     """
     if not inclusion(alpha, beta, **kw) or equal_ideal(alpha, beta):
         return False
-    da = atypicality_degree(alpha)
-    if da == 1 and atypicality_degree(beta) == 1:
-        _, _, gamma, delta = _required_ladder(alpha, beta)
+    # distinct ideals in one central character: one degree serves both weights
+    degree = atypicality_degree(alpha)
+    if degree == 1:
+        _, gamma, delta = _required_ladder(_frames(alpha, beta), alpha, beta)
         return classical_cover(delta, gamma, **kw)
     if not orbit_equal(alpha, beta):
         return not any(
             not equal_ideal(kappa, beta) and classical_inclusion(beta, kappa, **kw)
             for kappa in _gl22_patterns(alpha)
         )
-    if da == 0 or _gl22_doubly_atypical(alpha):
+    if degree == 0 or (degree == 2 and alpha.m == alpha.n == 2):
         return classical_cover(beta, alpha, **kw)
     raise UnsupportedRegimeError(
-        f"covering undecidable at atypicality {da} for gl({alpha.m}|{alpha.n})"
+        f"covering undecidable at atypicality {degree} for gl({alpha.m}|{alpha.n})"
     )
 
 
@@ -518,16 +516,11 @@ def gl22_component_classes(
     """
     if seed is None:
         seed = SuperWeight((1, 0), (0, 1))
-    weights = []
-    for a in range(lo, hi + 1):
-        for b in range(lo, hi + 1):
-            for l in {(a, b), (b, a)}:
-                for r in {(a, b), (b, a)}:
-                    w = SuperWeight(l, r)
-                    if atypicality_degree(w) == 2:
-                        weights.append(w)
+    # doubly atypical: both sides arrange the same two labels
+    window = product(range(lo, hi + 1), repeat=2)
+    weights = {SuperWeight(l, r) for l in window for r in (l, l[::-1])}
     classes: list[list[SuperWeight]] = []
-    for w in sorted(set(weights), key=lambda x: x.labels):
+    for w in sorted(weights, key=lambda x: x.labels):
         for cls in classes:
             if equal_ideal(w, cls[0]):
                 cls.append(w)
@@ -536,11 +529,10 @@ def gl22_component_classes(
             classes.append([w])
 
     n = len(classes)
-    strict = set()
-    for i in range(n):
-        for j in range(n):
-            if i != j and inclusion(classes[j][0], classes[i][0], **kw):
-                strict.add((i, j))
+    strict = {
+        (i, j) for i in range(n) for j in range(n)
+        if i != j and inclusion(classes[j][0], classes[i][0], **kw)
+    }
     # connected component of the seed: strongly connected once symmetrized
     seed_class = next(i for i, cls in enumerate(classes) if equal_ideal(cls[0], seed))
     comp = strongly_connected_components(n, strict | {(j, i) for i, j in strict})

@@ -401,19 +401,19 @@ class TestExport:
         assert all(set(c) == {"repr", "members", "i", "j", "z"} for c in doc["classes"])
         json.dumps(doc)
 
-    def test_dot_deterministic_and_wellformed(self, posets, assignments):
-        a = to_dot(posets[3], assignments[3])
-        b = to_dot(posets[3], assignments[3])
+    def test_dot_deterministic_and_wellformed(self, posets):
+        a = to_dot(posets[3])
+        b = to_dot(posets[3])
         assert a == b
         assert a.startswith("graph ideals {") and a.endswith("}\n")
         assert a.count(" -- ") == len(posets[3].hasse)
-        clustered = to_dot(posets[3], assignments[3], cluster="x")
+        clustered = to_dot(posets[3], cluster="x")
         assert "cluster_x0" in clustered and "cluster_x2" in clustered
 
-    def test_dot_clusters_place_every_node_once(self, posets, assignments):
+    def test_dot_clusters_place_every_node_once(self, posets):
         # four strata
-        poset, assign = posets[4], assignments[4]
-        text = to_dot(poset, assign, cluster="x")
+        poset = posets[4]
+        text = to_dot(poset, cluster="x")
         for c in poset.classes:
             assert text.count(f"  n{c.index} [label=") == 1
         assert text.count("subgraph") == 4

@@ -199,6 +199,21 @@ class TestSuperKl:
         doc = json.loads(out)
         assert ["1,1|1,1", "1,0|0,1"] in doc["order"]
 
+    @pytest.mark.parametrize(
+        "interval, message",
+        [
+            ("a:3", "--interval 'a:3': 'a' is not an integer"),
+            ("3", "--interval '3' is not lo:hi with lo <= hi"),
+            ("3:-1", "--interval '3:-1' is not lo:hi with lo <= hi"),
+        ],
+    )
+    def test_bad_interval_names_the_flag(self, capsys, interval, message):
+        code, out, err = run(
+            capsys, "super-kl", "--weights", "1,0|0,1", f"--interval={interval}"
+        )
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
+
 
 class TestCounts:
     def test_range(self, capsys):
