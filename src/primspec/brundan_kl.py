@@ -24,17 +24,33 @@ unique bar-invariant unitriangular family with off-diagonal entries in
 q Z[q]; the Ext^1 pairing between simples is read off the q-linear terms
 of d.  The left order on a block is generated, per simple reflection, by
 a wall-crossing condition plus nonvanishing of that pairing.
+
+Coefficients are packed (Kronecker substitution): sum_e c_e q^e is the int
+sum_e c_e 2^(BITS (e + offset)), with balanced digits in [-H, H), H =
+2^(BITS-1).  Sums are int sums, q^k is a shift by k digits, and a product
+is one int multiply and an exact right shift by the offset.  The bar
+involution on k factors packs at offset k(k-1)/2, the length of the
+longest permutation of k letters and the lowest exponent its coefficients
+reach in every window tried; D, in Z[q], packs at offset 0.
+`LaurentPolynomial` appears only where a table is read.  InvariantError
+is raised when a right shift would drop a nonzero digit (an exponent below
+the offset), when a stored bar coefficient has a digit outside [-2^8, 2^8)
+or one past 64 digits above the offset, and when a sum of products could
+carry a digit to H: stored digits of magnitude at most 2^8 bound a
+q-commutator sum of n terms with first factors of L1 norm at most l by
+n l 2^8, doubled by the (q^-1 - q) step, and a column of the solve by 2^8
+times the L1 norms of its solved entries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import product
-from typing import Iterable, Sequence
+from itertools import permutations, product
+from typing import Iterable, Iterator, Sequence
 
 from .errors import BoundExceededError, InvariantError, PreconditionError
-from .laurent import ONE, ZERO, LaurentPolynomial
+from .laurent import ONE, LaurentPolynomial
 from .posets import Preorder, topological_order, wall_edges
 from .weights import SuperWeight, central_character
 
@@ -46,6 +62,7 @@ __all__ = [
     "canonical_basis",
     "mu_super",
     "kl_left_order",
+    "unpack",
     "DEFAULT_RANK_BOUND",
     "DEFAULT_INTERVAL_BOUND",
 ]
@@ -53,11 +70,40 @@ __all__ = [
 DEFAULT_RANK_BOUND = 5
 DEFAULT_INTERVAL_BOUND = 8
 
-Mono = tuple[int, ...]
-Vector = dict[Mono, LaurentPolynomial]
+BITS = 40  # digit width of a packed polynomial
+_MASK = (1 << BITS) - 1
+_HALF = 1 << (BITS - 1)
+_CAP = 1 << 8  # stored bar coefficients have digits in [-_CAP, _CAP) ...
+_SPAN = 64  # ... and at most this many digits above the offset
 
-_MINUS_Q = LaurentPolynomial({1: -1})
-_CORR = LaurentPolynomial({-1: 1, 1: -1})  # q^-1 - q
+Mono = tuple[int, ...]
+Vector = dict[Mono, int]  # monomial -> packed coefficient
+
+
+def _down(x: int, digits: int) -> int:
+    """x times q^-digits, refusing to drop a nonzero digit."""
+    if x & ((1 << (BITS * digits)) - 1):
+        raise InvariantError("exponent below the packing offset")
+    return x >> (BITS * digits)
+
+
+def _digits(x: int, offset: int = 0) -> Iterator[tuple[int, int]]:
+    """(exponent, coefficient) of each nonzero digit of x, lowest first."""
+    if not x:
+        return
+    e = ((x & -x).bit_length() - 1) // BITS  # skip the zero low digits
+    x >>= BITS * e
+    while x:
+        c = ((x + _HALF) & _MASK) - _HALF
+        if c:
+            yield e - offset, c
+        x = (x - c) >> BITS
+        e += 1
+
+
+def unpack(x: int, offset: int = 0) -> LaurentPolynomial:
+    """The Laurent polynomial packed in x."""
+    return LaurentPolynomial(dict(_digits(x, offset)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,29 +123,35 @@ class TensorWindow:
         return all(self.lo <= x <= self.hi for x in weight.labels)
 
 
-def _add(vec: Vector, mono: Mono, coeff: LaurentPolynomial) -> None:
-    cur = vec.get(mono)
-    new = coeff if cur is None else cur + coeff
-    if new:
-        vec[mono] = new
-    elif cur is not None:
-        del vec[mono]
-
-
 class BarInvolution:
     """Bar involution on prefixes of the tensor space of one window.
 
-    Caches are shared across weight spaces; all returned vectors map
-    monomials to Laurent polynomials and must not be mutated.
+    Coefficients are packed at `offset` (`unpack(x, bar.offset)` reads
+    one); `one` is the packed unit.  Caches are shared across weight
+    spaces; returned vectors must not be mutated.
     """
 
     def __init__(self, window: TensorWindow):
         self.window = window
+        k = window.m + window.n
+        self.offset = k * (k - 1) // 2
+        self.one = 1 << (BITS * self.offset)
+        # every digit biased by _CAP lands in [0, 2 _CAP) iff it was in range
+        span = range(self.offset + _SPAN)
+        self._bias = sum(_CAP << (BITS * p) for p in span)
+        self._outside = ~sum((2 * _CAP - 1) << (BITS * p) for p in span)
         self._psi: dict[Mono, Vector] = {}
         self._chain: dict[tuple[int, int, int, Mono], Vector] = {}
 
     def _is_dual(self, slot: int) -> bool:
         return slot >= self.window.m
+
+    def _stored(self, vec: Vector) -> Vector:
+        """vec, after the headroom check every cached coefficient passes."""
+        for x in vec.values():
+            if (x + self._bias) & self._outside:
+                raise InvariantError("a bar coefficient outgrew the packing headroom")
+        return vec
 
     # -- Chevalley action on prefixes ----------------------------------------
 
@@ -124,19 +176,22 @@ class BarInvolution:
                 for l in range(j) if raising else range(j + 1, k):
                     w = 1 if mono[l] == i else -1 if mono[l] == i + 1 else 0
                     twist += w if self._is_dual(l) != raising else -w
-                _add(out, target, coeff.shift(twist))
-        return out
+                moved = coeff << (BITS * twist) if twist >= 0 else _down(coeff, -twist)
+                out[target] = out.get(target, 0) + moved
+        return {mono: x for mono, x in out.items() if x}
 
     # -- q-commutator chains ---------------------------------------------------
 
-    def _chain_apply(self, kind: int, start: int, end: int, vec: Vector) -> Vector:
-        """G_{a,b} (kind 0, a=start, b=end) or G'_{c,b} (kind 1, c=end, b=start)."""
+    def _chain_apply(self, kind: int, start: int, end: int, vec: Vector, l1: int) -> Vector:
+        """G_{a,b} (kind 0, a=start, b=end) or G'_{c,b} (kind 1, c=end, b=start)
+        on a vector whose coefficients have L1 norm at most l1."""
+        if 2 * len(vec) * l1 * _CAP >= _HALF:
+            raise InvariantError("packed digits could overflow")
         out: Vector = {}
         for mono, coeff in vec.items():
-            cached = self._chain_mono(kind, start, end, mono)
-            for tgt, c in cached.items():
-                _add(out, tgt, coeff * c)
-        return out
+            for tgt, c in self._chain_mono(kind, start, end, mono).items():
+                out[tgt] = out.get(tgt, 0) + coeff * c
+        return {tgt: _down(x, self.offset) for tgt, x in out.items() if x}
 
     def _chain_mono(self, kind: int, start: int, end: int, mono: Mono) -> Vector:
         key = (kind, start, end, mono)
@@ -144,7 +199,7 @@ class BarInvolution:
         if hit is not None:
             return hit
         k = len(mono)
-        base: Vector = {mono: ONE}
+        base: Vector = {mono: self.one}
         if end == start + 1:
             result = self.apply_f(start, base, k)
         else:
@@ -152,11 +207,13 @@ class BarInvolution:
                 color, inner = start, (start + 1, end)
             else:  # G'_{end,start}, recursion raises `end`
                 color, inner = end - 1, (start, end - 1)
-            result = self._chain_apply(kind, *inner, self.apply_f(color, base, k))
+            # F of a monomial has one power of q per term: L1 norm 1
+            result = self._chain_apply(kind, *inner, self.apply_f(color, base, k), 1)
             f_of_inner = self.apply_f(color, self._chain_mono(kind, *inner, mono), k)
             for tgt, c in f_of_inner.items():
-                _add(result, tgt, c * _MINUS_Q)
-        self._chain[key] = result
+                result[tgt] = result.get(tgt, 0) - (c << BITS)
+            result = {tgt: x for tgt, x in result.items() if x}
+        self._chain[key] = self._stored(result)
         return result
 
     # -- the involution ---------------------------------------------------------
@@ -169,24 +226,18 @@ class BarInvolution:
             return hit
         k = len(mono)
         if k == 1:
-            result: Vector = {mono: ONE}
+            result: Vector = {mono: self.one}
         else:
             prefix, b = mono[:-1], mono[-1]
             inner = self.psi(prefix)
             result = {pm + (b,): c for pm, c in inner.items()}
-            slot = k - 1
-            if self._is_dual(slot):
-                targets = range(b + 1, self.window.hi + 1)
-            else:
-                targets = range(self.window.lo, b)
-            for t in targets:
-                if self._is_dual(slot):
-                    moved = self._chain_apply(1, b, t, inner)
-                else:
-                    moved = self._chain_apply(0, t, b, inner)
-                for pm, c in moved.items():
-                    _add(result, pm + (t,), c * _CORR)
-        self._psi[mono] = result
+            dual = self._is_dual(k - 1)
+            l1 = (self.offset + _SPAN) * _CAP  # stored digits bound the norm
+            for t in range(b + 1, self.window.hi + 1) if dual else range(self.window.lo, b):
+                chain = (1, b, t) if dual else (0, t, b)
+                for pm, c in self._chain_apply(*chain, inner, l1).items():  # t is new
+                    result[pm + (t,)] = _down(c, 1) - (c << BITS)  # (q^-1 - q) c
+        self._psi[mono] = self._stored(result)
         return result
 
 
@@ -203,24 +254,30 @@ def _counts_key(mono: Mono, m: int) -> tuple[tuple[int, int], ...]:
 
 
 def _weight_space(window: TensorWindow, key) -> list[Mono]:
-    out = [
-        mono
-        for mono in product(range(window.lo, window.hi + 1), repeat=window.m + window.n)
-        if _counts_key(mono, window.m) == key
-    ]
+    """The monomials of the window with this counts key, sorted: for each
+    right factor, the left multiset is the key plus the right labels."""
+    out = []
+    for right in product(range(window.lo, window.hi + 1), repeat=window.n):
+        counts = dict(key)
+        for a in right:
+            counts[a] = counts.get(a, 0) + 1
+        if min(counts.values(), default=0) < 0:
+            continue
+        left = [a for a, c in counts.items() for _ in range(c)]
+        out.extend(p + right for p in set(permutations(left)))
     return sorted(out)
 
 
 class CanonicalBasisTable:
     """Transition data between monomial and canonical bases of one weight space."""
 
-    def __init__(self, window: TensorWindow, monos: list[Mono],
-                 d_matrix: dict[tuple[int, int], LaurentPolynomial]):
+    def __init__(
+        self, window: TensorWindow, monos: list[Mono], d_matrix: dict[tuple[int, int], int]
+    ):
         self.window = window
         self._monos = monos
         self._index = {mono: i for i, mono in enumerate(monos)}
-        self._d = d_matrix
-        self._p: dict[tuple[int, int], LaurentPolynomial] | None = None
+        self._d = d_matrix  # packed at offset 0
 
     @property
     def weights(self) -> list[SuperWeight]:
@@ -238,50 +295,7 @@ class CanonicalBasisTable:
         i, j = self._key(alpha), self._key(beta)
         if i == j:
             return ONE
-        return self._d.get((i, j), ZERO)
-
-    def p(self, alpha: SuperWeight, beta: SuperWeight) -> LaurentPolynomial:
-        """Inverse transition, sign-twisted: v_alpha = sum p(alpha,beta)(-q) b_beta."""
-        if self._p is None:
-            self._p = self._invert()
-        i, j = self._key(alpha), self._key(beta)
-        if i == j:
-            return ONE
-        return self._p.get((j, i), ZERO).substitute_negated()
-
-    def _invert(self) -> dict[tuple[int, int], LaurentPolynomial]:
-        # D = I + N with N nilpotent, so D^{-1} = I - N + N^2 - ...
-        n = len(self._monos)
-        strict: dict[int, list[tuple[int, LaurentPolynomial]]] = {}
-        for (i, j), poly in self._d.items():
-            strict.setdefault(j, []).append((i, poly))
-
-        cols: dict[tuple[int, int], LaurentPolynomial] = {}
-        for j in range(n):
-            acc: dict[int, LaurentPolynomial] = {j: ONE}
-            layer: dict[int, LaurentPolynomial] = {j: ONE}
-            sign = -1
-            while layer:
-                nxt: dict[int, LaurentPolynomial] = {}
-                for k, coeff in layer.items():
-                    for i, nik in strict.get(k, ()):
-                        cur = nxt.get(i, ZERO) + nik * coeff
-                        if cur:
-                            nxt[i] = cur
-                        else:
-                            nxt.pop(i, None)
-                for i, coeff in nxt.items():
-                    cur = acc.get(i, ZERO) + coeff * sign
-                    if cur:
-                        acc[i] = cur
-                    else:
-                        acc.pop(i, None)
-                layer = nxt
-                sign = -sign
-            for i, val in acc.items():
-                if i != j:
-                    cols[(i, j)] = val
-        return cols
+        return unpack(self._d.get((i, j), 0))
 
     def mu(self, alpha: SuperWeight, beta: SuperWeight) -> int:
         """dim Ext^1 between the simples: q-linear terms of d both ways."""
@@ -291,73 +305,82 @@ class CanonicalBasisTable:
         """All (alpha, beta, mu) with mu != 0; D is unitriangular, so at most
         one of d(alpha, beta) and d(beta, alpha) is nonzero: each pair once."""
         ws = self.weights
-        for (i, j), poly in self._d.items():
-            if poly.coeff(1):
-                yield ws[i], ws[j], poly.coeff(1)
+        for (i, j), x in self._d.items():
+            e, c = next(_digits(x))  # the lowest term: D is in qZ[q]
+            if e == 1:
+                yield ws[i], ws[j], c
 
     def to_json_dict(self) -> dict:
-        entries = []
-        ws = self.weights
-        for (i, j), poly in sorted(self._d.items()):
-            entries.append(
-                {"alpha": str(ws[i]), "beta": str(ws[j]), "d": poly.to_pairs()}
-            )
+        names = [str(w) for w in self.weights]
+        entries = [
+            {"alpha": names[i], "beta": names[j], "d": [list(t) for t in _digits(x)]}
+            for (i, j), x in sorted(self._d.items())
+        ]
         return {
             "interval": [self.window.lo, self.window.hi],
             "m": self.window.m,
             "n": self.window.n,
-            "weights": [str(w) for w in ws],
+            "weights": names,
             "entries": entries,
         }
 
 
-def _solve_canonical(
-    bar: BarInvolution, monos: list[Mono]
-) -> dict[tuple[int, int], LaurentPolynomial]:
-    """Unitriangular bar-invariant correction with off-diagonals in qZ[q]."""
+def _solve_canonical(bar: BarInvolution, monos: list[Mono]) -> dict[tuple[int, int], int]:
+    """Unitriangular bar-invariant correction with off-diagonals in qZ[q].
+
+    With psi(v_k) = sum_i r_ik v_i and b_j = sum_k d_kj v_k, bar invariance
+    asks that g_ij = sum_k r_ik d_kj (over the solved k) be antisymmetric
+    under q -> q^-1 with no constant term; d_ij is then the part of g_ij
+    below q^0, reflected.  g stays packed at the bar's offset, since d is in
+    Z[q], so no product is shifted.
+    """
     index = {mono: i for i, mono in enumerate(monos)}
     n = len(monos)
-    # R: conjugated bar matrix, R[j] maps row index -> polynomial
-    R: list[dict[int, LaurentPolynomial]] = []
-    touched_by: list[list[int]] = [[] for _ in range(n)]  # i -> j whose bar image has i
-    for j, mono in enumerate(monos):
+    off = bar.offset
+    psi: list[list[tuple[int, int]]] = []  # k -> (i, r_ik) for i != k
+    touched_by: list[list[int]] = [[] for _ in range(n)]  # i -> k whose bar image has i
+    for k, mono in enumerate(monos):
         image = bar.psi(mono)
-        row: dict[int, LaurentPolynomial] = {}
-        for tgt, coeff in image.items():
-            if tgt not in index:
+        if image.get(mono) != bar.one:
+            raise InvariantError("bar involution must be unitriangular")
+        row = []
+        for tgt, x in image.items():
+            i = index.get(tgt)
+            if i is None:
                 raise PreconditionError(
                     f"bar image leaves the window at {tgt}; enlarge the interval"
                 )
-            i = index[tgt]
-            row[i] = coeff.bar()
-        if row.get(j) != ONE:
-            raise InvariantError("bar involution must be unitriangular")
-        for i in row:
-            if i != j:
-                touched_by[i].append(j)
-        R.append(row)
+            if i != k:
+                row.append((i, x))
+                touched_by[i].append(k)
+        psi.append(row)
 
     # the canonical basis is unique, so every linear extension gives the same D
     order = topological_order(n, touched_by)
-    D: dict[tuple[int, int], LaurentPolynomial] = {}
+    D: dict[tuple[int, int], int] = {}
     for pos, j in enumerate(order):
-        col_bar = {j: ONE}  # bar of each solved entry of column j
+        g_of = dict(psi[j])  # row -> g, scattered from each solved entry
+        norms = 1  # L1 norms of the column's solved entries, d_jj = 1 included
         # rows strictly below j in the linear order, nearest first
         for i in reversed(order[:pos]):
-            f = ZERO
-            for k, dkj_bar in col_bar.items():
-                rik = R[k].get(i)
-                if rik is not None:
-                    f = f + rik * dkj_bar
-            if f.is_zero():
+            g = g_of.pop(i, 0)
+            if not g:
                 continue
-            # f must be bar-antisymmetric with no constant term
-            if f.bar() != -f or f.coeff(0) != 0:
+            d = below = norm = 0
+            for e, c in _digits(g, off):
+                if e >= 0:
+                    break
+                d += c << (BITS * -e)
+                below += c << (BITS * (e + off))
+                norm += abs(c)
+            if g != below - (d << (BITS * off)):
                 raise InvariantError("canonical correction failed")
-            c = LaurentPolynomial({e: cf for e, cf in f.items() if e > 0})
-            if c:
-                D[(i, j)] = c
-                col_bar[i] = c.bar()
+            D[(i, j)] = d
+            norms += norm
+            if norms * _CAP >= _HALF:
+                raise InvariantError("packed digits could overflow")
+            for t, x in psi[i]:
+                g_of[t] = g_of.get(t, 0) + x * d
     return D
 
 
@@ -463,10 +486,13 @@ def _wall_mask(weight: SuperWeight) -> int:
 def kl_left_order(
     block: Iterable[SuperWeight],
     table: CanonicalBasisTable | None = None,
-    **table_kwargs,
+    *,
+    rank_bound: int = DEFAULT_RANK_BOUND,
+    interval_bound: int = DEFAULT_INTERVAL_BOUND,
 ) -> SuperOrder:
-    """The left order on the given block weights (table built if needed)."""
+    """The left order on the given block weights (table built if needed,
+    on the default interval, with these bounds)."""
     weights = sorted(set(block), key=lambda w: w.labels)
     if table is None:
-        table = canonical_basis(weights, **table_kwargs)
+        table = canonical_basis(weights, rank_bound=rank_bound, interval_bound=interval_bound)
     return SuperOrder(weights, table)

@@ -40,22 +40,8 @@ class LaurentPolynomial:
     def items(self) -> Iterator[tuple[int, int]]:
         return iter(sorted(self._coeffs.items()))
 
-    @property
-    def degree(self) -> int:
-        """Largest exponent with nonzero coefficient; -1 on the zero poly."""
-        return max(self._coeffs) if self._coeffs else -1
-
-    @property
-    def valuation(self) -> int:
-        """Smallest exponent with nonzero coefficient; 0 on the zero poly."""
-        return min(self._coeffs) if self._coeffs else 0
-
     def is_zero(self) -> bool:
         return not self._coeffs
-
-    def in_q_times_polynomials(self) -> bool:
-        """True iff the polynomial lies in q·Z[q]."""
-        return all(e >= 1 for e in self._coeffs)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -101,22 +87,10 @@ class LaurentPolynomial:
 
     __rmul__ = __mul__
 
-    def shift(self, k: int) -> "LaurentPolynomial":
-        """Multiply by q^k."""
-        out = LaurentPolynomial.__new__(LaurentPolynomial)
-        out._coeffs = {e + k: c for e, c in self._coeffs.items()}
-        return out
-
     def bar(self) -> "LaurentPolynomial":
         """The involution q -> q^-1."""
         out = LaurentPolynomial.__new__(LaurentPolynomial)
         out._coeffs = {-e: c for e, c in self._coeffs.items()}
-        return out
-
-    def substitute_negated(self) -> "LaurentPolynomial":
-        """The substitution q -> -q."""
-        out = LaurentPolynomial.__new__(LaurentPolynomial)
-        out._coeffs = {e: (c if e % 2 == 0 else -c) for e, c in self._coeffs.items()}
         return out
 
     # -- comparisons / container protocol -----------------------------------
@@ -139,10 +113,6 @@ class LaurentPolynomial:
     def to_pairs(self) -> list[list[int]]:
         """Sorted [exponent, coefficient] pairs, for JSON and cache files."""
         return [[e, c] for e, c in sorted(self._coeffs.items())]
-
-    @classmethod
-    def from_pairs(cls, pairs) -> "LaurentPolynomial":
-        return cls({int(e): int(c) for e, c in pairs})
 
     def __repr__(self) -> str:
         return f"LaurentPolynomial({dict(sorted(self._coeffs.items()))!r})"

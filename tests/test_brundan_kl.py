@@ -1,16 +1,20 @@
 from itertools import product as iproduct
 
 import pytest
+from hypothesis import given, strategies as st
 
 from primspec.brundan_kl import (
+    BITS,
     BarInvolution,
     TensorWindow,
-    bar_involution,
+    _solve_canonical,
+    _weight_space,
     canonical_basis,
     kl_left_order,
     mu_super,
+    unpack,
 )
-from primspec.errors import BoundExceededError, PreconditionError
+from primspec.errors import BoundExceededError, InvariantError, PreconditionError
 from primspec.kl_classical import kl_table, left_preorder
 from primspec.laurent import ONE, LaurentPolynomial
 from primspec.super_inclusion import inclusion
@@ -20,10 +24,16 @@ from primspec.weights import SuperWeight, atypicality_degree, central_character
 W = SuperWeight.parse
 
 
+def _decoded(bar, vec):
+    """A vector of `bar` with its packed coefficients unpacked."""
+    return {mono: unpack(x, bar.offset) for mono, x in vec.items()}
+
+
 def _psi_vector(bar, vec):
+    """psi of a vector with unpacked coefficients (antilinear)."""
     out = {}
     for mono, coeff in vec.items():
-        for target, c in bar.psi(mono).items():
+        for target, c in _decoded(bar, bar.psi(mono)).items():
             cur = out.get(target)
             val = coeff.bar() * c
             out[target] = cur + val if cur is not None else val
@@ -37,7 +47,7 @@ class TestBarInvolution:
         for m, n, lo, hi in self.WINDOWS:
             bar = BarInvolution(TensorWindow(lo, hi, m, n))
             for mono in iproduct(range(lo, hi + 1), repeat=m + n):
-                assert _psi_vector(bar, bar.psi(mono)) == {mono: ONE}
+                assert _psi_vector(bar, _decoded(bar, bar.psi(mono))) == {mono: ONE}
 
     def test_commutes_with_chevalley_action(self):
         for m, n, lo, hi in self.WINDOWS:
@@ -46,8 +56,8 @@ class TestBarInvolution:
             for mono in iproduct(range(lo, hi + 1), repeat=k):
                 for i in range(lo, hi):
                     for apply_op in (bar.apply_f, bar.apply_e):
-                        lhs = apply_op(i, bar.psi(mono), k)
-                        rhs = _psi_vector(bar, apply_op(i, {mono: ONE}, k))
+                        lhs = _decoded(bar, apply_op(i, bar.psi(mono), k))
+                        rhs = _psi_vector(bar, _decoded(bar, apply_op(i, {mono: bar.one}, k)))
                         assert lhs == rhs
 
     def test_preserves_weight_spaces(self):
@@ -59,6 +69,79 @@ class TestBarInvolution:
             assert all(
                 _counts_key(t, 2) == key for t in bar.psi(mono)
             )
+
+    def test_enumerated_weight_space_matches_the_filter(self):
+        from primspec.brundan_kl import _counts_key
+
+        for m, n, lo, hi in self.WINDOWS:
+            window = TensorWindow(lo, hi, m, n)
+            spaces: dict = {}
+            for mono in iproduct(range(lo, hi + 1), repeat=m + n):
+                spaces.setdefault(_counts_key(mono, m), []).append(mono)
+            for key, monos in spaces.items():
+                assert _weight_space(window, key) == sorted(monos)
+
+
+def _pack(poly, offset=0):
+    return sum(c << (BITS * (e + offset)) for e, c in poly.items())
+
+
+class _StubBar:
+    """Two monomials, psi(v_b) = v_b + r v_a: enough to drive the solve."""
+
+    offset = 1
+    one = 1 << BITS
+
+    def __init__(self, r):
+        self._images = {(0,): {(0,): self.one}, (1,): {(1,): self.one, (0,): _pack(r, 1)}}
+
+    def psi(self, mono):
+        return self._images[mono]
+
+
+class TestPacking:
+    digit = st.integers(min_value=-(1 << (BITS - 1)), max_value=(1 << (BITS - 1)) - 1)
+
+    @given(
+        st.dictionaries(st.integers(min_value=-6, max_value=6), digit, max_size=6),
+        st.integers(min_value=6, max_value=20),
+    )
+    def test_round_trip(self, coeffs, offset):
+        poly = LaurentPolynomial(coeffs)
+        assert unpack(_pack(poly, offset), offset) == poly
+
+    def test_exponent_below_the_offset_raises(self):
+        # F_0 lowers slot 0 of (0, 0) past a later 0, a twist by q^-1:
+        # q^-1 (the lowest exponent offset 1 holds) would become q^-2
+        bar = BarInvolution(TensorWindow(0, 2, 2, 0))
+        assert bar.offset == 1
+        assert bar.apply_f(0, {(0, 0): bar.one}, 2) == {(1, 0): 1, (0, 1): bar.one}
+        with pytest.raises(InvariantError, match="below the packing offset"):
+            bar.apply_f(0, {(0, 0): 1}, 2)
+
+    def test_a_stored_digit_past_the_headroom_raises(self):
+        bar = BarInvolution(TensorWindow(0, 2, 1, 1))
+        assert bar._stored({(0, 1): 255 * bar.one}) == {(0, 1): 255 * bar.one}
+        with pytest.raises(InvariantError, match="headroom"):
+            bar._stored({(0, 1): 256 * bar.one})
+
+    def test_a_chain_sum_that_could_overflow_raises(self):
+        bar = BarInvolution(TensorWindow(0, 2, 1, 1))
+        with pytest.raises(InvariantError, match="could overflow"):
+            bar._chain_apply(0, 0, 1, {(1, 1): bar.one}, 1 << (BITS - 9))
+
+    def test_a_column_that_could_overflow_raises(self):
+        # r = c (q^-1 - q) gives d_ab = c q; the column's norm sum then
+        # bounds its digits by c 2^8
+        small = LaurentPolynomial({-1: 5, 1: -5})
+        assert _solve_canonical(_StubBar(small), [(0,), (1,)]) == {(0, 1): 5 << BITS}
+        big = 1 << (BITS - 9)
+        with pytest.raises(InvariantError, match="could overflow"):
+            _solve_canonical(_StubBar(LaurentPolynomial({-1: big, 1: -big})), [(0,), (1,)])
+
+    def test_a_symmetric_correction_raises(self):
+        with pytest.raises(InvariantError, match="canonical correction failed"):
+            _solve_canonical(_StubBar(LaurentPolynomial({-1: 1, 1: 1})), [(0,), (1,)])
 
 
 class TestCanonicalBasis:
@@ -93,28 +176,35 @@ class TestCanonicalBasis:
             for b in ws:
                 if a != b:
                     poly = table.d(a, b)
-                    assert poly.is_zero() or poly.in_q_times_polynomials()
-
-    def test_transition_matrices_mutually_inverse(self):
-        table = canonical_basis([W("1,0|1")], interval=(-1, 3))
-        ws = table.weights
-        for a in ws:
-            for c in ws:
-                total = LaurentPolynomial()
-                for b in ws:
-                    # sum_b p(a,b)(-q) d(.,.) recovers the identity matrix
-                    total = total + table.p(a, b).substitute_negated() * table.d(c, b)
-                assert total == (ONE if a == c else LaurentPolynomial())
+                    assert all(e >= 1 for e, _ in poly.items())
 
     def test_derivative_identity_between_p_and_d(self):
+        # the inverse transition p(b, a) = (D^-1)_{ab}(-q) has the q-linear
+        # term of d(a, b); D is unitriangular, so D^-1 = I - N + N^2 - ...
+        # with N = D - I nilpotent
         table = canonical_basis([W("1,0|1")], interval=(-1, 3))
         ws = table.weights
+        strict: dict = {}
+        for c in ws:
+            for b in ws:
+                if c != b and not table.d(c, b).is_zero():
+                    strict.setdefault(c, []).append((b, table.d(c, b)))
+        inverse = {(a, a): ONE for a in ws}
+        term = dict(inverse)
+        while term:
+            nxt: dict = {}
+            for (a, c), x in term.items():
+                for b, y in strict.get(c, ()):
+                    nxt[a, b] = nxt.get((a, b), LaurentPolynomial()) - x * y
+            term = {key: x for key, x in nxt.items() if x}
+            for key, x in term.items():
+                inverse[key] = inverse.get(key, LaurentPolynomial()) + x
         for a in ws:
             for b in ws:
                 if a != b:
-                    lhs = table.p(b, a).coeff(1)
-                    rhs = table.d(a, b).coeff(1)
-                    assert lhs == rhs
+                    # q -> -q negates the q-linear term
+                    lhs = -inverse.get((a, b), LaurentPolynomial()).coeff(1)
+                    assert lhs == table.d(a, b).coeff(1)
 
     def test_typical_block_matches_classical_kl(self):
         # a typical block is a single product orbit; its d-matrix must be
@@ -287,6 +377,28 @@ class TestLeftOrder:
             for b in weights:
                 assert order.leq(b, a) == inclusion(a, b)
 
+    def test_gl22_wide_window_matches_inclusion(self):
+        # every doubly atypical gl(2|2) weight with labels in [-2, 3], one
+        # weight space on [-3, 4]: the canonical-basis order against
+        # `inclusion`, as criterion 9 checks labels [-1, 2]
+        labels = range(-2, 4)
+        window = sorted(
+            {
+                SuperWeight(left, right)
+                for a in labels
+                for b in labels
+                for left in ((a, b), (b, a))
+                for right in ((a, b), (b, a))
+            },
+            key=lambda w: w.labels,
+        )
+        assert len(window) == 66
+        order = kl_left_order(window)
+        mismatches = [
+            (a, b) for a in window for b in window if order.leq(b, a) != inclusion(a, b)
+        ]
+        assert mismatches == []
+
     def test_matches_inclusion_on_singly_atypical_blocks(self):
         # oracle equivalence on a gl(2|1) and a gl(3|1) block
         for seed_text, pads in [("1,0|1", 2), ("2,1,0|0", 2)]:
@@ -304,3 +416,51 @@ class TestLeftOrder:
             for a in block:
                 for b in block:
                     assert order.leq(b, a) == inclusion(a, b)
+
+
+class TestGoldenDigests:
+    """sha256 of the table JSON, recorded from the dict-of-LaurentPolynomial
+    solve the packed kernel replaced; any change to D shows here."""
+
+    # every weight space of labels [0, 3], one digest per shape, tables
+    # hashed in counts-key order
+    SMALL_WINDOWS = {
+        (1, 1): "990713f3c27024c8e9d88dcb075beeb1496c7587ace9a68604b80446691f163e",
+        (2, 1): "cfabe4e081c2bf337c534c8a4191ffc5e245cd8303b2ae2ad3a4a33578ce15ec",
+        (1, 2): "01e60e7a1b6181fdf62827b2517f35c02662801d3e1db8825c450c5a6e06435a",
+        (3, 1): "d9027c7b4e2d18b33b2a67c1c60c971ad9f060d6998e1d51bb49fed12393487a",
+        (2, 2): "7aff512da735bfd4addb8907971e90a7b9340ebcf5256a21999293c2584137cd",
+        (1, 3): "892e9298ada1112a03d462338c72247d625bb0cf1dcbf49a64ce6eb886924f40",
+    }
+
+    @staticmethod
+    def _text(table) -> bytes:
+        import json
+
+        return json.dumps(table.to_json_dict(), sort_keys=True).encode()
+
+    @pytest.mark.parametrize("shape", sorted(SMALL_WINDOWS))
+    def test_every_weight_space_of_a_small_window(self, shape):
+        import hashlib
+
+        from primspec.brundan_kl import _counts_key
+
+        m, n = shape
+        seeds = {}
+        for labs in iproduct(range(0, 4), repeat=m + n):
+            seeds.setdefault(_counts_key(labs, m), labs)
+        digest = hashlib.sha256()
+        for key in sorted(seeds):
+            labs = seeds[key]
+            table = canonical_basis([SuperWeight(labs[:m], labs[m:])], interval=(0, 3))
+            digest.update(self._text(table))
+        assert digest.hexdigest() == self.SMALL_WINDOWS[shape]
+
+    def test_dimension_108_block(self):
+        import hashlib
+
+        table = canonical_basis([W("3,2,1,0|0")], interval=(-1, 4))
+        assert len(table.weights) == 108
+        assert hashlib.sha256(self._text(table)).hexdigest() == (
+            "ac4df0406efdf16dbdcb793118ad2dff859bc8082d62a807d1c2dbe40e3aeaa3"
+        )
