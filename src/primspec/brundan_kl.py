@@ -246,19 +246,13 @@ def bar_involution(window: TensorWindow) -> BarInvolution:
     return BarInvolution(window)
 
 
-def _counts_key(mono: Mono, m: int) -> tuple[tuple[int, int], ...]:
-    counts: dict[int, int] = {}
-    for j, a in enumerate(mono):
-        counts[a] = counts.get(a, 0) + (1 if j < m else -1)
-    return tuple(sorted((x, c) for x, c in counts.items() if c))
-
-
-def _weight_space(window: TensorWindow, key) -> list[Mono]:
-    """The monomials of the window with this counts key, sorted: for each
-    right factor, the left multiset is the key plus the right labels."""
+def _weight_space(window: TensorWindow, invariant) -> list[Mono]:
+    """The monomials of the window with this central character, sorted: for
+    each right factor, the left multiset is the central character plus the
+    right labels."""
     out = []
     for right in product(range(window.lo, window.hi + 1), repeat=window.n):
-        counts = dict(key)
+        counts = dict(invariant)
         for a in right:
             counts[a] = counts.get(a, 0) + 1
         if min(counts.values(), default=0) < 0:
@@ -419,12 +413,12 @@ def canonical_basis(
         if not window.contains(w):
             raise PreconditionError(f"{w} lies outside the interval {interval}")
 
-    return _table(window, _counts_key(first.labels, m))
+    return _table(window, invariant)
 
 
 @cache
-def _table(window: TensorWindow, key: tuple[tuple[int, int], ...]) -> CanonicalBasisTable:
-    monos = _weight_space(window, key)
+def _table(window: TensorWindow, invariant: tuple[tuple[int, int], ...]) -> CanonicalBasisTable:
+    monos = _weight_space(window, invariant)
     return CanonicalBasisTable(window, monos, _solve_canonical(bar_involution(window), monos))
 
 
@@ -465,12 +459,8 @@ class SuperOrder:
 
     def relations(self) -> set[tuple[SuperWeight, SuperWeight]]:
         """All (beta, alpha) pairs with beta strictly below alpha."""
-        out = set()
-        for a in self.weights:
-            for b in self.weights:
-                if a != b and self.leq(b, a) and not self.same_class(a, b):
-                    out.add((b, a))
-        return out
+        ws = self.weights
+        return {(ws[b], ws[a]) for b, a in self.preorder.strict_pairs()}
 
 
 def _wall_mask(weight: SuperWeight) -> int:

@@ -34,12 +34,11 @@ def _emit(doc) -> None:
 
 
 def _table_kwargs(args) -> dict:
-    """KL-table kwargs from the flags; the cache dir falls back to
-    `default_cache_dir()`, which reads $PRIMSPEC_CACHE."""
+    """KL-table kwargs from the flags; with no cache dir, `kl_classical.cache_file`
+    picks one."""
     if args.kl_bound <= 0:
-        raise ValueError("bounds must be positive")
-    cache = Path(args.cache_dir) if args.cache_dir else kl_classical.default_cache_dir()
-    return {"bound": args.kl_bound, "cache_dir": cache}
+        raise ValueError(f"--kl-bound {args.kl_bound}: bounds must be positive")
+    return {"bound": args.kl_bound, "cache_dir": args.cache_dir or None}
 
 
 def cmd_inclusion(args) -> int:
@@ -121,7 +120,7 @@ def cmd_kl(args) -> int:
     doc = {
         "m": args.m,
         "comparable_pairs": len(table),
-        "cache_file": str(kwargs["cache_dir"] / f"kl_m{args.m}.jsonl"),
+        "cache_file": str(kl_classical.cache_file(args.m, kwargs["cache_dir"])),
     }
     if args.pair:
         doc["pair"] = {

@@ -64,6 +64,7 @@ __all__ = [
     "LeftOrder",
     "bruhat_leq",
     "kl_table",
+    "cache_file",
     "mu",
     "left_preorder",
     "classical_inclusion",
@@ -285,11 +286,12 @@ _orders: dict[int, "LeftOrder"] = {}
 _lock = threading.Lock()
 
 
-def default_cache_dir() -> Path:
-    env = os.environ.get("PRIMSPEC_CACHE")
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "primspec"
+def cache_file(m: int, cache_dir: Path | str | None = None) -> Path:
+    """The file `kl_table` caches rank m in: under `cache_dir`, else under
+    $PRIMSPEC_CACHE, else under ~/.cache/primspec."""
+    if cache_dir is None:
+        cache_dir = os.environ.get("PRIMSPEC_CACHE") or Path.home() / ".cache" / "primspec"
+    return Path(cache_dir) / f"kl_m{m}.jsonl"
 
 
 def _check_rank(m: int, bound: int) -> None:
@@ -312,22 +314,21 @@ def kl_table(
     """
     _check_rank(m, bound)
     with _lock:
-        path = Path(cache_dir) if cache_dir is not None else default_cache_dir()
-        cache_file = path / f"kl_m{m}.jsonl"
+        path = cache_file(m, cache_dir)
         table = _tables.get(m)
         if table is None:
-            if use_disk and cache_file.exists():
-                table = KLTable.load(cache_file, m)
+            if use_disk and path.exists():
+                table = KLTable.load(path, m)
             else:
                 table = _build_kl_table(m)
             _tables[m] = table
-        if use_disk and not cache_file.exists():
+        if use_disk and not path.exists():
             try:
-                table.save(cache_file)
+                table.save(path)
             except OSError as exc:  # caching is best-effort; the table is still valid
                 import logging  # lazily: importing it costs each process 0.5 MB
                 logging.getLogger(__name__).warning(
-                    "could not write the KL cache %s: %s", cache_file, exc
+                    "could not write the KL cache %s: %s", path, exc
                 )
         return table
 

@@ -8,7 +8,7 @@ follows the topological order.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 __all__ = [
     "Preorder",
@@ -46,6 +46,20 @@ class Preorder:
     def leq(self, lower: int, upper: int) -> bool:
         """Is node `lower` below or equivalent to node `upper`?"""
         return self.class_leq(self._comp[lower], self._comp[upper])
+
+    def strict_pairs(self) -> Iterator[tuple[int, int]]:
+        """Every (lower, upper) node pair with `lower` strictly below `upper`."""
+        members: list[list[int]] = [[] for _ in range(self.class_count())]
+        for node, c in enumerate(self._comp):
+            members[c].append(node)
+        for upper_class, reach in enumerate(self._closure):
+            reach &= ~(1 << upper_class)
+            while reach:
+                bit = reach & -reach
+                reach ^= bit
+                for lower in members[bit.bit_length() - 1]:
+                    for upper in members[upper_class]:
+                        yield lower, upper
 
 
 def wall_edges(masks: Sequence[int], pairs: Iterable[tuple[int, int]]) -> set[tuple[int, int]]:

@@ -6,21 +6,21 @@ For the stratification machinery a simple root can also be addressed by its
 gamma-index ``i``, related to the position by ``position = m - i``.
 
 The Robinson-Schensted map sends a permutation to a pair of standard
-tableaux (A, B) of one shape: A is built by row insertion of the one-line
-word and B records the growth.  Equalities of primitive-ideal labels in a
-fixed orbit are controlled by the A-tableau of the "rank word" computed
-here (the longest-coset-representative reading of a label tuple).
+tableaux (A, B) of one shape, each a tuple of rows: A is built by row
+insertion of the one-line word and B records the growth.  Equalities of
+primitive-ideal labels in a fixed orbit are controlled by the A-tableau of
+the "rank word" computed here (the longest-coset-representative reading of
+a label tuple).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations as _itertools_permutations
 from typing import Iterator, Literal, Sequence
 
 __all__ = [
     "Permutation",
-    "StandardTableau",
+    "Tableau",
     "is_permutation",
     "identity",
     "longest_element",
@@ -78,55 +78,14 @@ def all_permutations(m: int) -> Iterator[Permutation]:
     return _itertools_permutations(range(1, m + 1))
 
 
-@dataclass(frozen=True, slots=True)
-class StandardTableau:
-    """Rows strictly increasing, columns strictly increasing, entries 1..m."""
-
-    rows: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        rows = tuple(tuple(r) for r in self.rows)
-        object.__setattr__(self, "rows", rows)
-        entries = [x for row in rows for x in row]
-        if sorted(entries) != list(range(1, len(entries) + 1)):
-            raise ValueError(f"entries are not exactly 1..m: {rows}")
-        for r in rows:
-            if any(r[i] >= r[i + 1] for i in range(len(r) - 1)):
-                raise ValueError(f"row not strictly increasing: {r}")
-        for i in range(len(rows) - 1):
-            if len(rows[i + 1]) > len(rows[i]):
-                raise ValueError("row lengths must weakly decrease")
-            if any(rows[i][j] >= rows[i + 1][j] for j in range(len(rows[i + 1]))):
-                raise ValueError("column not strictly increasing")
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return tuple(len(r) for r in self.rows)
-
-    def row_of(self, entry: int) -> int:
-        """1-based row index of an entry."""
-        for i, row in enumerate(self.rows):
-            if entry in row:
-                return i + 1
-        raise ValueError(f"{entry} not in tableau")
-
-    def transpose(self) -> "StandardTableau":
-        cols = [
-            tuple(row[c] for row in self.rows if len(row) > c)
-            for c in range(len(self.rows[0]))
-        ] if self.rows else []
-        return StandardTableau(tuple(cols))
-
-    def __str__(self) -> str:
-        return "/".join(",".join(map(str, r)) for r in self.rows)
+Tableau = tuple[tuple[int, ...], ...]
 
 
-def robinson_schensted(w: Sequence[int]) -> tuple[StandardTableau, StandardTableau]:
+def robinson_schensted(w: Sequence[int]) -> tuple[Tableau, Tableau]:
     """Row-insert the one-line word of w; return (insertion A, recording B).
 
-    >>> a, b = robinson_schensted((2, 3, 1))
-    >>> str(a), str(b)
-    ('1,3/2', '1,2/3')
+    >>> robinson_schensted((2, 3, 1))
+    (((1, 3), (2,)), ((1, 2), (3,)))
     >>> all(robinson_schensted(v)[0] == robinson_schensted(v)[1]
     ...     for v in [(1, 2), (2, 1)])
     True
@@ -145,10 +104,7 @@ def robinson_schensted(w: Sequence[int]) -> tuple[StandardTableau, StandardTable
         else:
             insertion.append([x])
             recording.append([step])
-    return (
-        StandardTableau(tuple(map(tuple, insertion))),
-        StandardTableau(tuple(map(tuple, recording))),
-    )
+    return tuple(map(tuple, insertion)), tuple(map(tuple, recording))
 
 
 def tau(w: Permutation) -> frozenset[int]:

@@ -29,7 +29,6 @@ from .errors import WeightParseError
 
 __all__ = [
     "SuperWeight",
-    "CentralCharacter",
     "from_rho_shifted",
     "central_character",
     "atypicality_degree",
@@ -136,51 +135,22 @@ def from_rho_shifted(
     )
 
 
-@dataclass(frozen=True, slots=True)
-class CentralCharacter:
-    """The label-count invariant separating central characters.
+def central_character(weight: SuperWeight) -> tuple[tuple[int, int], ...]:
+    """The nonzero values of x -> left count minus right count, as sorted
+    (label, count) pairs.  Two integral weights have equal central character
+    exactly when these maps agree.
 
-    Stores the nonzero values of ``x -> (left count of x) - (right count
-    of x)`` as sorted pairs.  Two integral weights have equal central
-    character exactly when these maps agree.
+    >>> central_character(SuperWeight((1, 0), (0, 1)))
+    ()
+    >>> central_character(SuperWeight((2, 1, 0), ()))
+    ((0, 1), (1, 1), (2, 1))
     """
-
-    items: tuple[tuple[int, int], ...]
-
-    @property
-    def counts(self) -> dict[int, int]:
-        return dict(self.items)
-
-    def __str__(self) -> str:
-        inner = ", ".join(f"{x}: {c}" for x, c in self.items)
-        return "{" + inner + "}"
-
-
-def _count_sides(weight: SuperWeight) -> tuple[dict[int, int], dict[int, int]]:
-    left: dict[int, int] = {}
-    right: dict[int, int] = {}
+    counts: dict[int, int] = {}
     for a in weight.left:
-        left[a] = left.get(a, 0) + 1
+        counts[a] = counts.get(a, 0) + 1
     for b in weight.right:
-        right[b] = right.get(b, 0) + 1
-    return left, right
-
-
-def central_character(weight: SuperWeight) -> CentralCharacter:
-    """The invariant x -> left count minus right count, zeros dropped.
-
-    >>> central_character(SuperWeight((1, 0), (0, 1))).counts
-    {}
-    >>> central_character(SuperWeight((2, 1, 0), ())).counts
-    {0: 1, 1: 1, 2: 1}
-    """
-    left, right = _count_sides(weight)
-    counts = {}
-    for x in set(left) | set(right):
-        c = left.get(x, 0) - right.get(x, 0)
-        if c:
-            counts[x] = c
-    return CentralCharacter(tuple(sorted(counts.items())))
+        counts[b] = counts.get(b, 0) - 1
+    return tuple(sorted((x, c) for x, c in counts.items() if c))
 
 
 def atypicality_degree(weight: SuperWeight) -> int:
@@ -191,8 +161,15 @@ def atypicality_degree(weight: SuperWeight) -> int:
     >>> atypicality_degree(SuperWeight.parse("1,0|0,1"))
     2
     """
-    left, right = _count_sides(weight)
-    return sum(min(c, right.get(x, 0)) for x, c in left.items())
+    unmatched: dict[int, int] = {}
+    for b in weight.right:
+        unmatched[b] = unmatched.get(b, 0) + 1
+    pairs = 0
+    for a in weight.left:
+        if unmatched.get(a):
+            unmatched[a] -= 1
+            pairs += 1
+    return pairs
 
 
 def is_dominant(weight: SuperWeight) -> bool:

@@ -61,23 +61,20 @@ class TestBarInvolution:
                         assert lhs == rhs
 
     def test_preserves_weight_spaces(self):
-        from primspec.brundan_kl import _counts_key
-
         bar = BarInvolution(TensorWindow(0, 2, 2, 1))
         for mono in iproduct(range(3), repeat=3):
-            key = _counts_key(mono, 2)
+            key = central_character(SuperWeight(mono[:2], mono[2:]))
             assert all(
-                _counts_key(t, 2) == key for t in bar.psi(mono)
+                central_character(SuperWeight(t[:2], t[2:])) == key for t in bar.psi(mono)
             )
 
     def test_enumerated_weight_space_matches_the_filter(self):
-        from primspec.brundan_kl import _counts_key
-
         for m, n, lo, hi in self.WINDOWS:
             window = TensorWindow(lo, hi, m, n)
             spaces: dict = {}
             for mono in iproduct(range(lo, hi + 1), repeat=m + n):
-                spaces.setdefault(_counts_key(mono, m), []).append(mono)
+                key = central_character(SuperWeight(mono[:m], mono[m:]))
+                spaces.setdefault(key, []).append(mono)
             for key, monos in spaces.items():
                 assert _weight_space(window, key) == sorted(monos)
 
@@ -330,6 +327,20 @@ class TestLeftOrder:
                 expected = classical.leq(rank_word(b.left), rank_word(a.left))
                 assert order.leq(b, a) == expected
 
+    @pytest.mark.parametrize("seed, interval", [("2,1,0|0", None), ("3,2,1,0|0", (-1, 4))])
+    def test_relations_match_the_pairwise_definition(self, seed, interval):
+        table = canonical_basis([W(seed)], interval=interval)
+        order = kl_left_order(table.weights, table)
+        ws = order.weights
+        assert order.preorder.class_count() < len(ws)  # some class holds two weights
+        expected = {
+            (b, a)
+            for a in ws
+            for b in ws
+            if a != b and order.leq(b, a) and not order.same_class(a, b)
+        }
+        assert expected and order.relations() == expected
+
     def test_rank_four_block_reproduces_full_classical_table(self):
         # pure even rank 4, where the first nontrivial classical KL
         # polynomial lives: all 576 d-entries must equal q^(gap) P(q^-2)
@@ -363,12 +374,12 @@ class TestLeftOrder:
         weights = sorted(
             {w for c in poset.classes for w in c.members}, key=lambda w: w.labels
         )
-        key = central_character(weights[0]).items
-        assert all(central_character(w).items == key for w in weights)
+        key = central_character(weights[0])
+        assert all(central_character(w) == key for w in weights)
         enlarged = set(weights)
         for labs in iproduct(range(-2, 6), repeat=5):
             w = SuperWeight(labs[:4], labs[4:])
-            if central_character(w).items == key:
+            if central_character(w) == key:
                 enlarged.add(w)
         order = kl_left_order(
             sorted(enlarged, key=lambda x: x.labels), interval_bound=12
@@ -403,14 +414,14 @@ class TestLeftOrder:
         # oracle equivalence on a gl(2|1) and a gl(3|1) block
         for seed_text, pads in [("1,0|1", 2), ("2,1,0|0", 2)]:
             seed = W(seed_text)
-            key = central_character(seed).items
+            key = central_character(seed)
             m, n = seed.m, seed.n
             lo = min(seed.labels) - pads
             hi = max(seed.labels) + pads
             block = []
             for labs in iproduct(range(lo, hi + 1), repeat=m + n):
                 w = SuperWeight(labs[:m], labs[m:])
-                if central_character(w).items == key:
+                if central_character(w) == key:
                     block.append(w)
             order = kl_left_order(block, interval_bound=12)
             for a in block:
@@ -443,12 +454,10 @@ class TestGoldenDigests:
     def test_every_weight_space_of_a_small_window(self, shape):
         import hashlib
 
-        from primspec.brundan_kl import _counts_key
-
         m, n = shape
         seeds = {}
         for labs in iproduct(range(0, 4), repeat=m + n):
-            seeds.setdefault(_counts_key(labs, m), labs)
+            seeds.setdefault(central_character(SuperWeight(labs[:m], labs[m:])), labs)
         digest = hashlib.sha256()
         for key in sorted(seeds):
             labs = seeds[key]

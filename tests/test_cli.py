@@ -133,6 +133,7 @@ class TestKl:
         code, out, err = run(capsys, "--kl-bound", "0", "kl", "--m", "3")
         assert code == 1 and out == ""
         assert "bounds must be positive" in err
+        assert err.startswith("error: --kl-bound 0:")
 
     @pytest.mark.parametrize("m", ["0", "-1"])
     def test_rank_below_one_refused(self, capsys, tmp_path, m):

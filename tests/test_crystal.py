@@ -136,7 +136,7 @@ class TestProperties:
         pool = [w for w in sampled_weights(600, max_rank=2, lo=0, hi=3)]
         by_char = {}
         for w in pool:
-            by_char.setdefault(central_character(w).items, []).append(w)
+            by_char.setdefault(central_character(w), []).append(w)
         checked = 0
         for group in by_char.values():
             for a in group[:6]:

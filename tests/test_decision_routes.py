@@ -149,7 +149,7 @@ def _singly_atypical(draw):
 def test_relation_matches_canonical_order_on_sampled_blocks(weight):
     # the paper proves the canonical-basis order is the inclusion order on
     # singly atypical blocks, and a partial order on ideals
-    key = central_character(weight).items
+    key = central_character(weight)
     enlarged = sorted(_block(key, -2, 5), key=lambda w: w.labels)
     order = kl_left_order(enlarged, interval_bound=12)
     block = sorted(_block(key, 0, 3), key=lambda w: w.labels)

@@ -93,6 +93,20 @@ def test_preorder_leq_is_reachability(seed):
 
 
 @pytest.mark.parametrize("seed", range(4))
+def test_strict_pairs_are_below_and_not_equivalent(seed):
+    for n, edges in _random_digraphs(seed):
+        order = Preorder(n, edges)
+        pairs = list(order.strict_pairs())
+        assert len(pairs) == len(set(pairs))
+        assert set(pairs) == {
+            (lower, upper)
+            for upper in range(n)
+            for lower in range(n)
+            if order.leq(lower, upper) and not order.leq(upper, lower)
+        }
+
+
+@pytest.mark.parametrize("seed", range(4))
 def test_topological_order_of_random_dags(seed):
     rng = random.Random(seed)
     for n in range(31):

@@ -60,18 +60,18 @@ class TestFromRhoShifted:
 
 class TestCentralCharacter:
     def test_balanced(self):
-        assert central_character(W("1,0|0,1")).counts == {}
+        assert dict(central_character(W("1,0|0,1"))) == {}
 
     def test_pure_even(self):
-        assert central_character(W("2,1,0|")).counts == {2: 1, 1: 1, 0: 1}
+        assert dict(central_character(W("2,1,0|"))) == {2: 1, 1: 1, 0: 1}
 
     def test_running_example(self):
-        got = central_character(W("7,6,2,3,6,1,3,1|4,3,4,5")).counts
+        got = dict(central_character(W("7,6,2,3,6,1,3,1|4,3,4,5")))
         assert got == {7: 1, 6: 2, 3: 1, 2: 1, 1: 2, 4: -2, 5: -1}
 
     def test_sum_rule(self):
         w = W("7,6,2,3,6,1,3,1|4,3,4,5")
-        assert sum(central_character(w).counts.values()) == w.m - w.n
+        assert sum(dict(central_character(w)).values()) == w.m - w.n
 
 
 class TestAtypicality:
