@@ -17,8 +17,17 @@ an exact ``>> 16`` shift by ``v^{+-1}``, and ``mu`` is slot 1.  The ints
 decode exactly while every coefficient lies in ``[0, 2^16)``: KL positivity
 (Kazhdan-Lusztig 1980) keeps them nonnegative, so no slot borrows, they are
 at most 15 at rank 7, and a negative value or a slot reaching ``2^15``
-raises InvariantError.  A column stores its sorted row indices and interned
-polynomial ids; each distinct (h, length gap) is checked once.
+raises InvariantError.  Each distinct (h, length gap) is checked once.
+
+Column y stores h_{x,y} only for the diagonal and the x <= y extremal to y,
+DL(x) and DR(x) containing I = DL(y) and J = DR(y): 2,220 of 97,687 pairs at
+rank 6.  As P_{x,y} = P_{sx,y} (or P_{xs,y}) for a descent s of y that x
+lacks (Kazhdan-Lusztig 1979, 2.3), any x is read raised to the top of
+W_I x W_J, h shifting a slot per step; a top missing from the column is not
+below y.  Off the extremal pairs mu is nonzero only one step below y, where
+it is 1.  The disk cache keeps its version-1 lines, one per pair: `save`
+expands each stored pair over its double coset, `load` keeps the extremal
+ones and refuses a line that disagrees with its double coset.
 
 On top of the table sits the left preorder on a regular orbit of weight
 tuples, generated by wall-crossing conditions plus nonvanishing Ext^1
@@ -41,10 +50,11 @@ import os
 import tempfile
 import threading
 from array import array
-from bisect import bisect_left
+from collections import Counter
 from itertools import permutations as iperm
+from math import factorial, prod
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .errors import BoundExceededError, CacheVersionError, InvariantError, PreconditionError
 from .laurent import ZERO, LaurentPolynomial
@@ -124,21 +134,27 @@ def _unpack(h: int, gap: int) -> tuple[tuple[int, int], ...]:
 
 class KLTable:
     """Immutable table of KL polynomials and mu values for one rank, once
-    `_build_kl_table` or `load` has added its columns in index order."""
+    `_build_kl_table` or `load` has filled its columns."""
 
     def __init__(self, m: int):
         self.m = m
-        self.perms = sorted(all_permutations(m), key=lambda w: (inversions(w), w))
-        self.index = {w: i for i, w in enumerate(self.perms)}
-        self.lengths = [inversions(w) for w in self.perms]
-        self._rows: list[array] = []  # column y: the sorted x <= y, y last
-        self._ids: list[array] = []  # aligned with _rows: the id of each h_{x,y}
+        self.perms = perms = sorted(all_permutations(m), key=lambda w: (inversions(w), w))
+        self.index = index = {w: i for i, w in enumerate(perms)}
+        self.lengths = [inversions(w) for w in perms]
+        # w s_p swaps positions p, p+1 and s_t w values t+1, t+2; descents are bitmasks
+        self._right = [[index[w[:p] + (w[p + 1], w[p]) + w[p + 2:]] for p in range(m - 1)]
+                       for w in perms]
+        inv = [index[inverse(w)] for w in perms]
+        self._left = [[inv[r] for r in self._right[j]] for j in inv]
+        self._dr = [sum(1 << p for p in range(m - 1) if w[p] > w[p + 1]) for w in perms]
+        self._dl = [self._dr[j] for j in inv]
+        self._low = [(k & -k).bit_length() - 1 for k in range(1 << max(m - 1, 0))]  # lowest bit
+        self._cols = [{yi: 0} for yi in range(len(perms))]  # y: each extremal x -> id of h_{x,y}
         # by id (0 is the diagonal): packed h, P's pairs, the coefficient of v
         self._packed = [1]
         self._p_pairs: list[tuple[tuple[int, int], ...]] = [((0, 1),)]
         self._slot_one = [0]
         self._id_of: dict[tuple[int, int], int] = {}
-        self._mu: dict[tuple[int, int], int] = {}
 
     def _intern(self, h: int, gap: int) -> int:
         """The id of an off-diagonal packed h at gap `gap`, checked once."""
@@ -150,54 +166,85 @@ class KLTable:
             self._packed.append(h)
         return pid
 
-    def _add_column(self, xs: Sequence[int], pids: Sequence[int]) -> None:
-        """Append the next column y: the sorted x < y with h_{x,y} != 0, and ids."""
-        yi = len(self._rows)
-        self._rows.append(array("I", [*xs, yi]))
-        self._ids.append(array("I", [*pids, 0]))
-        slot_one = self._slot_one
-        self._mu.update(((xi, yi), slot_one[pid]) for xi, pid in zip(xs, pids) if slot_one[pid])
+    def _raise(self, xi: int, yi: int) -> int:
+        """x raised along the descents of y it lacks: the top of W_I x W_J."""
+        dl, dr, low = self._dl, self._dr, self._low
+        while miss := dl[yi] & ~dl[xi]:
+            xi = self._left[xi][low[miss]]
+        while miss := dr[yi] & ~dr[xi]:
+            xi = self._right[xi][low[miss]]
+        return xi
+
+    def _h(self, xi: int, yi: int) -> int:
+        """Packed h_{x,y} = v^k h_{x*,y}, x* x raised k steps (0 unless x <= y)."""
+        top = self._raise(xi, yi)
+        k = self.lengths[top] - self.lengths[xi]
+        return self._packed[self._cols[yi][top]] << _SLOT * k if top in self._cols[yi] else 0
 
     def __len__(self) -> int:
-        return sum(map(len, self._rows)) - len(self._rows)
+        """Stored x stands for |W_I x W_J| = |W_I| |W_J| / prod M_ab! pairs, M_ab
+        the values of block a of I at positions of block b of J (Kilmoyer)."""
+        def young(keys: Iterable) -> int:  # the Young subgroup on classes of equal keys
+            return prod(map(factorial, Counter(keys).values()))
+
+        def blocks(mask: int) -> list[int]:  # the block of each place; bit k joins k, k+1
+            return [(~mask & (1 << k) - 1).bit_count() for k in range(self.m)]
+
+        total = -len(self._cols)  # the diagonal
+        for yi, column in enumerate(self._cols):
+            vb, pb = blocks(self._dl[yi]), blocks(self._dr[yi])
+            order = young(vb) * young(pb)
+            total += sum(order // young(zip([vb[v - 1] for v in self.perms[x]], pb))
+                         for x in column)
+        return total
 
     def kl_polynomial(self, x: Permutation, y: Permutation) -> LaurentPolynomial:
         """P_{x,y} in the variable q (1 on the diagonal, 0 unless x <= y)."""
         xi, yi = self.index[tuple(x)], self.index[tuple(y)]
-        column = self._rows[yi]
-        k = bisect_left(column, xi)
-        if k == len(column) or column[k] != xi:
-            return ZERO
-        return LaurentPolynomial(dict(self._p_pairs[self._ids[yi][k]]))
+        pid = self._cols[yi].get(self._raise(xi, yi))
+        return ZERO if pid is None else LaurentPolynomial(dict(self._p_pairs[pid]))
 
     def mu(self, x: Permutation, y: Permutation) -> int:
-        """Symmetrized mu: the top-allowed coefficient of the comparable pair."""
-        xi, yi = self.index[tuple(x)], self.index[tuple(y)]
-        if xi == yi:
-            return 0
-        if self.lengths[xi] > self.lengths[yi]:
-            xi, yi = yi, xi
-        return self._mu.get((xi, yi), 0)
+        """Symmetrized mu: the coefficient of v in h_{x,y}, x the shorter; off the
+        extremal pairs the raise makes it 1 at y = sx or xs and 0 otherwise."""
+        xi, yi = sorted((self.index[tuple(x)], self.index[tuple(y)]))  # indices follow length
+        return self._h(xi, yi) >> _SLOT & _SLOT_MASK
+
+    def _mu_below(self, yi: int) -> dict[int, int]:
+        """x -> mu(x, y) != 0 over x < y: one step below y, or stored with a v term."""
+        lengths, slot_one = self.lengths, self._slot_one
+        below = {w: 1 for w in self._left[yi] + self._right[yi] if lengths[w] < lengths[yi]}
+        below.update((x, slot_one[pid]) for x, pid in self._cols[yi].items() if slot_one[pid])
+        return below
 
     def mu_pairs(self) -> Iterable[tuple[Permutation, Permutation, int]]:
-        """All (x, y, mu) with x shorter than y and mu(x, y) != 0."""
-        for (xi, yi), value in self._mu.items():
-            yield self.perms[xi], self.perms[yi], value
+        """All (x, y, mu) with x shorter than y and mu(x, y) != 0, by y then x."""
+        for yi, y in enumerate(self.perms):
+            below = self._mu_below(yi)
+            yield from ((self.perms[xi], y, below[xi]) for xi in sorted(below))
 
     # -- persistence ---------------------------------------------------------
 
     def save(self, path: Path) -> None:
         """Atomically write the table, one line per pair x < y in index order;
         exact round-trip with `load`."""
-        header = {"format": _CACHE_FORMAT, "version": _CACHE_VERSION, "m": self.m,
-                  "count": len(self)}
         perm_text = [json.dumps(list(w)) for w in self.perms]
         poly_text = [json.dumps([list(kc) for kc in pairs]) for pairs in self._p_pairs]
-        # the columns transposed into rows of (y, id), without the diagonal
+        # each stored pair expanded over W_I x W_J into rows of (y, id)
         rows = [array("I") for _ in self.perms]
-        for yi, (column, pids) in enumerate(zip(self._rows, self._ids)):
-            for xi, pid in zip(column[:-1], pids[:-1]):
-                rows[xi].extend((yi, pid))
+        lwalk = {mask: _coset_walk(self._left, mask) for mask in set(self._dl)}
+        rwalk = {mask: _coset_walk(self._right, mask) for mask in set(self._dr)}
+        stamp, seen = 0, [0] * len(self.perms)
+        for yi, column in enumerate(self._cols):
+            left, right = lwalk[self._dl[yi]], rwalk[self._dr[yi]]
+            for top, pid in column.items():
+                stamp += 1
+                for xi in (x for r in right(top) if seen[r] != stamp for x in left(r)):
+                    seen[xi] = stamp
+                    rows[xi].extend((yi, pid))
+            del rows[yi][-2:]  # the diagonal, the last pair its own column adds
+        header = {"format": _CACHE_FORMAT, "version": _CACHE_VERSION, "m": self.m,
+                  "count": sum(map(len, rows)) // 2}
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name)
         try:
@@ -215,11 +262,11 @@ class KLTable:
 
     @classmethod
     def load(cls, path: Path, m: int) -> "KLTable":
-        """Read a table written by `save`; a file that does not parse as one
-        raises CacheVersionError naming the path."""
+        """Read a table written by `save`, keeping the extremal pairs; a file
+        that does not parse as one, or where a pair disagrees with the
+        extremal pair it reduces to, raises CacheVersionError naming the path."""
         table = cls(m)
-        xs = [array("I") for _ in table.perms]
-        pids = [array("I") for _ in table.perms]
+        claims = {(yi, yi): table._p_pairs[0] for yi in range(len(table.perms))}  # (top, y): P
         with open(path) as fh:
             try:
                 header = json.loads(fh.readline())
@@ -230,54 +277,69 @@ class KLTable:
                     )
                 if header.get("m") != m:
                     raise CacheVersionError(f"cache {path} is for m={header.get('m')}, not {m}")
-                last = (-1, -1)
+                last, lines = (-1, -1), 0
                 for line in fh:
                     x, y, pairs = json.loads(line)
                     xi, yi = table.index[tuple(x)], table.index[tuple(y)]
                     if (xi, yi) <= last:
                         raise ValueError(f"pair {x}, {y} is out of order")
-                    last = (xi, yi)
+                    last, lines = (xi, yi), lines + 1
                     gap = table.lengths[yi] - table.lengths[xi]
-                    xs[yi].append(xi)
                     h = sum(c << _SLOT * (gap - 2 * k) for k, c in pairs)
-                    pids[yi].append(table._intern(h, gap))
-                if sum(map(len, xs)) != header["count"]:
+                    pid, top = table._intern(h, gap), table._raise(xi, yi)
+                    if top == xi:
+                        table._cols[yi][xi] = pid
+                    if claims.setdefault((top, yi), table._p_pairs[pid]) != table._p_pairs[pid]:
+                        raise ValueError(f"pair {x}, {y} disagrees with its double coset")
+                if lines != header["count"]:
                     raise CacheVersionError(f"cache {path} is truncated")
+                if lines != len(table) or any(top not in table._cols[yi] for top, yi in claims):
+                    raise ValueError("its pairs are not the double cosets of its extremal pairs")
             except (ValueError, KeyError, TypeError, AttributeError, InvariantError) as exc:
                 raise CacheVersionError(f"cache {path} is corrupt: {exc!r}") from exc
-        for column in zip(xs, pids):
-            table._add_column(*column)
         return table
+
+
+def _coset_walk(mult: list[list[int]], mask: int):
+    """w -> its coset under W_mask via `mult`, along a spanning tree of W_mask."""
+    nodes, seen, tree = [0], {0}, []
+    for k, w in enumerate(nodes):
+        for t, v in enumerate(mult[w]):
+            if mask >> t & 1 and v not in seen:
+                seen.add(v)
+                nodes.append(v)
+                tree.append((k, t))
+
+    def walk(start: int) -> list[int]:
+        out = [start]
+        for parent, t in tree:
+            out.append(mult[out[parent]][t])
+        return out
+
+    return walk
 
 
 def _build_kl_table(m: int) -> KLTable:
     table = KLTable(m)
-    lengths, packed, rows, ids = table.lengths, table._packed, table._rows, table._ids
-    right_mult = [
-        [table.index[w[:p] + (w[p + 1], w[p]) + w[p + 2:]] for p in range(m - 1)]
-        for w in table.perms
-    ]
-    table._add_column([], [])  # the identity
-    for yi, y in enumerate(table.perms[1:], 1):
-        p = next(p for p in range(m - 1) if y[p] > y[p + 1])
-        y1i = right_mult[yi][p]
-        column = list(zip(rows[y1i], map(packed.__getitem__, ids[y1i])))
-        prod: dict[int, int] = {}
-        get = prod.get
-        # B_{y'} B_s, from H_x B_s = H_{xs} + v^{+-1} H_x (+ when xs > x)
-        for xi, h in column:
-            xsi = right_mult[xi][p]
-            prod[xsi] = get(xsi, 0) + h
-            prod[xi] = get(xi, 0) + (h << _SLOT if lengths[xsi] > lengths[xi] else h >> _SLOT)
-        for zi, h in column:
-            mu_z = h >> _SLOT & _SLOT_MASK
-            if mu_z and lengths[right_mult[zi][p]] < lengths[zi]:
-                for xi, hz in zip(rows[zi], map(packed.__getitem__, ids[zi])):
-                    prod[xi] = get(xi, 0) - mu_z * hz
-        if prod.pop(yi, None) != 1:
+    lengths, cols, raise_, read = table.lengths, table._cols, table._raise, table._h
+    right, dr = table._right, table._dr
+    walks = {mask: _coset_walk(right, mask) for mask in set(dr)}
+    for yi in range(1, len(table.perms)):
+        p = table._low[dr[yi]]  # the first right descent s
+        y1 = right[yi][p]
+        # [e, y] is [e, y'] with [e, y'] s: each extremal x tops a u w, u stored for y', w in W_J'
+        k = dr[yi] & dr[y1]  # K = J & J': raise one u w of each u w W_K, its K-top
+        tops = {raise_(g, yi) for u in cols[y1] for g in walks[dr[y1]](u) if dr[g] & k == k}
+        # B_y = B_{y'} B_s - sum mu(z, y') B_z over z s < z, with H_x B_s =
+        # H_{xs} + v^{-1} H_x for x s < x
+        terms = [(z, mu_z) for z, mu_z in table._mu_below(y1).items() if dr[z] >> p & 1]
+        column = {xi: read(right[xi][p], y1) + (read(xi, y1) >> _SLOT)
+                  - sum(mu_z * read(xi, zi) for zi, mu_z in terms if lengths[xi] <= lengths[zi])
+                  for xi in tops}
+        if column.pop(yi) != 1:
             raise InvariantError("new-basis element is not unitriangular")
-        xs = sorted(xi for xi, h in prod.items() if h)
-        table._add_column(xs, [table._intern(prod[xi], lengths[yi] - lengths[xi]) for xi in xs])
+        cols[yi].update((xi, table._intern(h, lengths[yi] - lengths[xi]))
+                        for xi, h in column.items())
     return table
 
 
@@ -351,26 +413,14 @@ class LeftOrder:
     """
 
     def __init__(self, table: KLTable):
-        self.m = table.m
-        m = table.m
-        perms = sorted(all_permutations(m))
+        self.m = m = table.m
+        self.perms = perms = sorted(all_permutations(m))
         self.index = {w: i for i, w in enumerate(perms)}
-        self.perms = perms
-
         # bit p: strictly on the positive side of wall p (an ascent of the word)
-        ascent_mask = [
-            sum(1 << p for p in range(m - 1) if r[p] < r[p + 1]) for r in perms
-        ]
-
-        def node_of_base_element(u: Permutation) -> int:
-            # u is the antidominant-based Weyl element; its weight's rank
-            # word is inverse(u w0), with (u w0) = reversed one-line word.
-            return self.index[inverse(tuple(reversed(u)))]
-
-        pairs = (
-            (node_of_base_element(x), node_of_base_element(y))
-            for x, y, _ in table.mu_pairs()
-        )
+        ascent_mask = [sum(1 << p for p in range(m - 1) if r[p] < r[p + 1]) for r in perms]
+        # u, antidominant-based, has rank word inverse(u w0); u w0 is u's word reversed
+        node = {u: self.index[inverse(tuple(reversed(u)))] for u in table.perms}
+        pairs = ((node[x], node[y]) for x, y, _ in table.mu_pairs())
         self.preorder = Preorder(len(perms), wall_edges(ascent_mask, pairs))
 
     def node(self, r: Permutation) -> int:

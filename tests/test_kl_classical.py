@@ -1,4 +1,5 @@
 import hashlib
+import json
 import logging
 from itertools import combinations_with_replacement as multisets
 from itertools import permutations as iperm
@@ -178,6 +179,25 @@ class TestKLTable:
                 assert table.kl_polynomial(x, y) == expected, (x, y)
                 assert table.mu(x, y) == _oracle_mu(P, x, y), (x, y)
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_len_counts_bruhat_pairs(self, m):
+        # each stored pair stands for a double coset; the sizes must add up
+        # to every comparable pair, counted here by brute force
+        perms = list(all_permutations(m))
+        expected = sum(x != y and bruhat_leq(x, y) for x in perms for y in perms)
+        assert len(kl_table(m, **NO_DISK)) == expected
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_mu_pairs_match_oracle(self, m):
+        # pins the one-step rule: a pair off the stored ones has mu 1 exactly
+        # when it is one step apart
+        P = _oracle_kl(m)
+        expected = {
+            (x, y, _oracle_mu(P, x, y))
+            for y in P for x in P[y] if x != y and _oracle_mu(P, x, y)
+        }
+        assert set(kl_table(m, **NO_DISK).mu_pairs()) == expected
+
     def test_rank_six_digest(self):
         # every (x, y, P, mu) with P != 0 at rank 6 (97,687 off-diagonal
         # pairs), digested from the dict-of-dicts build this table replaced
@@ -313,6 +333,30 @@ class TestCache:
         path.write_text("\n".join(corrupt(lines)) + "\n")
         with pytest.raises(CacheVersionError, match=str(path)):
             KLTable.load(path, 3)
+
+    def test_line_disagreeing_with_its_extremal_pair_is_refused(self, tmp_path):
+        # P = 1 edited to 1 + q on a pair whose x lacks a descent of y: the
+        # line passes the per-line degree check, but P_{x,y} = P_{sx,y}
+        # ties it to a line that still says 1
+        def descents(w):
+            return (
+                {p for p in range(len(w) - 1) if w[p] > w[p + 1]},
+                {t for t in range(len(w) - 1) if w.index(t + 2) < w.index(t + 1)},
+            )
+
+        path = tmp_path / "kl_m4.jsonl"
+        kl_table(4, **NO_DISK).save(path)
+        lines = path.read_text().splitlines()
+        k = next(
+            k for k, line in enumerate(lines[1:], 1)
+            for x, y, p in [json.loads(line)]
+            if p == [[0, 1]] and inversions(y) - inversions(x) == 3
+            and not all(a >= b for a, b in zip(descents(x), descents(y)))
+        )
+        lines[k] = lines[k].replace("[[0, 1]]", "[[0, 1], [1, 1]]")
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CacheVersionError, match=str(path)):
+            KLTable.load(path, 4)
 
     def test_failed_cache_write_is_logged(self, tmp_path, caplog):
         # a regular file where the cache directory should be
