@@ -40,12 +40,17 @@ carry a digit to H: stored digits of magnitude at most 2^8 bound a
 q-commutator sum of n terms with first factors of L1 norm at most l by
 n l 2^8, doubled by the (q^-1 - q) step, and a column of the solve by 2^8
 times the L1 norms of its solved entries.
+
+Tables are cached per window and central character.  The bar involution,
+with its psi and chain caches, is cached for the latest window only, so a
+caller that takes its blocks window by window builds each window's bar once
+and frees it on moving on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from itertools import permutations, product
 from typing import Iterable, Iterator, Sequence
 
@@ -241,8 +246,9 @@ class BarInvolution:
         return result
 
 
-@cache
+@lru_cache(maxsize=1)
 def bar_involution(window: TensorWindow) -> BarInvolution:
+    """The bar involution of the window, cached for the latest window only."""
     return BarInvolution(window)
 
 

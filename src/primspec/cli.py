@@ -33,12 +33,16 @@ def _emit(doc) -> None:
     print(json.dumps(doc, indent=2, sort_keys=True))
 
 
+def _positive(flag: str, bound: int) -> int:
+    if bound <= 0:
+        raise ValueError(f"{flag} {bound}: bounds must be positive")
+    return bound
+
+
 def _table_kwargs(args) -> dict:
     """KL-table kwargs from the flags; with no cache dir, `kl_classical.cache_file`
     picks one."""
-    if args.kl_bound <= 0:
-        raise ValueError(f"--kl-bound {args.kl_bound}: bounds must be positive")
-    return {"bound": args.kl_bound, "cache_dir": args.cache_dir or None}
+    return {"bound": _positive("--kl-bound", args.kl_bound), "cache_dir": args.cache_dir or None}
 
 
 def cmd_inclusion(args) -> int:
@@ -138,7 +142,10 @@ def cmd_super_kl(args) -> int:
     interval = _ints("--interval", args.interval, ":") if args.interval else None
     if interval and (len(interval) != 2 or interval[0] > interval[1]):
         raise PreconditionError(f"--interval {args.interval!r} is not lo:hi with lo <= hi")
-    table = brundan_kl.canonical_basis(block, interval, interval_bound=args.interval_bound)
+    table = brundan_kl.canonical_basis(
+        block, interval, rank_bound=_positive("--rank-bound", args.rank_bound),
+        interval_bound=args.interval_bound,
+    )
     doc = table.to_json_dict()
     order = brundan_kl.kl_left_order(table.weights, table)
     doc["order"] = sorted(
@@ -235,6 +242,10 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("super-kl", help="canonical-basis table of a block")
     p.add_argument("--weights", nargs="+", required=True, metavar="W")
     p.add_argument("--interval", help="label interval 'lo:hi'")
+    p.add_argument(
+        "--rank-bound", type=int, default=brundan_kl.DEFAULT_RANK_BOUND,
+        help="largest m+n for a canonical basis",
+    )
     p.add_argument(
         "--interval-bound", type=int, default=brundan_kl.DEFAULT_INTERVAL_BOUND
     )

@@ -26,14 +26,23 @@ Everything else raises UnsupportedRegimeError: a loud "cannot decide",
 distinct from False.
 
 Each pair is classified once (`_classify`: central characters, orbit, one
-atypicality degree, both frames of a ladder pair).  `relation` and `decide`
-read both directions off that record, `decide` hands its frames to the
-trace, and `covers` enters through `inclusion`.
+atypicality degree), and `relation` and `decide` read both directions off
+that one classification; `covers` enters through `inclusion`.  What the
+classification and the ladder read of a weight is kept in two
+`functools.lru_cache` memos of MEMO_SIZE entries each, shared across
+pairs: `_invariants` (central character and sorted orbit key) and
+`_atypical` (atypicality degree and, for a singly atypical weight, its
+frame).  A miss calls `central_character`, `atypicality_degree` and
+`frame` through this module's globals at call time, so whatever patches
+those names sees every miss; a hit calls none of them.  The degree is read
+only for cross-orbit pairs, and memoised frames, whose `q_values` is a
+mutable dict, never leave the module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import count, product, takewhile
 from typing import Literal
 
@@ -150,13 +159,6 @@ def frame(weight: SuperWeight) -> AtypicalityFrame:
     return AtypicalityFrame(a, i_set, p_value, q_values)
 
 
-_Frames = dict[SuperWeight, AtypicalityFrame]
-
-
-def _frames(alpha: SuperWeight, beta: SuperWeight) -> _Frames:
-    return {alpha: frame(alpha), beta: frame(beta)}
-
-
 def _shifted(alpha: SuperWeight, fa: AtypicalityFrame, p: int) -> SuperWeight:
     """alpha with the atypical pair of its frame `fa` moved to a+p."""
     for pos in fa.i_set[:2]:
@@ -208,27 +210,64 @@ def _delta(beta: SuperWeight, fb: AtypicalityFrame) -> SuperWeight:
     return SuperWeight(tuple(labels[: beta.m]), tuple(labels[beta.m:]))
 
 
-def _ladder(
-    frames: _Frames, alpha: SuperWeight, beta: SuperWeight
-) -> tuple[int, SuperWeight, SuperWeight] | None:
+# -- per-weight memos ----------------------------------------------------------
+
+MEMO_SIZE = 128  # entries per memo: every weight of a cross-checked block (at most 108)
+
+
+def _orbit_key(left, right) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    return tuple(sorted(left)), tuple(sorted(right))
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _invariants(weight: SuperWeight) -> tuple[tuple, tuple]:
+    """Central character and orbit key."""
+    return central_character(weight), _orbit_key(weight.left, weight.right)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _atypical(weight: SuperWeight) -> tuple[int, AtypicalityFrame | None]:
+    """Atypicality degree, and the frame of a singly atypical weight."""
+    degree = atypicality_degree(weight)
+    return degree, frame(weight) if degree == 1 else None
+
+
+_MEMOS = (_invariants, _atypical)
+
+
+def _singly(weight: SuperWeight) -> AtypicalityFrame:
+    """The frame of a weight that must be singly atypical."""
+    degree, fw = _atypical(weight)
+    if fw is None:
+        raise NotSinglyAtypicalError(weight, degree)
+    return fw
+
+
+def _ladder(alpha: SuperWeight, beta: SuperWeight) -> tuple[int, SuperWeight, SuperWeight] | None:
     """The ladder pass: (p, gamma, delta), or None unless beta lies in the
     orbit of alpha's atypical pair shifted by 0 <= p <= p_alpha."""
-    fa, fb = frames[alpha], frames[beta]
-    p = fb.a_value - fa.a_value
-    if not orbit_equal(_shifted(alpha, fa, p), beta) or not 0 <= p <= fa.p_value:
+    fa, fb = _singly(alpha), _singly(beta)
+    a, p = fa.a_value, fb.a_value - fa.a_value
+    if not 0 <= p <= fa.p_value:
+        return None
+    # the orbit is blind to which copy of a moves to a+p
+    left, right = list(alpha.left), list(alpha.right)
+    left[left.index(a)] = a + p
+    right[right.index(a)] = a + p
+    if _orbit_key(left, right) != _invariants(beta)[1]:
         return None
     return p, _gamma(alpha, fa, p), _delta(beta, fb)
 
 
-def _required_ladder(
-    frames: _Frames, alpha: SuperWeight, beta: SuperWeight
-) -> tuple[int, SuperWeight, SuperWeight]:
+def _required_ladder(alpha: SuperWeight, beta: SuperWeight) -> tuple[int, SuperWeight, SuperWeight]:
     """The ladder pass, which must apply to the pair."""
-    found = _ladder(frames, alpha, beta)
+    found = _ladder(alpha, beta)
     if found is None:
+        if (alpha.m, alpha.n) != (beta.m, beta.n):
+            raise ValueError("weights live in different Z^(m|n)")
         raise PreconditionError(
             f"{beta} is not in the shifted orbits of {alpha} "
-            f"for 0 <= p <= {frames[alpha].p_value}"
+            f"for 0 <= p <= {_singly(alpha).p_value}"
         )
     return found
 
@@ -238,7 +277,7 @@ def gamma_delta(alpha: SuperWeight, beta: SuperWeight) -> tuple[SuperWeight, Sup
 
     Requires beta in the shifted orbit of alpha with 0 <= p <= p_alpha.
     """
-    return _required_ladder(_frames(alpha, beta), alpha, beta)[1:]
+    return _required_ladder(alpha, beta)[1:]
 
 
 @dataclass(frozen=True, slots=True)
@@ -299,13 +338,13 @@ def reduction_trace(alpha: SuperWeight, beta: SuperWeight) -> ReductionTrace:
     copies of it are pushed down, and the ladder is climbed one value at a
     time; the final weights are cross-checked against the closed formulas.
     """
-    return _trace(_frames(alpha, beta), alpha, beta)[1]
+    return _trace(alpha, beta)[1]
 
 
-def _trace(frames: _Frames, alpha: SuperWeight, beta: SuperWeight) -> tuple[int, ReductionTrace]:
+def _trace(alpha: SuperWeight, beta: SuperWeight) -> tuple[int, ReductionTrace]:
     """The shift p and the reduction trace of a ladder pair."""
-    p, gamma, delta = _required_ladder(frames, alpha, beta)
-    a = frames[alpha].a_value
+    p, gamma, delta = _required_ladder(alpha, beta)
+    a = _singly(alpha).a_value
     steps: list[TraceStep] = []
 
     # crystal powers lowering every label below a by one, smallest first; those
@@ -363,34 +402,35 @@ def _gl22_patterns(alpha: SuperWeight) -> tuple[SuperWeight, ...]:
     )
 
 
-def _classify(alpha: SuperWeight, beta: SuperWeight) -> tuple[str, _Frames]:
+def _classify(alpha: SuperWeight, beta: SuperWeight) -> str:
     """The route of two distinct weights, for both directions: 'central_character'
-    (incomparable), 'same_orbit', 'ladder' (with both frames) or 'gl22'.  Equal
-    central characters give equal atypicality degrees (m minus the positive
-    counts), so one degree serves both weights."""
+    (incomparable), 'same_orbit', 'ladder' or 'gl22'.  Equal central
+    characters give equal atypicality degrees (m minus the positive counts),
+    so one degree serves both weights."""
     if (alpha.m, alpha.n) != (beta.m, beta.n):
         raise ValueError("weights live in different Z^(m|n)")
-    if central_character(alpha) != central_character(beta):
-        return "central_character", {}
-    if orbit_equal(alpha, beta):
-        return "same_orbit", {}
-    degree = atypicality_degree(alpha)
+    (character, orbit), (other_character, other_orbit) = _invariants(alpha), _invariants(beta)
+    if character != other_character:
+        return "central_character"
+    if orbit == other_orbit:
+        return "same_orbit"
+    degree = _atypical(alpha)[0]
     if degree == 1:
-        return "ladder", _frames(alpha, beta)
+        return "ladder"
     if degree == 2 and alpha.m == alpha.n == 2:
-        return "gl22", {}
+        return "gl22"
     raise UnsupportedRegimeError(
         f"cross-orbit inclusion undecidable here: atypicality degrees "
         f"({degree}, {degree}) for gl({alpha.m}|{alpha.n})"
     )
 
 
-def _includes(route: str, frames: _Frames, alpha: SuperWeight, beta: SuperWeight, **kw) -> bool:
+def _includes(route: str, alpha: SuperWeight, beta: SuperWeight, **kw) -> bool:
     """J(beta) subseteq J(alpha) for a classified pair, in either direction."""
     if route == "same_orbit":
         return classical_inclusion(beta, alpha, **kw)
     if route == "ladder":
-        found = _ladder(frames, alpha, beta)
+        found = _ladder(alpha, beta)
         return found is not None and classical_inclusion(found[2], found[1], **kw)
     return route == "gl22" and beta in _gl22_patterns(alpha)
 
@@ -401,7 +441,7 @@ def inclusion(alpha: SuperWeight, beta: SuperWeight, **kw) -> bool:
     Raises UnsupportedRegimeError for cross-orbit pairs of atypicality
     degree >= 2 outside gl(2|2).
     """
-    return alpha == beta or _includes(*_classify(alpha, beta), alpha, beta, **kw)
+    return alpha == beta or _includes(_classify(alpha, beta), alpha, beta, **kw)
 
 
 def equal_ideal(alpha: SuperWeight, beta: SuperWeight) -> bool:
@@ -409,19 +449,19 @@ def equal_ideal(alpha: SuperWeight, beta: SuperWeight) -> bool:
     return classical_equal(alpha, beta)
 
 
-def _relate(alpha: SuperWeight, beta: SuperWeight, **kw) -> tuple[str, _Frames]:
-    """`relation` from one classification, with the frames of a ladder pair."""
+def _relate(alpha: SuperWeight, beta: SuperWeight, **kw) -> tuple[str, str | None]:
+    """`relation` from one classification, with the route taken."""
     if equal_ideal(alpha, beta):
-        return "equal", {}
+        return "equal", None
     try:
-        route, frames = _classify(alpha, beta)
+        route = _classify(alpha, beta)
     except UnsupportedRegimeError:
-        return "unsupported", {}
-    if _includes(route, frames, beta, alpha, **kw):
-        return "subset", frames
-    if _includes(route, frames, alpha, beta, **kw):
-        return "superset", frames
-    return "incomparable", frames
+        return "unsupported", None
+    if _includes(route, beta, alpha, **kw):
+        return "subset", route
+    if _includes(route, alpha, beta, **kw):
+        return "superset", route
+    return "incomparable", route
 
 
 def relation(alpha: SuperWeight, beta: SuperWeight, **kw) -> str:
@@ -468,11 +508,11 @@ class Decision:
 
 def decide(alpha: SuperWeight, beta: SuperWeight, **kw) -> Decision:
     """Full decision record for the pair; relation of J(alpha) vs J(beta)."""
-    rel, frames = _relate(alpha, beta, **kw)
-    if rel not in ("subset", "superset") or not frames:
+    rel, route = _relate(alpha, beta, **kw)
+    if rel not in ("subset", "superset") or route != "ladder":
         return Decision(alpha, beta, rel)
     big, small = (beta, alpha) if rel == "subset" else (alpha, beta)
-    p, trace = _trace(frames, big, small)
+    p, trace = _trace(big, small)
     return Decision(alpha, beta, rel, p, trace.final_gamma, trace.final_delta, trace)
 
 
@@ -488,9 +528,9 @@ def covers(alpha: SuperWeight, beta: SuperWeight, **kw) -> bool:
     if not inclusion(alpha, beta, **kw) or equal_ideal(alpha, beta):
         return False
     # distinct ideals in one central character: one degree serves both weights
-    degree = atypicality_degree(alpha)
+    degree = _atypical(alpha)[0]
     if degree == 1:
-        _, gamma, delta = _required_ladder(_frames(alpha, beta), alpha, beta)
+        _, gamma, delta = _required_ladder(alpha, beta)
         return classical_cover(delta, gamma, **kw)
     if not orbit_equal(alpha, beta):
         return not any(

@@ -3,6 +3,7 @@ from itertools import product as iproduct
 import pytest
 from hypothesis import given, strategies as st
 
+from primspec import brundan_kl
 from primspec.brundan_kl import (
     BITS,
     BarInvolution,
@@ -165,6 +166,24 @@ class TestCanonicalBasis:
         # the antidominant canonical vector picks up the dominant monomial
         assert table.d(W("5,0|"), W("0,5|")) == LaurentPolynomial({1: 1})
         assert table.d(W("0,5|"), W("5,0|")).is_zero()
+
+    def test_block_after_bar_eviction_matches_a_cold_build(self):
+        # the bar involution is cached for the latest window only: a block on
+        # window B evicts window A's, and the next block on A rebuilds it
+        def cold_caches():
+            brundan_kl._table.cache_clear()
+            brundan_kl.bar_involution.cache_clear()
+
+        # window A is gl(2|1) on [0, 3], window B gl(3|1) on [0, 3]
+        cold_caches()
+        canonical_basis([W("1,0|0")], interval=(0, 3))
+        canonical_basis([W("2,1,0|0")], interval=(0, 3))
+        assert brundan_kl.bar_involution.cache_info().currsize == 1
+        warm = canonical_basis([W("2,1|1")], interval=(0, 3))
+        cold_caches()
+        cold = canonical_basis([W("2,1|1")], interval=(0, 3))
+        assert warm is not cold
+        assert warm.to_json_dict() == cold.to_json_dict()
 
     def test_off_diagonal_in_q_polynomials(self):
         table = canonical_basis([W("1,0|0,1")], interval=(-1, 2))

@@ -215,6 +215,22 @@ class TestSuperKl:
         assert code == 1 and out == ""
         assert err == f"error: {message}\n"
 
+    def test_rank_bound_reaches_the_table(self, capsys):
+        # a gl(5|1) block: refused at the default m+n <= 5, built at 6
+        block = ("super-kl", "--weights", "1,0,0,0,0|0", "--interval=0:1")
+        code, out, err = run(capsys, *block)
+        assert code == 1 and out == ""
+        assert err == "error: tensor factor count 6 exceeds the configured bound 5\n"
+        code, out, _ = run(capsys, *block, "--rank-bound", "6")
+        assert code == 0
+        assert len(json.loads(out)["weights"]) == 15
+
+    @pytest.mark.parametrize("bound", ["0", "-1"])
+    def test_nonpositive_rank_bound_names_the_flag(self, capsys, bound):
+        code, out, err = run(capsys, "super-kl", "--weights", "1,0|0,1", "--rank-bound", bound)
+        assert code == 1 and out == ""
+        assert err == f"error: --rank-bound {bound}: bounds must be positive\n"
+
 
 class TestCounts:
     def test_range(self, capsys):

@@ -4,7 +4,7 @@
 that one record; here they are checked against the public pieces they
 stand for (`equal_ideal`, `inclusion` both ways, `reduction_trace`), against
 the canonical-basis order on sampled blocks, and for reading each weight's
-invariants at most once.
+invariants at most once (and not again once memoised).
 """
 
 from collections import Counter
@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from primspec import super_inclusion
 from primspec.brundan_kl import kl_left_order
-from primspec.errors import UnsupportedRegimeError
+from primspec.errors import BoundExceededError, UnsupportedRegimeError
 from primspec.super_inclusion import (
     decide,
     equal_ideal,
@@ -100,9 +100,8 @@ def test_route_pairs_take_their_routes():
     assert decide(*ROUTE_PAIRS["ladder"]).trace is not None
 
 
-@pytest.mark.parametrize("call", [relation, decide])
-@pytest.mark.parametrize("route", list(ROUTE_PAIRS))
-def test_one_read_of_each_invariant_per_weight(monkeypatch, call, route):
+def _count_reads(monkeypatch) -> Counter:
+    """Count each call of the invariants `super_inclusion` reads, per weight."""
     reads = Counter()
 
     def counted(name, fn):
@@ -113,13 +112,49 @@ def test_one_read_of_each_invariant_per_weight(monkeypatch, call, route):
 
     for name in ("central_character", "atypicality_degree", "frame"):
         monkeypatch.setattr(super_inclusion, name, counted(name, getattr(super_inclusion, name)))
+    return reads
+
+
+def _clear_memos():
+    for memo in super_inclusion._MEMOS:
+        memo.cache_clear()
+
+
+@pytest.mark.parametrize("call", [relation, decide])
+@pytest.mark.parametrize("route", list(ROUTE_PAIRS))
+def test_one_read_of_each_invariant_per_weight(monkeypatch, call, route):
+    reads = _count_reads(monkeypatch)
     alpha, beta = ROUTE_PAIRS[route]
     for first, second in ((alpha, beta), (beta, alpha)):
         reads.clear()
+        _clear_memos()
         call(first, second)
         assert max(reads.values(), default=0) <= 1, reads
         if route == "ladder":
             assert reads["frame", alpha] == reads["frame", beta] == 1
+
+
+@pytest.mark.parametrize("call", [relation, decide])
+@pytest.mark.parametrize("route", list(ROUTE_PAIRS))
+def test_repeated_call_reads_no_invariant(monkeypatch, call, route):
+    reads = _count_reads(monkeypatch)
+    alpha, beta = ROUTE_PAIRS[route]
+    _clear_memos()
+    first = call(alpha, beta)
+    reads.clear()
+    assert call(alpha, beta) == first
+    assert reads == Counter()
+
+
+@pytest.mark.parametrize("pair", [
+    ("2,1,0,7,8,9|0", "1,2,2,7,8,9|2"),  # ladder, the surrogates' left factor of rank 6
+    ("2,0,1,7,8,9|0", "0,2,1,7,8,9|0"),  # same orbit
+])
+def test_bound_still_holds_once_memoised(pair):
+    alpha, beta = map(W, pair)
+    assert inclusion(alpha, beta)
+    with pytest.raises(BoundExceededError):
+        inclusion(alpha, beta, bound=5)
 
 
 def _block(key, lo, hi):

@@ -1,5 +1,6 @@
 import json
 from itertools import permutations as iperm
+from itertools import product
 
 import pytest
 
@@ -23,8 +24,9 @@ from primspec.super_inclusion import (
     theta_membership,
     theta_representative,
 )
+from primspec.posets import transitive_reduction
 from primspec.tableaux import strict_tau
-from primspec.weights import SuperWeight, atypicality_degree, orbit_equal
+from primspec.weights import SuperWeight, atypicality_degree, central_character, orbit_equal
 
 W = SuperWeight.parse
 RUNNING = W("7,6,2,3,6,1,3,1|4,3,4,5")
@@ -91,6 +93,13 @@ class TestGammaDelta:
     def test_rejects_out_of_range_shift(self):
         with pytest.raises(PreconditionError):
             gamma_delta(W("1,0|1"), W("2,0|2"))  # p=1 > p_alpha=0
+
+    def test_rejects_weights_of_different_shapes(self):
+        # both singly atypical, so only the shapes are wrong
+        with pytest.raises(ValueError, match="different Z"):
+            gamma_delta(W("1,0|0"), W("0|0"))
+        with pytest.raises(ValueError, match="different Z"):
+            reduction_trace(W("1,0|0"), W("0|0"))
 
 
 class TestReductionTrace:
@@ -263,6 +272,55 @@ class TestCovers:
         # (012|0) < (201|0) < (210|0), so the outer pair is not a cover
         assert inclusion(W("2,1,0|0"), W("0,1,2|0"))
         assert not covers(W("2,1,0|0"), W("0,1,2|0"))
+
+    def test_matches_hasse_diagram_on_singly_atypical_blocks(self):
+        # every singly atypical block with m + n <= 4 on labels 0..3; an ideal
+        # between alpha and beta keeps the block's typical labels and has its
+        # atypical value between theirs, so the window holds it
+        blocks = pairs = 0
+        for total in (2, 3, 4):
+            for block in _singly_atypical_blocks(total, 0, 3):
+                assert _covers_mismatches(block) == []
+                blocks, pairs = blocks + 1, pairs + len(block) ** 2
+        assert (blocks, pairs) == (41, 6824)  # gl(1|1) is one block of 4 weights
+
+
+def _singly_atypical_blocks(total, lo, hi):
+    """The weights of gl(m|n), m + n = total, with labels in [lo, hi], by
+    singly atypical block."""
+    blocks = {}
+    for m in range(1, total):
+        for labels in product(range(lo, hi + 1), repeat=total):
+            weight = SuperWeight(labels[:m], labels[m:])
+            if atypicality_degree(weight) == 1:
+                blocks.setdefault((m, central_character(weight)), []).append(weight)
+    return list(blocks.values())
+
+
+def _covers_mismatches(block):
+    """Ordered pairs where `covers` disagrees with the Hasse diagram of the
+    strict order that `inclusion` and `equal_ideal` span on the block, and
+    pairs where mutual inclusion disagrees with `equal_ideal`."""
+    classes = []  # one representative per ideal
+    class_of = {}
+    for w in block:
+        class_of[w] = next((i for i, rep in enumerate(classes) if equal_ideal(w, rep)), len(classes))
+        if class_of[w] == len(classes):
+            classes.append(w)
+    strict = {
+        (i, j) for i, lower in enumerate(classes) for j, upper in enumerate(classes)
+        if i != j and inclusion(upper, lower)
+    }
+    hasse = set(transitive_reduction(len(classes), strict))
+    bad = []
+    for a in block:
+        for b in block:
+            mutual = inclusion(a, b) and inclusion(b, a)
+            if mutual != (class_of[a] == class_of[b]):
+                bad.append(("equal", a, b))
+            if covers(a, b) != ((class_of[b], class_of[a]) in hasse):
+                bad.append(("covers", a, b))
+    return bad
 
 
 def _neighborhood_covers(alpha, beta):
