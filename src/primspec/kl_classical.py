@@ -25,9 +25,9 @@ rank 6.  As P_{x,y} = P_{sx,y} (or P_{xs,y}) for a descent s of y that x
 lacks (Kazhdan-Lusztig 1979, 2.3), any x is read raised to the top of
 W_I x W_J, h shifting a slot per step; a top missing from the column is not
 below y.  Off the extremal pairs mu is nonzero only one step below y, where
-it is 1.  The disk cache keeps its version-1 lines, one per pair: `save`
-expands each stored pair over its double coset, `load` keeps the extremal
-ones and refuses a line that disagrees with its double coset.
+it is 1.  The disk cache holds what the table holds: one line per stored
+pair x < y, by y then x, under a header with the line count and a CRC-32
+of the lines.
 
 On top of the table sits the left preorder on a regular orbit of weight
 tuples, generated by wall-crossing conditions plus nonvanishing Ext^1
@@ -49,7 +49,7 @@ import json
 import os
 import tempfile
 import threading
-from array import array
+import zlib
 from collections import Counter
 from itertools import permutations as iperm
 from math import factorial, prod
@@ -86,7 +86,7 @@ __all__ = [
 DEFAULT_KL_BOUND = 7
 
 _CACHE_FORMAT = "primspec-kl"
-_CACHE_VERSION = 1
+_CACHE_VERSION = 2
 
 
 def bruhat_leq(x: Permutation, y: Permutation) -> bool:
@@ -226,34 +226,22 @@ class KLTable:
     # -- persistence ---------------------------------------------------------
 
     def save(self, path: Path) -> None:
-        """Atomically write the table, one line per pair x < y in index order;
-        exact round-trip with `load`."""
+        """Atomically write the table: one line per stored pair x < y, by y
+        then x, under a header with their count and CRC-32; exact round-trip
+        with `load`."""
         perm_text = [json.dumps(list(w)) for w in self.perms]
         poly_text = [json.dumps([list(kc) for kc in pairs]) for pairs in self._p_pairs]
-        # each stored pair expanded over W_I x W_J into rows of (y, id)
-        rows = [array("I") for _ in self.perms]
-        lwalk = {mask: _coset_walk(self._left, mask) for mask in set(self._dl)}
-        rwalk = {mask: _coset_walk(self._right, mask) for mask in set(self._dr)}
-        stamp, seen = 0, [0] * len(self.perms)
-        for yi, column in enumerate(self._cols):
-            left, right = lwalk[self._dl[yi]], rwalk[self._dr[yi]]
-            for top, pid in column.items():
-                stamp += 1
-                for xi in (x for r in right(top) if seen[r] != stamp for x in left(r)):
-                    seen[xi] = stamp
-                    rows[xi].extend((yi, pid))
-            del rows[yi][-2:]  # the diagonal, the last pair its own column adds
+        body = b"".join("".join(f"[{perm_text[xi]}, {perm_text[yi]}, {poly_text[column[xi]]}]\n"
+                                for xi in sorted(column) if xi != yi).encode()
+                        for yi, column in enumerate(self._cols))
         header = {"format": _CACHE_FORMAT, "version": _CACHE_VERSION, "m": self.m,
-                  "count": sum(map(len, rows)) // 2}
+                  "count": body.count(b"\n"), "crc32": zlib.crc32(body)}
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name)
         try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(json.dumps(header, sort_keys=True) + "\n")
-                for x_text, row in zip(perm_text, rows):
-                    it = iter(row)
-                    fh.writelines(f"[{x_text}, {perm_text[yi]}, {poly_text[pid]}]\n"
-                                  for yi, pid in zip(it, it))
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
+                fh.write(body)
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):
@@ -262,13 +250,11 @@ class KLTable:
 
     @classmethod
     def load(cls, path: Path, m: int) -> "KLTable":
-        """Read a table written by `save`, keeping the extremal pairs; a file
-        that does not parse as one, or where a pair disagrees with the
-        extremal pair it reduces to, raises CacheVersionError naming the path."""
+        """Read a table written by `save`; a file that cannot be read, or does
+        not parse as one, raises CacheVersionError naming the path."""
         table = cls(m)
-        claims = {(yi, yi): table._p_pairs[0] for yi in range(len(table.perms))}  # (top, y): P
-        with open(path) as fh:
-            try:
+        try:
+            with open(path, "rb") as fh:
                 header = json.loads(fh.readline())
                 if header.get("format") != _CACHE_FORMAT or header.get("version") != _CACHE_VERSION:
                     raise CacheVersionError(
@@ -277,26 +263,26 @@ class KLTable:
                     )
                 if header.get("m") != m:
                     raise CacheVersionError(f"cache {path} is for m={header.get('m')}, not {m}")
-                last, lines = (-1, -1), 0
+                last, lines, crc = (-1, -1), 0, 0
                 for line in fh:
+                    crc, lines = zlib.crc32(line, crc), lines + 1
                     x, y, pairs = json.loads(line)
                     xi, yi = table.index[tuple(x)], table.index[tuple(y)]
-                    if (xi, yi) <= last:
+                    if (yi, xi) <= last:
                         raise ValueError(f"pair {x}, {y} is out of order")
-                    last, lines = (xi, yi), lines + 1
-                    gap = table.lengths[yi] - table.lengths[xi]
+                    if xi == yi or table._raise(xi, yi) != xi:
+                        raise ValueError(f"pair {x}, {y} is not an extremal pair")
+                    last, gap = (yi, xi), table.lengths[yi] - table.lengths[xi]
                     h = sum(c << _SLOT * (gap - 2 * k) for k, c in pairs)
-                    pid, top = table._intern(h, gap), table._raise(xi, yi)
-                    if top == xi:
-                        table._cols[yi][xi] = pid
-                    if claims.setdefault((top, yi), table._p_pairs[pid]) != table._p_pairs[pid]:
-                        raise ValueError(f"pair {x}, {y} disagrees with its double coset")
-                if lines != header["count"]:
-                    raise CacheVersionError(f"cache {path} is truncated")
-                if lines != len(table) or any(top not in table._cols[yi] for top, yi in claims):
-                    raise ValueError("its pairs are not the double cosets of its extremal pairs")
-            except (ValueError, KeyError, TypeError, AttributeError, InvariantError) as exc:
-                raise CacheVersionError(f"cache {path} is corrupt: {exc!r}") from exc
+                    table._cols[yi][xi] = table._intern(h, gap)
+            if lines != header["count"]:
+                raise CacheVersionError(f"cache {path} is truncated")
+            if crc != header["crc32"]:
+                raise ValueError("its lines fail the CRC-32 check")
+        except OSError as exc:
+            raise CacheVersionError(f"cache {path} cannot be read: {exc}") from exc
+        except (ValueError, KeyError, TypeError, AttributeError, InvariantError) as exc:
+            raise CacheVersionError(f"cache {path} is corrupt: {exc!r}") from exc
         return table
 
 
@@ -353,7 +339,7 @@ def cache_file(m: int, cache_dir: Path | str | None = None) -> Path:
     $PRIMSPEC_CACHE, else under ~/.cache/primspec."""
     if cache_dir is None:
         cache_dir = os.environ.get("PRIMSPEC_CACHE") or Path.home() / ".cache" / "primspec"
-    return Path(cache_dir) / f"kl_m{m}.jsonl"
+    return Path(cache_dir) / f"kl_m{m}.v{_CACHE_VERSION}.jsonl"
 
 
 def _check_rank(m: int, bound: int) -> None:
@@ -437,14 +423,20 @@ class LeftOrder:
         return self.preorder.class_count()
 
 
-def left_preorder(m: int, *, bound: int = DEFAULT_KL_BOUND, **table_kwargs) -> LeftOrder:
+def left_preorder(
+    m: int,
+    *,
+    bound: int = DEFAULT_KL_BOUND,
+    cache_dir: Path | str | None = None,
+    use_disk: bool = True,
+) -> LeftOrder:
     """The left preorder for rank m (cached; the bound is checked first)."""
     _check_rank(m, bound)
     with _lock:
         order = _orders.get(m)
     if order is not None:
         return order
-    table = kl_table(m, bound=bound, **table_kwargs)
+    table = kl_table(m, bound=bound, cache_dir=cache_dir, use_disk=use_disk)
     order = LeftOrder(table)
     with _lock:
         _orders[m] = order

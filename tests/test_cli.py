@@ -1,4 +1,5 @@
 import json
+import zlib
 
 import pytest
 
@@ -127,7 +128,7 @@ class TestKl:
         doc = json.loads(out)
         assert doc["pair"]["polynomial"] == [[0, 1], [1, 1]]
         assert doc["pair"]["mu"] == 1
-        assert (tmp_path / "kl_m4.jsonl").exists()
+        assert kl_classical.cache_file(4, tmp_path).exists()
 
     def test_nonpositive_bound_refused(self, capsys):
         code, out, err = run(capsys, "--kl-bound", "0", "kl", "--m", "3")
@@ -146,7 +147,7 @@ class TestKl:
         monkeypatch.setenv("PRIMSPEC_CACHE", str(tmp_path))
         code, out, _ = run(capsys, "kl", "--m", "3")
         assert code == 0
-        assert json.loads(out)["cache_file"] == str(tmp_path / "kl_m3.jsonl")
+        assert json.loads(out)["cache_file"] == str(kl_classical.cache_file(3, tmp_path))
 
     def test_pair_word_not_a_permutation(self, capsys, tmp_path):
         code, out, err = run(
@@ -174,21 +175,32 @@ class TestKl:
         assert err == "error: --pair 'a,b': 'a' is not an integer\n"
         assert list(tmp_path.iterdir()) == []
 
-    def _corrupt_cache_run(self, capsys, tmp_path, monkeypatch, text):
+    def _corrupt_cache_run(self, capsys, tmp_path, monkeypatch, text=None):
         monkeypatch.setattr(kl_classical, "_tables", {})  # force a disk read
-        path = tmp_path / "kl_m3.jsonl"
-        path.write_text(text)
+        path = kl_classical.cache_file(3, tmp_path)
+        if text is None:
+            path.mkdir()
+        else:
+            path.write_text(text)
         code, out, err = run(capsys, "--cache-dir", str(tmp_path), "kl", "--m", "3")
         assert code == 1 and out == ""
-        assert str(path) in err
+        assert err.startswith("error: ") and str(path) in err
+        return err
 
     def test_cache_file_not_json(self, capsys, tmp_path, monkeypatch):
         self._corrupt_cache_run(capsys, tmp_path, monkeypatch, "not a cache file\n")
 
     def test_cache_file_names_unknown_permutation(self, capsys, tmp_path, monkeypatch):
-        header = '{"count": 1, "format": "primspec-kl", "m": 3, "version": 1}'
-        line = "[[1, 2, 9], [2, 1, 3], [[0, 1]]]"
-        self._corrupt_cache_run(capsys, tmp_path, monkeypatch, f"{header}\n{line}\n")
+        line = "[[1, 2, 9], [2, 1, 3], [[0, 1]]]\n"
+        header = json.dumps({"count": 1, "crc32": zlib.crc32(line.encode()),
+                             "format": "primspec-kl", "m": 3, "version": 2}, sort_keys=True)
+        err = self._corrupt_cache_run(capsys, tmp_path, monkeypatch, f"{header}\n{line}")
+        assert "KeyError" in err
+
+    def test_unreadable_cache_path_is_named(self, capsys, tmp_path, monkeypatch):
+        # a directory where the cache file should be
+        err = self._corrupt_cache_run(capsys, tmp_path, monkeypatch)
+        assert "cannot be read" in err
 
 
 class TestSuperKl:

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import logging
+import re
+import zlib
 from itertools import combinations_with_replacement as multisets
 from itertools import permutations as iperm
 
@@ -15,6 +17,7 @@ from primspec.errors import (
 )
 from primspec.kl_classical import (
     KLTable,
+    LeftOrder,
     bruhat_leq,
     classical_cover,
     classical_equal,
@@ -264,33 +267,66 @@ class TestPacking:
             kl_classical._unpack(2 << 16, 1)
 
 
-# sha256 of the cache files the dict-of-dicts build wrote, ranks 3..5
+# sha256 of the version-2 cache files, ranks 4..6: a format change needs a
+# version bump
 SAVED_SHA256 = {
-    3: "d0f9e55034bcf1379eb3436541a622452a768af9170fef7b70e18bb17953c565",
-    4: "b76f6b6483e759e5de36268dc3ec17f78da83dd8b74172dc55265e31e971011e",
-    5: "84518fa91954fba6befbb61fabbaf2e4a0abaf4d34895410bddac980c558fd87",
+    4: "a36a54c25bd7cb8425db32ad7a58dd0c79046721eb1cf17a5fbe9ac62df20e49",
+    5: "d9985664d2fa25b6b57d3eaec7f7f4f08507fcd68c3d0a11c517430577b5ab87",
+    6: "bcfaa354b3c9592d46cdcef39bfa703b9ddd8c1c4a4cf76655f2b048fbb70a21",
 }
 
 
+def _saved_lines(tmp_path, m):
+    path = kl_classical.cache_file(m, tmp_path)
+    kl_table(m, **NO_DISK).save(path)
+    return path, path.read_text().splitlines()
+
+
+def _restamp(path, lines):
+    """Write `lines` back under their own count and CRC-32, so that only the
+    per-line checks can refuse them."""
+    header = json.loads(lines[0])
+    body = "".join(line + "\n" for line in lines[1:]).encode()
+    header.update(count=len(lines) - 1, crc32=zlib.crc32(body))
+    path.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + body)
+
+
 class TestCache:
+    def test_round_trip(self, tmp_path):
+        for m in range(1, 7):
+            table = kl_table(m, **NO_DISK)
+            path = kl_classical.cache_file(m, tmp_path)
+            table.save(path)
+            loaded = KLTable.load(path, m)
+            assert len(loaded) == len(table)
+            assert sorted(loaded.mu_pairs()) == sorted(table.mu_pairs())
+            assert self._stored(loaded) == self._stored(table)
+            for x in table.perms if m <= 5 else ():  # 518,400 reads at rank 6 take 4 s
+                for y in table.perms:
+                    assert loaded.kl_polynomial(x, y) == table.kl_polynomial(x, y)
+                    assert loaded.mu(x, y) == table.mu(x, y)
+            fresh, again = LeftOrder(table), LeftOrder(loaded)
+            assert [again.class_id(r) for r in again.perms] == [
+                fresh.class_id(r) for r in fresh.perms
+            ]
+
+    @staticmethod
+    def _stored(table):
+        """Each column's packed h by x: every P and mu is read off these."""
+        return [{x: table._packed[pid] for x, pid in column.items()} for column in table._cols]
+
     @pytest.mark.parametrize("m", sorted(SAVED_SHA256))
     def test_saved_bytes(self, tmp_path, m):
-        path = tmp_path / f"kl_m{m}.jsonl"
-        kl_table(m, **NO_DISK).save(path)
+        path, _ = _saved_lines(tmp_path, m)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == SAVED_SHA256[m]
-        loaded = tmp_path / "again.jsonl"
-        KLTable.load(path, m).save(loaded)
-        assert loaded.read_bytes() == path.read_bytes()
+        again = tmp_path / "again.jsonl"
+        KLTable.load(path, m).save(again)
+        assert again.read_bytes() == path.read_bytes()
 
-    def test_round_trip(self, tmp_path):
-        table = kl_table(4, **NO_DISK)
-        path = tmp_path / "kl_m4.jsonl"
-        table.save(path)
-        loaded = KLTable.load(path, 4)
-        assert len(loaded) == len(table)
-        for x in all_permutations(4):
-            for y in all_permutations(4):
-                assert loaded.kl_polynomial(x, y) == table.kl_polynomial(x, y)
+    def test_one_line_per_stored_pair(self, tmp_path):
+        # the 2,220 extremal pairs of rank 6, not the 97,687 comparable ones
+        _, lines = _saved_lines(tmp_path, 6)
+        assert json.loads(lines[0])["count"] == len(lines) - 1 == 2220
 
     def test_version_mismatch_refuses(self, tmp_path):
         path = tmp_path / "kl_m3.jsonl"
@@ -298,65 +334,70 @@ class TestCache:
         with pytest.raises(CacheVersionError):
             KLTable.load(path, 3)
 
+    @staticmethod
+    def _refuse_first_line_edit(tmp_path, corrupt, reason):
+        # the count and CRC are stamped again, so only a per-line check can refuse
+        path, lines = _saved_lines(tmp_path, 4)
+        assert lines[1] == "[[2, 1, 4, 3], [2, 3, 4, 1], [[0, 1]]]"
+        lines[1:3] = corrupt(lines[1:3])
+        _restamp(path, lines)
+        with pytest.raises(CacheVersionError, match=re.escape(str(path)) + ".*" + reason):
+            KLTable.load(path, 4)
+
     @pytest.mark.parametrize(
-        "corrupt",
+        "corrupt, reason",
         [
-            lambda header, line: "not a cache file\n",
-            lambda header, line: f"{header}\n{line[: len(line) // 2]}",
-            lambda header, line: f"{header}\n{line.replace('[1, 2, 3]', '[1, 2, 9]', 1)}\n",
+            (lambda two: ["not a cache line", two[1]], "JSONDecodeError"),
+            (lambda two: [two[0][: len(two[0]) // 2], two[1]], "JSONDecodeError"),
+            (lambda two: [two[0].replace("[2, 1, 4, 3]", "[2, 1, 4, 9]", 1), two[1]],
+             "KeyError"),
         ],
         ids=["not-json", "truncated-line", "unknown-permutation"],
     )
-    def test_corrupt_file_names_the_path(self, tmp_path, corrupt):
-        path = tmp_path / "kl_m3.jsonl"
-        kl_table(3, **NO_DISK).save(path)
-        header, line = path.read_text().splitlines()[:2]
-        assert "[1, 2, 3]" in line
-        path.write_text(corrupt(header, line))
-        with pytest.raises(CacheVersionError, match=str(path)):
-            KLTable.load(path, 3)
+    def test_corrupt_file_names_the_path(self, tmp_path, corrupt, reason):
+        self._refuse_first_line_edit(tmp_path, corrupt, reason)
 
     @pytest.mark.parametrize(
-        "corrupt",
+        "corrupt, reason",
         [
-            lambda lines: [lines[0], lines[1].replace("[[0, 1]]", "[[0, 2]]"), *lines[2:]],
-            lambda lines: [lines[0], lines[2], lines[1], *lines[3:]],
+            (lambda two: [two[0].replace("[[0, 1]]", "[[0, 2]]"), two[1]], "constant term 1"),
+            (lambda two: two[::-1], "out of order"),
         ],
         ids=["bad-polynomial", "out-of-order"],
     )
-    def test_bad_entry_in_full_file_names_the_path(self, tmp_path, corrupt):
-        # the count still matches, so only the per-entry checks refuse these
-        path = tmp_path / "kl_m3.jsonl"
-        kl_table(3, **NO_DISK).save(path)
-        lines = path.read_text().splitlines()
-        assert lines[1].endswith("[[0, 1]]]")
-        path.write_text("\n".join(corrupt(lines)) + "\n")
-        with pytest.raises(CacheVersionError, match=str(path)):
-            KLTable.load(path, 3)
+    def test_bad_entry_in_full_file_names_the_path(self, tmp_path, corrupt, reason):
+        self._refuse_first_line_edit(tmp_path, corrupt, reason)
 
-    def test_line_disagreeing_with_its_extremal_pair_is_refused(self, tmp_path):
-        # P = 1 edited to 1 + q on a pair whose x lacks a descent of y: the
-        # line passes the per-line degree check, but P_{x,y} = P_{sx,y}
-        # ties it to a line that still says 1
-        def descents(w):
-            return (
-                {p for p in range(len(w) - 1) if w[p] > w[p + 1]},
-                {t for t in range(len(w) - 1) if w.index(t + 2) < w.index(t + 1)},
-            )
-
-        path = tmp_path / "kl_m4.jsonl"
-        kl_table(4, **NO_DISK).save(path)
-        lines = path.read_text().splitlines()
-        k = next(
-            k for k, line in enumerate(lines[1:], 1)
-            for x, y, p in [json.loads(line)]
-            if p == [[0, 1]] and inversions(y) - inversions(x) == 3
-            and not all(a >= b for a, b in zip(descents(x), descents(y)))
+    def test_non_extremal_line_is_refused(self, tmp_path):
+        # a pair whose x lacks a descent of y is read off its extremal pair
+        # and never written
+        path, lines = _saved_lines(tmp_path, 4)
+        table = kl_table(4, **NO_DISK)
+        x, y = next(
+            (x, y) for x in table.perms for y in table.perms
+            if x != y and table.kl_polynomial(x, y) == ONE
+            and table._raise(table.index[x], table.index[y]) != table.index[x]
         )
-        lines[k] = lines[k].replace("[[0, 1]]", "[[0, 1], [1, 1]]")
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(CacheVersionError, match=str(path)):
+        lines.append(json.dumps([list(x), list(y), [[0, 1]]]))
+        lines[1:] = sorted(lines[1:], key=lambda line: [
+            table.index[tuple(w)] for w in json.loads(line)[1::-1]
+        ])
+        _restamp(path, lines)
+        with pytest.raises(CacheVersionError, match="not an extremal pair"):
             KLTable.load(path, 4)
+
+    def test_crc_mismatch_is_refused(self, tmp_path):
+        # a parseable edit to P that every per-line check accepts
+        path, lines = _saved_lines(tmp_path, 5)
+        k = next(k for k, line in enumerate(lines[1:], 1) if line.endswith("[[0, 1], [1, 1]]]"))
+        lines[k] = lines[k].replace("[[0, 1], [1, 1]]]", "[[0, 1], [1, 2]]]")
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CacheVersionError, match="CRC-32"):
+            KLTable.load(path, 5)
+        _restamp(path, lines)
+        assert KLTable.load(path, 5).kl_polynomial(*[
+            tuple(w) for w in json.loads(lines[k])[:2]
+        ]).to_pairs() == [[0, 1], [1, 2]]
 
     def test_failed_cache_write_is_logged(self, tmp_path, caplog):
         # a regular file where the cache directory should be
@@ -365,7 +406,7 @@ class TestCache:
         with caplog.at_level(logging.WARNING, logger="primspec.kl_classical"):
             table = kl_table(3, cache_dir=blocker)
         assert len(table) == len(kl_table(3, **NO_DISK))
-        assert str(blocker / "kl_m3.jsonl") in caplog.text
+        assert str(kl_classical.cache_file(3, blocker)) in caplog.text
 
 
 class TestLeftPreorder:
@@ -399,6 +440,11 @@ class TestLeftPreorder:
             left_preorder(5, bound=3, **NO_DISK)
         with pytest.raises(BoundExceededError):
             inclusion(W("4,3,2,1,0|"), W("0,1,2,3,4|"), bound=3, **NO_DISK)
+
+    def test_cached_order_still_refuses_unknown_keywords(self):
+        left_preorder(3, **NO_DISK)
+        with pytest.raises(TypeError, match="use_disc"):
+            left_preorder(3, use_disc=False)
 
 
 class TestClassicalInclusion:
