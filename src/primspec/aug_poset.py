@@ -34,9 +34,9 @@ from .errors import (
 )
 from .kl_classical import DEFAULT_KL_BOUND, LeftOrder, left_preorder
 from .posets import transitive_reduction
-from .super_inclusion import _delta, _gamma, frame
+from .super_inclusion import _delta, _gamma, _orbit_key, frame
 from .tableaux import involution_count, rank_word, tau_of_weight
-from .weights import SuperWeight, atypicality_degree, dominant_representative
+from .weights import SuperWeight, atypicality_degree
 
 __all__ = [
     "IdealClass",
@@ -125,16 +125,11 @@ def enumerate_X(m: int, *, bound: int = DEFAULT_KL_BOUND, **kw) -> IdealPoset:
     return IdealPoset(m, tuple(classes), frozenset(strict), tuple(hasse), order)
 
 
-def _node(order: LeftOrder, weight: SuperWeight) -> tuple[SuperWeight, int]:
+def _node(order: LeftOrder, weight: SuperWeight) -> tuple[tuple, int]:
     """What `classical_inclusion` reads of a gl(m|1) weight: its orbit (the
-    dominant representative) and the preorder class of its left factor.
+    sorted labels of each side) and the preorder class of its left factor.
     The one-label right factor never constrains."""
-    return dominant_representative(weight), order.class_id(rank_word(weight.left))
-
-
-def _node_leq(order: LeftOrder, lower: tuple, upper: tuple) -> bool:
-    """`classical_inclusion` on two nodes: equal orbits and one closure bit."""
-    return lower[0] == upper[0] and order.preorder.class_leq(lower[1], upper[1])
+    return _orbit_key(weight.left, weight.right), order.class_id(rank_word(weight.left))
 
 
 def _strict_pairs(classes: list[IdealClass], order: LeftOrder | None) -> set[tuple[int, int]]:
@@ -145,27 +140,30 @@ def _strict_pairs(classes: list[IdealClass], order: LeftOrder | None) -> set[tup
     can lie below: below upper itself at p = 0 (one orbit), or with delta(lower)
     below gamma(upper, p).  Each stratum is a single orbit, the one that upper's
     pair shifted by p lands in, so the ladder's orbit test always holds.
+
+    The lower candidates are grouped by (a-value, own node or delta node,
+    orbit), then by class id, so each (upper, p) reads its top node's closure
+    row once and tests one bit per candidate cell.
     """
     if order is None:
         return set()
     frames = [frame(c.representative) for c in classes]
     own = [_node(order, c.representative) for c in classes]
-    delta = [_node(order, _delta(c.representative, f)) for c, f in zip(classes, frames)]
-    by_a: dict[int, list[int]] = {}
-    for c, f in zip(classes, frames):
-        by_a.setdefault(f.a_value, []).append(c.index)
+    cells: dict[tuple, dict[int, list[int]]] = {}
+    for c, f, node in zip(classes, frames, own):
+        delta = _node(order, _delta(c.representative, f))
+        for kind, (orbit, cid) in ((False, node), (True, delta)):
+            cells.setdefault((f.a_value, kind, orbit), {}).setdefault(cid, []).append(c.index)
 
     strict: set[tuple[int, int]] = set()
     for hi, fa in enumerate(frames):
         alpha = classes[hi].representative
         for p in range(fa.p_value + 1):
-            if p:
-                top, below = _node(order, _gamma(alpha, fa, p)), delta
-            else:
-                top, below = own[hi], own
-            for lo in by_a.get(fa.a_value + p, ()):
-                if lo != hi and _node_leq(order, below[lo], top):
-                    strict.add((lo, hi))
+            orbit, cid = _node(order, _gamma(alpha, fa, p)) if p else own[hi]
+            row = order.preorder.below(cid)
+            for lo_cid, lows in cells.get((fa.a_value + p, p > 0, orbit), {}).items():
+                if row >> lo_cid & 1:
+                    strict.update((lo, hi) for lo in lows if lo != hi)
     return strict
 
 
@@ -236,16 +234,24 @@ def irreducible_components(
 ) -> list[ComponentReport]:
     """The up-sets Z_k of the minimal ideals, with both membership routes
     checked and the crystal order-isomorphism onto the regular stratum
-    verified explicitly."""
+    verified explicitly.
+
+    The isomorphism check compares rows: each member's strict down-row inside
+    Z_k must equal the closure row of its image node, read back through the
+    map from (orbit, class id) to member, which is injective once the image
+    nodes are distinct."""
     if assignments is None:
         assignments = strata(poset)
     m = poset.m
+    down = [0] * len(poset.classes)  # bit a of down[b]: a strictly below b
+    for lower, upper in poset.strict:
+        down[upper] |= 1 << lower
     reports = []
     minimal = {c.i_index: c for c in minimal_elements(poset)}
     for k in range(m):
         by_stratum = {c.index for c in poset.classes if k in assignments[c.index].z_set}
         q_k = minimal[k].index
-        by_upset = {q_k} | {upper for lower, upper in poset.strict if lower == q_k}
+        by_upset = {q_k} | {b for b, row in enumerate(down) if row >> q_k & 1}
         if by_stratum != by_upset:
             raise InvariantError(
                 f"component {k}: stratum window {sorted(by_stratum)} differs from "
@@ -267,12 +273,22 @@ def irreducible_components(
             image_weights[ci] = w
         order = poset.order  # None at m = 1, where Z_0 is one class
         nodes = {ci: _node(order, w) for ci, w in image_weights.items()} if order else {}
-        iso = len(set(nodes.values())) == len(nodes) and all(
-            ((a, b) in poset.strict) == _node_leq(order, nodes[a], nodes[b])
-            for a in nodes
-            for b in nodes
-            if a != b
-        )
+        member_at = {node: ci for ci, node in nodes.items()}
+        image_ids: dict[tuple, int] = {}  # orbit -> bitset of the image class ids
+        for orbit, cid in member_at:
+            image_ids[orbit] = image_ids.get(orbit, 0) | 1 << cid
+        inside = sum(1 << ci for ci in members)
+        iso = len(member_at) == len(nodes)
+        for b, (orbit, cid) in nodes.items():
+            if not iso:
+                break
+            reach = order.preorder.below(cid) & image_ids[orbit] & ~(1 << cid)
+            image = 0
+            while reach:
+                low = reach & -reach
+                image |= 1 << member_at[orbit, low.bit_length() - 1]
+                reach ^= low
+            iso = down[b] & inside == image
         reports.append(ComponentReport(k, tuple(members), iso))
     return reports
 

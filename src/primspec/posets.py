@@ -39,6 +39,10 @@ class Preorder:
     def class_count(self) -> int:
         return max(self._comp, default=-1) + 1
 
+    def below(self, c: int) -> int:
+        """Class c's closure row: bit d is set when class d is below or equal to c."""
+        return self._closure[c]
+
     def class_leq(self, lower: int, upper: int) -> bool:
         """Is class `lower` reachable from class `upper`?"""
         return bool(self._closure[upper] >> lower & 1)

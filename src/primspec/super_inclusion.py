@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import count, product, takewhile
+from itertools import product
 from typing import Literal
 
 from . import crystal
@@ -109,38 +109,45 @@ def frame(weight: SuperWeight) -> AtypicalityFrame:
     [0, 2, 0, 2, 0, 0]
     """
     m = weight.m
-    left_positions = {}  # label -> positions ascending (1-based)
-    right_positions = {}
-    for pos, lab in enumerate(weight.labels, start=1):
-        (left_positions if pos <= m else right_positions).setdefault(lab, []).append(pos)
-    shared = [x for x in left_positions if x in right_positions]
-    degree = sum(min(len(left_positions[x]), len(right_positions[x])) for x in shared)
+    left_positions: dict[int, list[int]] = {}  # label -> positions ascending (1-based)
+    right_positions: dict[int, list[int]] = {}
+    for pos, lab in enumerate(weight.left, start=1):
+        left_positions.setdefault(lab, []).append(pos)
+    for pos, lab in enumerate(weight.right, start=m + 1):
+        right_positions.setdefault(lab, []).append(pos)
+    degree = 0
+    for x, here in left_positions.items():
+        there = right_positions.get(x)
+        if there:
+            degree += min(len(here), len(there))
+            a = x
     if degree != 1:
         raise NotSinglyAtypicalError(weight, degree)
-    a = shared[0]
 
-    left_a = max(left_positions[a])  # nearest the separator
-    right_a = min(right_positions[a])
+    left_a = left_positions[a][-1]  # nearest the separator
+    right_a = right_positions[a][0]
 
     # positions of a+1, a+2, ...: each value lives on one side only, and the
     # chain must decrease through left positions and increase through right
     # ones; extremal choices are optimal, so the walk is greedy.
     ladder: list[int] = []
     last_left, last_right = left_a, right_a
-    for target in count(a + 1):
+    target = a + 1
+    while True:
         if target in left_positions:
             candidates = [p for p in left_positions[target] if p < last_left]
             if not candidates:
                 break
-            last_left = pick = max(candidates)
+            last_left = pick = candidates[-1]
         elif target in right_positions:
             candidates = [p for p in right_positions[target] if p > last_right]
             if not candidates:
                 break
-            last_right = pick = min(candidates)
+            last_right = pick = candidates[0]
         else:
             break
         ladder.append(pick)
+        target += 1
 
     p_value = len(ladder)
     if p_value and ladder[0] <= m:
@@ -151,9 +158,10 @@ def frame(weight: SuperWeight) -> AtypicalityFrame:
 
     q_values = {i_set[0]: 0}
     for idx in range(1, len(i_set)):
-        side = i_set[idx] <= m
-        run = takewhile(lambda later: (later <= m) != side, i_set[idx + 1:])
-        q_values[i_set[idx]] = len(list(run))
+        side, end = i_set[idx] <= m, idx + 1
+        while end < len(i_set) and (i_set[end] <= m) != side:
+            end += 1
+        q_values[i_set[idx]] = end - idx - 1
     if sum(q_values.values()) != p_value:
         raise InvariantError("ladder run lengths must sum to p")
     return AtypicalityFrame(a, i_set, p_value, q_values)

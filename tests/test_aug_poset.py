@@ -1,5 +1,7 @@
+import hashlib
 import json
 import re
+from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations as iperm
 
@@ -16,7 +18,8 @@ from primspec.aug_poset import (
     to_dot,
     to_json_dict,
 )
-from primspec.errors import BoundExceededError, PreconditionError
+from primspec.cli import main
+from primspec.errors import BoundExceededError, InvariantError, PreconditionError
 from primspec.super_inclusion import covers, frame, inclusion
 from primspec.tableaux import involution_count, rank_word, robinson_schensted, tau_of_weight
 from primspec.weights import SuperWeight
@@ -142,6 +145,38 @@ class TestCounts:
         assert exceptional_coverings(poset) == []
 
 
+class TestRankSeven:
+    # digests of the CLI output, recorded from the pairwise node comparison
+    # that the closure-row reading replaced
+    @pytest.mark.parametrize(
+        "command, digest",
+        [
+            ("aug-poset", "9be0f9f327d650745cf66efb29aab54151b58db2319a9f18fd29519ca30f922b"),
+            ("components", "a60e411b4f1bd5183573ad3648c9832154e42d5748777a3dba5d19df80bba541"),
+        ],
+    )
+    def test_output_matches_the_recorded_digest(self, capsys, command, digest):
+        assert main([command, "--m", "7"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class TestStrataChecks:
+    def test_a_class_mixing_ladder_lengths_is_refused(self, posets, assignments):
+        poset, assign = posets[4], assignments[4]
+        x, y = next(
+            (x, y)
+            for x in poset.classes
+            for y in poset.classes
+            if x.i_index == y.i_index
+            and assign[x.index].p_value != assign[y.index].p_value
+        )
+        merged = replace(x, members=x.members + y.members)
+        classes = tuple(merged if c is x else c for c in poset.classes)
+        with pytest.raises(InvariantError, match="ladder length not class-invariant"):
+            strata(replace(poset, classes=classes))
+
+
 class TestClassKeys:
     def test_cells_group_as_insertion_tableaux(self, posets):
         # reference grouping: each stratum's orbit, largest weight first,
@@ -208,6 +243,23 @@ class TestMinimalAndComponents:
         reports = irreducible_components(poset)
         assert all(r.order_isomorphic for r in reports)
         assert list(default.iterdir()) == []
+
+    def test_a_dropped_pair_breaks_only_the_components_holding_it(self, posets, assignments):
+        # a lower end that is not minimal keeps every up-set check quiet, so
+        # only the order-isomorphism check can see the missing pair
+        poset, assign = posets[4], assignments[4]
+        reports = irreducible_components(poset, assign)
+        minimal = {c.index for c in minimal_elements(poset)}
+        a, b = next(
+            (a, b)
+            for a, b in sorted(poset.strict)
+            if a not in minimal
+            and any({a, b} <= set(r.class_indices) for r in reports)
+        )
+        broken = replace(poset, strict=poset.strict - {(a, b)})
+        outcome = [r.order_isomorphic for r in irreducible_components(broken, assign)]
+        assert outcome == [not {a, b} <= set(r.class_indices) for r in reports]
+        assert False in outcome and True in outcome
 
     def test_union_identity(self, posets, assignments):
         # the union of the first s+1 strata equals the union of the first

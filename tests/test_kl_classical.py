@@ -31,10 +31,7 @@ from primspec.super_inclusion import inclusion
 from primspec.tableaux import (
     all_permutations,
     identity,
-    inverse,
     inversions,
-    longest_element,
-    rank_word,
     robinson_schensted,
     tau_of_weight,
 )

@@ -93,6 +93,17 @@ def test_preorder_leq_is_reachability(seed):
 
 
 @pytest.mark.parametrize("seed", range(4))
+def test_below_is_the_class_row(seed):
+    for n, edges in _random_digraphs(seed):
+        order = Preorder(n, edges)
+        classes = range(order.class_count())
+        for c in classes:
+            assert order.below(c) >> order.class_count() == 0
+            for d in classes:
+                assert bool(order.below(c) >> d & 1) == order.class_leq(d, c)
+
+
+@pytest.mark.parametrize("seed", range(4))
 def test_strict_pairs_are_below_and_not_equivalent(seed):
     for n, edges in _random_digraphs(seed):
         order = Preorder(n, edges)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from itertools import permutations as iperm
 from itertools import product
@@ -11,7 +12,6 @@ from primspec.errors import (
     UnsupportedRegimeError,
 )
 from primspec.super_inclusion import (
-    Decision,
     covers,
     decide,
     equal_ideal,
@@ -51,6 +51,27 @@ class TestFrame:
         with pytest.raises(NotSinglyAtypicalError) as err:
             frame(W("1,0|0,1"))
         assert "degree 2" in str(err.value)
+
+    @pytest.mark.parametrize("text, degree", [("3,1|0", 0), ("1,0|0,1", 2)])
+    def test_refusal_carries_the_degree(self, text, degree):
+        with pytest.raises(NotSinglyAtypicalError) as err:
+            frame(W(text))
+        assert err.value.degree == degree
+
+    def test_frames_match_the_recorded_digest(self):
+        # every singly atypical weight with m+n <= 5 on labels 0..3; the
+        # digest was recorded from the takewhile-based frame it replaced
+        rows = []
+        for m in range(1, 5):
+            for n in range(1, 6 - m):
+                for labels in product(range(4), repeat=m + n):
+                    w = SuperWeight(labels[:m], labels[m:])
+                    if atypicality_degree(w) == 1:
+                        f = frame(w)
+                        rows.append((f.a_value, f.i_set, f.p_value, sorted(f.q_values.items())))
+        assert len(rows) == 3028
+        digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+        assert digest == "40aac13ed3ca849bede7cca89e3e3d9405df67fa4a709a627d4c10846d308f1b"
 
 
 class TestTheta:
