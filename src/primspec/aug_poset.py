@@ -22,8 +22,8 @@ transitive reduction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import permutations as iperm
+from typing import NamedTuple
 
 from . import crystal
 from .errors import (
@@ -36,7 +36,7 @@ from .kl_classical import DEFAULT_KL_BOUND, LeftOrder, left_preorder
 from .posets import transitive_reduction
 from .super_inclusion import _delta, _gamma, _orbit_key, frame
 from .tableaux import involution_count, rank_word, tau_of_weight
-from .weights import SuperWeight, atypicality_degree
+from .weights import SuperWeight, _Frozen, atypicality_degree
 
 __all__ = [
     "IdealClass",
@@ -56,8 +56,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class IdealClass:
+class IdealClass(NamedTuple):
     """One primitive ideal: its stratum and all weights annihilating to it."""
 
     index: int
@@ -66,15 +65,20 @@ class IdealClass:
     members: tuple[SuperWeight, ...]
 
 
-@dataclass(frozen=True)
-class IdealPoset:
+class IdealPoset(_Frozen):
     """Equality classes with strict inclusions and their Hasse diagram."""
 
+    _compared = ("m", "classes", "strict", "hasse")  # not order (None at m = 1)
+    __slots__ = _compared + ("order",)
     m: int
     classes: tuple[IdealClass, ...]
     strict: frozenset[tuple[int, int]]  # (lower, upper) class indices
     hasse: tuple[tuple[int, int], ...]
-    order: LeftOrder | None = field(compare=False, repr=False)  # None at m = 1
+    order: LeftOrder | None
+
+    def __init__(self, m, classes, strict, hasse, order):
+        for name, value in zip(self.__slots__, (m, classes, strict, hasse, order)):
+            object.__setattr__(self, name, value)
 
     def leq(self, lower: int, upper: int) -> bool:
         return lower == upper or (lower, upper) in self.strict
@@ -167,8 +171,7 @@ def _strict_pairs(classes: list[IdealClass], order: LeftOrder | None) -> set[tup
     return strict
 
 
-@dataclass(frozen=True, slots=True)
-class StratumAssignment:
+class StratumAssignment(NamedTuple):
     """Stratum data of one ideal: i + j + p = m - 1, z = [i, i+p]."""
 
     i_index: int
@@ -220,8 +223,7 @@ def minimal_elements(poset: IdealPoset) -> list[IdealClass]:
     return minimal
 
 
-@dataclass(frozen=True)
-class ComponentReport:
+class ComponentReport(NamedTuple):
     """One irreducible component: its classes and the classical model."""
 
     k: int
@@ -248,6 +250,9 @@ def irreducible_components(
         down[upper] |= 1 << lower
     reports = []
     minimal = {c.i_index: c for c in minimal_elements(poset)}
+    # e_{k-1} ... e_0 maps Z_k onto the regular-stratum model; a class lies on
+    # Z_i, ..., Z_{i+p}, so its chain is extended, not rerun: class -> (k, image)
+    raised: dict[int, tuple[int, SuperWeight]] = {}
     for k in range(m):
         by_stratum = {c.index for c in poset.classes if k in assignments[c.index].z_set}
         q_k = minimal[k].index
@@ -259,17 +264,17 @@ def irreducible_components(
             )
         members = sorted(by_stratum)
 
-        # crystal chain e_{k-1} ... e_0 maps Z_k onto the regular-stratum model
         image_weights: dict[int, SuperWeight] = {}
         for ci in members:
-            w = poset.classes[ci].representative
-            for color in range(k):
+            done, w = raised.get(ci, (0, poset.classes[ci].representative))
+            for color in range(done, k):
                 nxt = crystal.e_tilde(w, color)
                 if nxt is None:
                     raise InvariantError(
                         f"raising chain broke at color {color} on {w}"
                     )
                 w = nxt
+            raised[ci] = k, w
             image_weights[ci] = w
         order = poset.order  # None at m = 1, where Z_0 is one class
         nodes = {ci: _node(order, w) for ci, w in image_weights.items()} if order else {}
@@ -307,8 +312,7 @@ def exceptional_coverings(
     return out
 
 
-@dataclass(frozen=True, slots=True)
-class CountsReport:
+class CountsReport(NamedTuple):
     m: int
     total: int
     involutions: int
@@ -330,8 +334,7 @@ def counts(poset: IdealPoset) -> CountsReport:
     return CountsReport(m, total, s_m, sizes)
 
 
-@dataclass(frozen=True, slots=True)
-class OddReflectionResult:
+class OddReflectionResult(NamedTuple):
     """Outcome of walking the odd-reflection chain to the dual Borel side."""
 
     ad_weight: SuperWeight

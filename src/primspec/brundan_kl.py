@@ -41,23 +41,22 @@ q-commutator sum of n terms with first factors of L1 norm at most l by
 n l 2^8, doubled by the (q^-1 - q) step, and a column of the solve by 2^8
 times the L1 norms of its solved entries.
 
-Tables are cached per window and central character.  The bar involution,
-with its psi and chain caches, is cached for the latest window only, so a
-caller that takes its blocks window by window builds each window's bar once
-and frees it on moving on.
+The eight latest tables are cached by window and central character, and
+the bar involution, with its psi and chain caches, for the latest window
+only: a caller that takes its blocks window by window builds each window's
+bar once and frees it on moving on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import lru_cache
 from itertools import permutations, product
 from typing import Iterable, Iterator, Sequence
 
 from .errors import BoundExceededError, InvariantError, PreconditionError
 from .laurent import ONE, LaurentPolynomial
 from .posets import Preorder, topological_order, wall_edges
-from .weights import SuperWeight, central_character
+from .weights import SuperWeight, _Frozen, central_character
 
 __all__ = [
     "TensorWindow",
@@ -111,18 +110,20 @@ def unpack(x: int, offset: int = 0) -> LaurentPolynomial:
     return LaurentPolynomial(dict(_digits(x, offset)))
 
 
-@dataclass(frozen=True, slots=True)
-class TensorWindow:
+class TensorWindow(_Frozen):
     """A finite label interval [lo, hi] with factor shape (m, n)."""
 
+    __slots__ = _compared = ("lo", "hi", "m", "n")
     lo: int
     hi: int
     m: int
     n: int
 
-    def __post_init__(self):
-        if self.hi < self.lo:
+    def __init__(self, lo: int, hi: int, m: int, n: int):
+        if hi < lo:
             raise ValueError("empty interval")
+        for name, value in zip(self.__slots__, (lo, hi, m, n)):
+            object.__setattr__(self, name, value)
 
     def contains(self, weight: SuperWeight) -> bool:
         return all(self.lo <= x <= self.hi for x in weight.labels)
@@ -422,7 +423,7 @@ def canonical_basis(
     return _table(window, invariant)
 
 
-@cache
+@lru_cache(maxsize=8)
 def _table(window: TensorWindow, invariant: tuple[tuple[int, int], ...]) -> CanonicalBasisTable:
     monos = _weight_space(window, invariant)
     return CanonicalBasisTable(window, monos, _solve_canonical(bar_involution(window), monos))

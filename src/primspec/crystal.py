@@ -19,7 +19,7 @@ positions), and f~_i acts dually at the rightmost surviving plus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .weights import SuperWeight
 
@@ -37,8 +37,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class Signature:
+class Signature(NamedTuple):
     """A +/-/0 pattern of length m+n with the separator after position m."""
 
     symbols: tuple[str, ...]

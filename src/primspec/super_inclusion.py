@@ -41,10 +41,9 @@ mutable dict, never leave the module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import Literal
+from typing import Literal, NamedTuple
 
 from . import crystal
 from .errors import (
@@ -81,8 +80,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class AtypicalityFrame:
+class AtypicalityFrame(NamedTuple):
     """The ladder attached to a singly atypical weight.
 
     ``i_set`` holds 1-based positions into the label tuple: first the two
@@ -288,8 +286,7 @@ def gamma_delta(alpha: SuperWeight, beta: SuperWeight) -> tuple[SuperWeight, Sup
     return _required_ladder(alpha, beta)[1:]
 
 
-@dataclass(frozen=True, slots=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     """One crystal operator power applied during the reduction."""
 
     side: Literal["alpha", "beta"]
@@ -305,8 +302,7 @@ class TraceStep:
         return f"{self.op}~_{self.color}{sup}"
 
 
-@dataclass(frozen=True, slots=True)
-class ReductionTrace:
+class ReductionTrace(NamedTuple):
     """The full operator chain taking (alpha, beta) to (gamma, delta)."""
 
     steps: tuple[TraceStep, ...]
@@ -346,12 +342,12 @@ def reduction_trace(alpha: SuperWeight, beta: SuperWeight) -> ReductionTrace:
     copies of it are pushed down, and the ladder is climbed one value at a
     time; the final weights are cross-checked against the closed formulas.
     """
-    return _trace(alpha, beta)[1]
+    return _trace(alpha, beta, _required_ladder(alpha, beta))
 
 
-def _trace(alpha: SuperWeight, beta: SuperWeight) -> tuple[int, ReductionTrace]:
-    """The shift p and the reduction trace of a ladder pair."""
-    p, gamma, delta = _required_ladder(alpha, beta)
+def _trace(alpha: SuperWeight, beta: SuperWeight, ladder: tuple) -> ReductionTrace:
+    """The reduction trace of a ladder pair, given its ladder pass (p, gamma, delta)."""
+    p, gamma, delta = ladder
     a = _singly(alpha).a_value
     steps: list[TraceStep] = []
 
@@ -387,7 +383,7 @@ def _trace(alpha: SuperWeight, beta: SuperWeight) -> tuple[int, ReductionTrace]:
             f"reduction mismatch: trace ended at ({chains['alpha']}, {chains['beta']}), "
             f"formulas give ({gamma}, {delta})"
         )
-    return p, ReductionTrace(tuple(steps), gamma, delta)
+    return ReductionTrace(tuple(steps), gamma, delta)
 
 
 # -- the decision procedure ---------------------------------------------------
@@ -433,13 +429,15 @@ def _classify(alpha: SuperWeight, beta: SuperWeight) -> str:
     )
 
 
-def _includes(route: str, alpha: SuperWeight, beta: SuperWeight, **kw) -> bool:
-    """J(beta) subseteq J(alpha) for a classified pair, in either direction."""
+def _includes(route: str, alpha: SuperWeight, beta: SuperWeight, **kw):
+    """J(beta) subseteq J(alpha) for a classified pair, in either direction:
+    on the ladder route the ladder pass (p, gamma, delta) that proved it,
+    else a bool."""
     if route == "same_orbit":
         return classical_inclusion(beta, alpha, **kw)
     if route == "ladder":
         found = _ladder(alpha, beta)
-        return found is not None and classical_inclusion(found[2], found[1], **kw)
+        return found is not None and classical_inclusion(found[2], found[1], **kw) and found
     return route == "gl22" and beta in _gl22_patterns(alpha)
 
 
@@ -449,7 +447,7 @@ def inclusion(alpha: SuperWeight, beta: SuperWeight, **kw) -> bool:
     Raises UnsupportedRegimeError for cross-orbit pairs of atypicality
     degree >= 2 outside gl(2|2).
     """
-    return alpha == beta or _includes(_classify(alpha, beta), alpha, beta, **kw)
+    return alpha == beta or bool(_includes(_classify(alpha, beta), alpha, beta, **kw))
 
 
 def equal_ideal(alpha: SuperWeight, beta: SuperWeight) -> bool:
@@ -457,19 +455,20 @@ def equal_ideal(alpha: SuperWeight, beta: SuperWeight) -> bool:
     return classical_equal(alpha, beta)
 
 
-def _relate(alpha: SuperWeight, beta: SuperWeight, **kw) -> tuple[str, str | None]:
-    """`relation` from one classification, with the route taken."""
+def _relate(alpha: SuperWeight, beta: SuperWeight, **kw) -> tuple[str, str | None, object]:
+    """`relation` from one classification, with the route taken and, for a
+    strict pair, what `_includes` returned."""
     if equal_ideal(alpha, beta):
-        return "equal", None
+        return "equal", None, None
     try:
         route = _classify(alpha, beta)
     except UnsupportedRegimeError:
-        return "unsupported", None
-    if _includes(route, beta, alpha, **kw):
-        return "subset", route
-    if _includes(route, alpha, beta, **kw):
-        return "superset", route
-    return "incomparable", route
+        return "unsupported", None, None
+    for rel, big, small in (("subset", beta, alpha), ("superset", alpha, beta)):
+        found = _includes(route, big, small, **kw)
+        if found:
+            return rel, route, found
+    return "incomparable", route, None
 
 
 def relation(alpha: SuperWeight, beta: SuperWeight, **kw) -> str:
@@ -480,8 +479,7 @@ def relation(alpha: SuperWeight, beta: SuperWeight, **kw) -> str:
     return _relate(alpha, beta, **kw)[0]
 
 
-@dataclass(frozen=True)
-class Decision:
+class Decision(NamedTuple):
     """A decision record, serializable to the documented JSON shape."""
 
     alpha: SuperWeight
@@ -516,12 +514,12 @@ class Decision:
 
 def decide(alpha: SuperWeight, beta: SuperWeight, **kw) -> Decision:
     """Full decision record for the pair; relation of J(alpha) vs J(beta)."""
-    rel, route = _relate(alpha, beta, **kw)
-    if rel not in ("subset", "superset") or route != "ladder":
+    rel, route, found = _relate(alpha, beta, **kw)
+    if route != "ladder" or found is None:
         return Decision(alpha, beta, rel)
     big, small = (beta, alpha) if rel == "subset" else (alpha, beta)
-    p, trace = _trace(big, small)
-    return Decision(alpha, beta, rel, p, trace.final_gamma, trace.final_delta, trace)
+    trace = _trace(big, small, found)
+    return Decision(alpha, beta, rel, found[0], trace.final_gamma, trace.final_delta, trace)
 
 
 def covers(alpha: SuperWeight, beta: SuperWeight, **kw) -> bool:
@@ -538,6 +536,7 @@ def covers(alpha: SuperWeight, beta: SuperWeight, **kw) -> bool:
     # distinct ideals in one central character: one degree serves both weights
     degree = _atypical(alpha)[0]
     if degree == 1:
+        # `inclusion` answers a bool, so the ladder pass runs again here
         _, gamma, delta = _required_ladder(alpha, beta)
         return classical_cover(delta, gamma, **kw)
     if not orbit_equal(alpha, beta):

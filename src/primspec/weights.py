@@ -21,11 +21,12 @@ between threads.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import WeightParseError
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "SuperWeight",
@@ -43,18 +44,57 @@ __all__ = [
 _WEIGHT_RE = re.compile(r"^\s*\(?\s*([^|()]*)\|([^|()]*)\)?\s*$")
 
 
-@dataclass(frozen=True, slots=True)
-class SuperWeight:
+class _Frozen:
+    """Base of the slotted value classes.  Fields are set once, in __init__;
+    an instance equals only one of its own class, and compares, hashes and
+    prints as the tuple of the fields named in `_compared`."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._compared)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._compared)
+        return f"{type(self).__name__}({fields})"
+
+
+class SuperWeight(_Frozen):
     """An element of Z^(m|n): m left labels and n right labels."""
 
+    __slots__ = _compared = ("left", "right")
     left: tuple[int, ...]
     right: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "left", tuple(int(a) for a in self.left))
-        object.__setattr__(self, "right", tuple(int(b) for b in self.right))
-        if len(self.left) < 1:
+    def __init__(self, left: Iterable[int], right: Iterable[int]):
+        left, right = tuple(map(int, left)), tuple(map(int, right))
+        if not left:
             raise WeightParseError("a weight needs at least one left label")
+        _set_left(self, left)
+        _set_right(self, right)
+
+    # the base's __eq__ and __hash__, spelt out: weights key every hot dict
+    def __eq__(self, other):
+        if other.__class__ is not SuperWeight:
+            return NotImplemented
+        return self.left == other.left and self.right == other.right
+
+    def __hash__(self) -> int:
+        return hash((self.left, self.right))
 
     @property
     def m(self) -> int:
@@ -105,6 +145,10 @@ class SuperWeight:
         )
 
 
+# the slots' own setters: on the hottest constructor, faster than object.__setattr__
+_set_left, _set_right = SuperWeight.left.__set__, SuperWeight.right.__set__
+
+
 def from_rho_shifted(
     coeffs: Sequence[int | Fraction | str], m: int, n: int
 ) -> SuperWeight:
@@ -122,6 +166,8 @@ def from_rho_shifted(
     """
     if len(coeffs) != m + n:
         raise WeightParseError(f"expected {m + n} coordinates, got {len(coeffs)}")
+    from fractions import Fraction  # here, not at import: nothing else needs it
+
     values = [Fraction(c) for c in coeffs]
     left_shifted = [values[i] + (m - 1 - i) for i in range(m)]
     right_shifted = [-(values[m + j] + (1 - (j + 1))) for j in range(n)]

@@ -1,13 +1,13 @@
 import hashlib
 import json
 import re
-from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations as iperm
 
 import pytest
 
 from primspec.aug_poset import (
+    IdealPoset,
     counts,
     enumerate_X,
     exceptional_coverings,
@@ -171,10 +171,11 @@ class TestStrataChecks:
             if x.i_index == y.i_index
             and assign[x.index].p_value != assign[y.index].p_value
         )
-        merged = replace(x, members=x.members + y.members)
+        merged = x._replace(members=x.members + y.members)
         classes = tuple(merged if c is x else c for c in poset.classes)
+        doctored = IdealPoset(poset.m, classes, poset.strict, poset.hasse, poset.order)
         with pytest.raises(InvariantError, match="ladder length not class-invariant"):
-            strata(replace(poset, classes=classes))
+            strata(doctored)
 
 
 class TestClassKeys:
@@ -256,7 +257,7 @@ class TestMinimalAndComponents:
             if a not in minimal
             and any({a, b} <= set(r.class_indices) for r in reports)
         )
-        broken = replace(poset, strict=poset.strict - {(a, b)})
+        broken = IdealPoset(poset.m, poset.classes, poset.strict - {(a, b)}, poset.hasse, poset.order)
         outcome = [r.order_isomorphic for r in irreducible_components(broken, assign)]
         assert outcome == [not {a, b} <= set(r.class_indices) for r in reports]
         assert False in outcome and True in outcome
