@@ -34,17 +34,18 @@ longest permutation of k letters and the lowest exponent its coefficients
 reach in every window tried; D, in Z[q], packs at offset 0.
 `LaurentPolynomial` appears only where a table is read.  InvariantError
 is raised when a right shift would drop a nonzero digit (an exponent below
-the offset), when a stored bar coefficient has a digit outside [-2^8, 2^8)
-or one past 64 digits above the offset, and when a sum of products could
-carry a digit to H: stored digits of magnitude at most 2^8 bound a
-q-commutator sum of n terms with first factors of L1 norm at most l by
-n l 2^8, doubled by the (q^-1 - q) step, and a column of the solve by 2^8
-times the L1 norms of its solved entries.
+the offset; a fused shift tests every digit its parts would), when a stored
+bar coefficient has a digit outside [-2^8, 2^8) or one past 64 digits above
+the offset, and when a sum of products could carry a digit to H: stored
+digits of magnitude at most 2^8 bound a q-commutator sum of n terms with
+first factors of L1 norm at most l by n l 2^8, doubled by the (q^-1 - q)
+step, and a column of the solve by 2^8 times the L1 norms of its solved
+entries.
 
 The eight latest tables are cached by window and central character, and
-the bar involution, with its psi and chain caches, for the latest window
-only: a caller that takes its blocks window by window builds each window's
-bar once and frees it on moving on.
+the bar involution for the latest window only, with its caches of psi, of
+each chain and of F_i on unit monomials: a caller that takes its blocks
+window by window builds each window's bar once and frees it on moving on.
 """
 
 from __future__ import annotations
@@ -93,16 +94,11 @@ def _down(x: int, digits: int) -> int:
 
 def _digits(x: int, offset: int = 0) -> Iterator[tuple[int, int]]:
     """(exponent, coefficient) of each nonzero digit of x, lowest first."""
-    if not x:
-        return
-    e = ((x & -x).bit_length() - 1) // BITS  # skip the zero low digits
-    x >>= BITS * e
     while x:
-        c = ((x + _HALF) & _MASK) - _HALF
-        if c:
-            yield e - offset, c
-        x = (x - c) >> BITS
-        e += 1
+        p = ((x & -x).bit_length() - 1) // BITS  # skip the zero low digits
+        c = (((x >> (BITS * p)) + _HALF) & _MASK) - _HALF
+        yield p - offset, c
+        x -= c << (BITS * p)
 
 
 def unpack(x: int, offset: int = 0) -> LaurentPolynomial:
@@ -146,11 +142,10 @@ class BarInvolution:
         span = range(self.offset + _SPAN)
         self._bias = sum(_CAP << (BITS * p) for p in span)
         self._outside = ~sum((2 * _CAP - 1) << (BITS * p) for p in span)
+        self._dual = tuple(slot >= window.m for slot in range(k))
         self._psi: dict[Mono, Vector] = {}
-        self._chain: dict[tuple[int, int, int, Mono], Vector] = {}
-
-    def _is_dual(self, slot: int) -> bool:
-        return slot >= self.window.m
+        self._chain: dict[tuple[int, int, int], dict[Mono, Vector]] = {}
+        self._lower: dict[tuple[int, Mono], list[tuple[Mono, int]]] = {}  # F_i on units
 
     def _stored(self, vec: Vector) -> Vector:
         """vec, after the headroom check every cached coefficient passes."""
@@ -172,54 +167,59 @@ class BarInvolution:
     def _chevalley(self, i: int, vec: Vector, k: int, raising: bool) -> Vector:
         out: Vector = {}
         for mono, coeff in vec.items():
-            for j in range(k):
-                # label i moves up to i+1 in a V slot under F, in a W slot under E
-                up = self._is_dual(j) == raising
-                if mono[j] != (i if up else i + 1):
-                    continue
-                target = mono[:j] + ((i + 1) if up else i,) + mono[j + 1:]
-                twist = 0
-                for l in range(j) if raising else range(j + 1, k):
-                    w = 1 if mono[l] == i else -1 if mono[l] == i + 1 else 0
-                    twist += w if self._is_dual(l) != raising else -w
+            for target, twist in self._moves(i, mono[:k], raising):
                 moved = coeff << (BITS * twist) if twist >= 0 else _down(coeff, -twist)
+                target += mono[k:]
                 out[target] = out.get(target, 0) + moved
         return {mono: x for mono, x in out.items() if x}
 
+    def _moves(self, i: int, mono: Mono, raising: bool = False) -> list[tuple[Mono, int]]:
+        """(target, q-power) of each term of F_i (E_i if raising) on a unit monomial."""
+        out = None if raising else self._lower.get((i, mono))
+        if out is not None:
+            return out
+        dual, k, out = self._dual, len(mono), []
+        for j in range(k):
+            # label i moves up to i+1 in a V slot under F, in a W slot under E
+            up = dual[j] == raising
+            if mono[j] != (i if up else i + 1):
+                continue
+            twist = 0
+            for l in range(j) if raising else range(j + 1, k):
+                w = 1 if mono[l] == i else -1 if mono[l] == i + 1 else 0
+                twist += w if dual[l] != raising else -w
+            out.append((mono[:j] + ((i + 1) if up else i,) + mono[j + 1:], twist))
+        if not raising:
+            self._lower[i, mono] = out
+        return out
+
     # -- q-commutator chains ---------------------------------------------------
 
-    def _chain_apply(self, kind: int, start: int, end: int, vec: Vector, l1: int) -> Vector:
-        """G_{a,b} (kind 0, a=start, b=end) or G'_{c,b} (kind 1, c=end, b=start)
-        on a vector whose coefficients have L1 norm at most l1."""
-        if 2 * len(vec) * l1 * _CAP >= _HALF:
-            raise InvariantError("packed digits could overflow")
-        out: Vector = {}
-        for mono, coeff in vec.items():
-            for tgt, c in self._chain_mono(kind, start, end, mono).items():
-                out[tgt] = out.get(tgt, 0) + coeff * c
-        return {tgt: _down(x, self.offset) for tgt, x in out.items() if x}
-
     def _chain_mono(self, kind: int, start: int, end: int, mono: Mono) -> Vector:
-        key = (kind, start, end, mono)
-        hit = self._chain.get(key)
+        """G_{a,b} (kind 0, a=start, b=end) or G'_{c,b} (kind 1, c=end, b=start)
+        on a unit monomial."""
+        cache = self._chain.setdefault((kind, start, end), {})
+        hit = cache.get(mono)
         if hit is not None:
             return hit
-        k = len(mono)
-        base: Vector = {mono: self.one}
+        off = self.offset  # a twist on k slots is at least 1 - k >= -off
         if end == start + 1:
-            result = self.apply_f(start, base, k)
+            result = {tgt: 1 << (BITS * (off + tw)) for tgt, tw in self._moves(start, mono)}
         else:
-            if kind == 0:  # G_{start,end}, recursion lowers `start`
-                color, inner = start, (start + 1, end)
-            else:  # G'_{end,start}, recursion raises `end`
-                color, inner = end - 1, (start, end - 1)
-            # F of a monomial has one power of q per term: L1 norm 1
-            result = self._chain_apply(kind, *inner, self.apply_f(color, base, k), 1)
-            f_of_inner = self.apply_f(color, self._chain_mono(kind, *inner, mono), k)
-            for tgt, c in f_of_inner.items():
-                result[tgt] = result.get(tgt, 0) - (c << BITS)
+            # G_{start,end} lowers `start` in the recursion, G'_{end,start} raises `end`
+            color, inner = (start, (start + 1, end)) if kind == 0 else (end - 1, (start, end - 1))
+            result = {}  # G(F v), where F v is a sum of q^twist v'
+            for mid, twist in self._moves(color, mono):
+                for tgt, c in self._chain_mono(kind, *inner, mid).items():
+                    result[tgt] = result.get(tgt, 0) + (c << (BITS * (off + twist)))
+            result = {tgt: _down(x, off) for tgt, x in result.items() if x}
+            # - q F(G v): the twist and the factor q in one shift
+            for mid, c in self._chain_mono(kind, *inner, mono).items():
+                for tgt, twist in self._moves(color, mid):
+                    x = c << (BITS * (twist + 1)) if twist >= 0 else _down(c, -twist) << BITS
+                    result[tgt] = result.get(tgt, 0) - x
             result = {tgt: x for tgt, x in result.items() if x}
-        self._chain[key] = self._stored(result)
+        cache[mono] = self._stored(result)
         return result
 
     # -- the involution ---------------------------------------------------------
@@ -237,12 +237,28 @@ class BarInvolution:
             prefix, b = mono[:-1], mono[-1]
             inner = self.psi(prefix)
             result = {pm + (b,): c for pm, c in inner.items()}
-            dual = self._is_dual(k - 1)
-            l1 = (self.offset + _SPAN) * _CAP  # stored digits bound the norm
-            for t in range(b + 1, self.window.hi + 1) if dual else range(self.window.lo, b):
-                chain = (1, b, t) if dual else (0, t, b)
-                for pm, c in self._chain_apply(*chain, inner, l1).items():  # t is new
-                    result[pm + (t,)] = _down(c, 1) - (c << BITS)  # (q^-1 - q) c
+            dual = self._dual[k - 1]
+            news = range(b + 1, self.window.hi + 1) if dual else range(self.window.lo, b)
+            # a chain coefficient's stored digits bound its L1 norm
+            if news and 2 * len(inner) * (self.offset + _SPAN) * _CAP * _CAP >= _HALF:
+                raise InvariantError("packed digits could overflow")
+            # (q^-1 - q) x q^-off is two shifts of x, whose low off+1 digits are zero
+            low, up = (1 << (BITS * (self.offset + 1))) - 1, BITS * (self.offset + 1)
+            for t in news:  # t is the new last label
+                key = (1, b, t) if dual else (0, t, b)
+                chains = self._chain.setdefault(key, {})
+                out: Vector = {}
+                for pm, coeff in inner.items():
+                    vec = chains.get(pm)
+                    if vec is None:
+                        vec = self._chain_mono(*key, pm)
+                    for tgt, c in vec.items():
+                        out[tgt] = out.get(tgt, 0) + coeff * c
+                for pm, x in out.items():
+                    if x:
+                        if x & low:
+                            raise InvariantError("exponent below the packing offset")
+                        result[pm + (t,)] = (x >> up) - (x >> (up - 2 * BITS))
         self._psi[mono] = self._stored(result)
         return result
 
@@ -276,14 +292,13 @@ class CanonicalBasisTable:
         self, window: TensorWindow, monos: list[Mono], d_matrix: dict[tuple[int, int], int]
     ):
         self.window = window
-        self._monos = monos
         self._index = {mono: i for i, mono in enumerate(monos)}
         self._d = d_matrix  # packed at offset 0
+        self._weights = [SuperWeight(mono[: window.m], mono[window.m :]) for mono in monos]
 
     @property
     def weights(self) -> list[SuperWeight]:
-        m = self.window.m
-        return [SuperWeight(mono[:m], mono[m:]) for mono in self._monos]
+        return list(self._weights)
 
     def _key(self, weight: SuperWeight) -> int:
         mono = weight.labels
@@ -305,14 +320,14 @@ class CanonicalBasisTable:
     def mu_pairs(self) -> Iterable[tuple[SuperWeight, SuperWeight, int]]:
         """All (alpha, beta, mu) with mu != 0; D is unitriangular, so at most
         one of d(alpha, beta) and d(beta, alpha) is nonzero: each pair once."""
-        ws = self.weights
+        ws = self._weights
         for (i, j), x in self._d.items():
-            e, c = next(_digits(x))  # the lowest term: D is in qZ[q]
-            if e == 1:
+            c = (((x >> BITS) + _HALF) & _MASK) - _HALF  # the q term: D is in qZ[q]
+            if c:
                 yield ws[i], ws[j], c
 
     def to_json_dict(self) -> dict:
-        names = [str(w) for w in self.weights]
+        names = [str(w) for w in self._weights]
         entries = [
             {"alpha": names[i], "beta": names[j], "d": [list(t) for t in _digits(x)]}
             for (i, j), x in sorted(self._d.items())
@@ -358,6 +373,8 @@ def _solve_canonical(bar: BarInvolution, monos: list[Mono]) -> dict[tuple[int, i
 
     # the canonical basis is unique, so every linear extension gives the same D
     order = topological_order(n, touched_by)
+    low = (1 << (BITS * off)) - 1
+    bias = sum(_HALF << (BITS * p) for p in range(off))  # balances the digits below q^0
     D: dict[tuple[int, int], int] = {}
     for pos, j in enumerate(order):
         g_of = dict(psi[j])  # row -> g, scattered from each solved entry
@@ -367,14 +384,13 @@ def _solve_canonical(bar: BarInvolution, monos: list[Mono]) -> dict[tuple[int, i
             g = g_of.pop(i, 0)
             if not g:
                 continue
-            d = below = norm = 0
-            for e, c in _digits(g, off):
-                if e >= 0:
-                    break
-                d += c << (BITS * -e)
-                below += c << (BITS * (e + off))
+            below = ((g + bias) & low) - bias
+            d = (below - g) >> (BITS * off)  # -(the part from q^0 up), at offset 0
+            reflected = norm = 0
+            for e, c in _digits(below, off):
+                reflected += c << (BITS * -e)
                 norm += abs(c)
-            if g != below - (d << (BITS * off)):
+            if d != reflected:
                 raise InvariantError("canonical correction failed")
             D[(i, j)] = d
             norms += norm

@@ -37,7 +37,8 @@ possibly singular, central characters: a singular weight is routed through
 its longest coset representative, which realizes the translation-to-the-
 wall poset isomorphism.  Each factor is read once, as the rank word of that
 representative: inclusion and covers are read off its left cell, equality
-off its Robinson-Schensted insertion tableau (no KL table, no bound).
+off its Robinson-Schensted insertion tableau (no KL table, no bound; the
+tableau is kept per rank word in a memo of INSERTION_MEMO_SIZE entries).
 
 Tables are immutable once built and are cached both in-process and on disk
 (one versioned file per rank).
@@ -51,6 +52,7 @@ import tempfile
 import threading
 import zlib
 from collections import Counter
+from functools import lru_cache
 from itertools import permutations as iperm
 from math import factorial, prod
 from pathlib import Path
@@ -61,6 +63,7 @@ from .laurent import ZERO, LaurentPolynomial
 from .posets import Preorder, wall_edges
 from .tableaux import (
     Permutation,
+    Tableau,
     all_permutations,
     inverse,
     inversions,
@@ -84,6 +87,7 @@ __all__ = [
 ]
 
 DEFAULT_KL_BOUND = 7
+INSERTION_MEMO_SIZE = 1024  # rank words whose insertion tableau `classical_equal` keeps
 
 _CACHE_FORMAT = "primspec-kl"
 _CACHE_VERSION = 2
@@ -473,8 +477,15 @@ def classical_equal(delta: SuperWeight, gamma: SuperWeight) -> bool:
     """Equality of the two annihilators: same orbit and, per factor, the
     same insertion tableau of the rank word (no KL table, no bound)."""
     return orbit_equal(delta, gamma) and all(
-        robinson_schensted(d)[0] == robinson_schensted(g)[0] for _, d, g in _factors(delta, gamma)
+        _insertion(d) == _insertion(g) for _, d, g in _factors(delta, gamma)
     )
+
+
+@lru_cache(maxsize=INSERTION_MEMO_SIZE)
+def _insertion(word: Permutation) -> Tableau:
+    """The insertion tableau of a rank word (Robinson-Schensted, looked up
+    in this module at call time)."""
+    return robinson_schensted(word)[0]
 
 
 def classical_cover(delta: SuperWeight, gamma: SuperWeight, **kw) -> bool:

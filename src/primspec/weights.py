@@ -140,9 +140,7 @@ class SuperWeight(_Frozen):
         return cls(left, right)
 
     def __str__(self) -> str:
-        return "{}|{}".format(
-            ",".join(map(str, self.left)), ",".join(map(str, self.right))
-        )
+        return ",".join(map(str, self.left)) + "|" + ",".join(map(str, self.right))
 
 
 # the slots' own setters: on the hottest constructor, faster than object.__setattr__

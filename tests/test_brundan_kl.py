@@ -123,10 +123,41 @@ class TestPacking:
         with pytest.raises(InvariantError, match="headroom"):
             bar._stored({(0, 1): 256 * bar.one})
 
-    def test_a_chain_sum_that_could_overflow_raises(self):
-        bar = BarInvolution(TensorWindow(0, 2, 1, 1))
+    def test_a_chain_sum_that_could_overflow_raises(self, monkeypatch):
+        # psi bounds a chain coefficient's L1 norm by its (offset + _SPAN)
+        # stored digits of magnitude _CAP; one inner term, offset 1, so the
+        # sum could reach H = 2^39 once 1 + _SPAN reaches 2^22 (psi reads
+        # _SPAN per call; the bars are built before it is widened)
+        below, bar = (BarInvolution(TensorWindow(0, 2, 1, 1)) for _ in range(2))
+        monkeypatch.setattr(brundan_kl, "_SPAN", (1 << 22) - 2)
+        below.psi((1, 1))
+        monkeypatch.setattr(brundan_kl, "_SPAN", (1 << 22) - 1)
+        # a last W label at the top of the window has no chain to bound
+        assert bar.psi((1, 2)) == {(1, 2): bar.one}
         with pytest.raises(InvariantError, match="could overflow"):
-            bar._chain_apply(0, 0, 1, {(1, 1): bar.one}, 1 << (BITS - 9))
+            bar.psi((1, 1))
+
+    def test_a_psi_term_below_the_offset_raises(self):
+        # (q^-1 - q) c q^-offset must not drop a digit: a stored chain
+        # coefficient q^-1 (the lowest offset 1 holds) would reach q^-2
+        bar = BarInvolution(TensorWindow(0, 2, 1, 1))
+        bar._chain[1, 1, 2] = {(1,): {(0,): 1 << BITS}}
+        assert bar.psi((1, 1)) == {(1, 1): bar.one, (0, 2): 1 - (1 << (2 * BITS))}  # q^-1 - q
+        bar = BarInvolution(TensorWindow(0, 2, 1, 1))
+        bar._chain[1, 1, 2] = {(1,): {(0,): 1}}
+        with pytest.raises(InvariantError, match="below the packing offset"):
+            bar.psi((1, 1))
+
+    def test_a_twisted_chain_term_below_the_offset_raises(self):
+        # -q F_0 on a chain term: the twist q^-1 of F_0 on (0, 0) is tested
+        # on the chain coefficient before the factor q is applied
+        bar = BarInvolution(TensorWindow(0, 2, 2, 0))
+        bar._chain[0, 1, 2] = {(2, 2): {(0, 0): bar.one}}
+        assert bar._chain_mono(0, 0, 2, (2, 2)) == {(1, 0): -bar.one, (0, 1): -(1 << (2 * BITS))}
+        bar = BarInvolution(TensorWindow(0, 2, 2, 0))
+        bar._chain[0, 1, 2] = {(2, 2): {(0, 0): 1}}
+        with pytest.raises(InvariantError, match="below the packing offset"):
+            bar._chain_mono(0, 0, 2, (2, 2))
 
     def test_a_column_that_could_overflow_raises(self):
         # r = c (q^-1 - q) gives d_ab = c q; the column's norm sum then
@@ -158,6 +189,7 @@ class TestCanonicalBasis:
         # a typical 1|1 weight is alone in its weight space
         table = canonical_basis([W("0|1")], interval=(-1, 2))
         assert table.weights == [W("0|1")]
+        assert table.weights is not table.weights  # a fresh list per read
         assert table.d(W("0|1"), W("0|1")) == ONE
 
     def test_two_element_orbit(self):
@@ -463,26 +495,53 @@ class TestGoldenDigests:
         (1, 3): "892e9298ada1112a03d462338c72247d625bb0cf1dcbf49a64ce6eb886924f40",
     }
 
+    # every weight space of these shapes and label intervals, 317 spaces:
+    # table JSON with the sorted strict pairs of the left order on it
+    ORDERED_WINDOWS = [
+        ((2, 1), (0, 4)), ((1, 2), (0, 4)), ((2, 2), (0, 3)), ((3, 1), (0, 3)),
+        ((1, 3), (0, 3)), ((3, 2), (0, 2)), ((4, 1), (0, 2)),
+    ]
+    ORDERED_DIGEST = "c9f8a3a27c1e6947ec445e574a962c0513d520367a584ee868cd03bec09a8c59"
+
     @staticmethod
     def _text(table) -> bytes:
         import json
 
         return json.dumps(table.to_json_dict(), sort_keys=True).encode()
 
+    @staticmethod
+    def _tables(m, n, lo, hi):
+        """One table per weight space of the window, in central-character order."""
+        seeds = {}
+        for labs in iproduct(range(lo, hi + 1), repeat=m + n):
+            seeds.setdefault(central_character(SuperWeight(labs[:m], labs[m:])), labs)
+        for key in sorted(seeds):
+            labs = seeds[key]
+            yield canonical_basis([SuperWeight(labs[:m], labs[m:])], interval=(lo, hi))
+
     @pytest.mark.parametrize("shape", sorted(SMALL_WINDOWS))
     def test_every_weight_space_of_a_small_window(self, shape):
         import hashlib
 
-        m, n = shape
-        seeds = {}
-        for labs in iproduct(range(0, 4), repeat=m + n):
-            seeds.setdefault(central_character(SuperWeight(labs[:m], labs[m:])), labs)
         digest = hashlib.sha256()
-        for key in sorted(seeds):
-            labs = seeds[key]
-            table = canonical_basis([SuperWeight(labs[:m], labs[m:])], interval=(0, 3))
+        for table in self._tables(*shape, 0, 3):
             digest.update(self._text(table))
         assert digest.hexdigest() == self.SMALL_WINDOWS[shape]
+
+    def test_every_weight_space_with_its_order(self):
+        import hashlib
+        import json
+
+        digest, spaces = hashlib.sha256(), 0
+        for (m, n), (lo, hi) in self.ORDERED_WINDOWS:
+            for table in self._tables(m, n, lo, hi):
+                doc = table.to_json_dict()
+                order = kl_left_order(table.weights, table)
+                doc["order"] = sorted([str(b), str(a)] for b, a in order.relations())
+                digest.update(json.dumps(doc, sort_keys=True).encode())
+                spaces += 1
+        assert spaces == 317
+        assert digest.hexdigest() == self.ORDERED_DIGEST
 
     def test_dimension_108_block(self):
         import hashlib
@@ -492,3 +551,17 @@ class TestGoldenDigests:
         assert hashlib.sha256(self._text(table)).hexdigest() == (
             "ac4df0406efdf16dbdcb793118ad2dff859bc8082d62a807d1c2dbe40e3aeaa3"
         )
+
+
+@pytest.mark.slow
+def test_dimension_600_block_command_output(capsys):
+    # the gl(5|1) block of ROADMAP item 6, outside tier-1 (a few seconds):
+    # run with `pytest -m slow`
+    import hashlib
+
+    from primspec.cli import main
+
+    assert main(["super-kl", "--weights", "4,3,2,1,0|0", "--interval=-1:5", "--rank-bound", "6"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+        "6094ad42dbaa89a8558d42e1d09b4c643c89d4c492fb180135154d80e9fc0a0d"
+    )

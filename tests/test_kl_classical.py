@@ -536,6 +536,23 @@ class TestClassicalEqual:
         assert classical_equal(W("2,0,1|"), W("0,2,1|"))
         assert not classical_equal(W("2,0,1|"), W("2,1,0|"))
 
+    def test_insertion_runs_once_per_rank_word(self, monkeypatch):
+        # the memo calls the module's `robinson_schensted` at call time, so a
+        # wrapper installed there (as the benchmark's tracer does) sees each miss
+        words = []
+
+        def counted(word):
+            words.append(word)
+            return robinson_schensted(word)
+
+        monkeypatch.setattr(kl_classical, "robinson_schensted", counted)
+        kl_classical._insertion.cache_clear()
+        for _ in range(3):
+            assert classical_equal(W("1,2,3,0|"), W("1,2,0,3|"))
+            assert not classical_equal(W("1,3,0,2|"), W("0,1,2,3|"))
+        assert len(words) == len(set(words)) == 4
+        assert kl_classical._insertion.cache_info().maxsize == kl_classical.INSERTION_MEMO_SIZE
+
 
 class TestClassicalCover:
     def test_regular_gl3(self):
