@@ -35,10 +35,12 @@ between simples (equivalently nonvanishing mu), and the full inclusion
 decision for annihilators of simples of gl(m) and gl(m)+gl(n) at integral,
 possibly singular, central characters: a singular weight is routed through
 its longest coset representative, which realizes the translation-to-the-
-wall poset isomorphism.  Each factor is read once, as the rank word of that
+wall poset isomorphism.  A factor is read as the rank word of that
 representative: inclusion and covers are read off its left cell, equality
 off its Robinson-Schensted insertion tableau (no KL table, no bound; the
 tableau is kept per rank word in a memo of INSERTION_MEMO_SIZE entries).
+`classical_relation` reads each factor's rank words once for all three
+questions.
 
 Tables are immutable once built and are cached both in-process and on disk
 (one versioned file per rank).
@@ -53,7 +55,6 @@ import threading
 import zlib
 from collections import Counter
 from functools import lru_cache
-from itertools import permutations as iperm
 from math import factorial, prod
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -81,6 +82,7 @@ __all__ = [
     "mu",
     "left_preorder",
     "classical_inclusion",
+    "classical_relation",
     "classical_equal",
     "classical_cover",
     "DEFAULT_KL_BOUND",
@@ -468,9 +470,28 @@ def classical_inclusion(delta: SuperWeight, gamma: SuperWeight, **kw) -> bool:
     the conjunction of the factor decisions, each routed through longest
     coset representatives into the regular-orbit preorder.
     """
-    return orbit_equal(delta, gamma) and all(
-        left_preorder(len(labels), **kw).leq(d, g) for labels, d, g in _factors(delta, gamma)
-    )
+    return orbit_equal(delta, gamma) and _below(_factors(delta, gamma), kw)
+
+
+def _below(factors: Iterable[tuple], kw: dict) -> bool:
+    """Every factor's first rank word below its second, each factor's order
+    fetched only when the factors before it hold."""
+    return all(left_preorder(len(labels), **kw).leq(d, g) for labels, d, g in factors)
+
+
+def classical_relation(delta: SuperWeight, gamma: SuperWeight, **kw) -> str:
+    """Ann L(delta) against Ann L(gamma) for gl(m)+gl(n): 'equal', 'subset'
+    (strictly included), 'superset' or 'incomparable' (so for different
+    orbits).  Equality is decided as `classical_equal` does; each direction
+    then fetches a factor's order only where `classical_inclusion` would."""
+    if not orbit_equal(delta, gamma):
+        return "incomparable"
+    factors = list(_factors(delta, gamma))
+    if all(_insertion(d) == _insertion(g) for _, d, g in factors):
+        return "equal"
+    if _below(factors, kw):
+        return "subset"
+    return "superset" if _below([(lab, g, d) for lab, d, g in factors], kw) else "incomparable"
 
 
 def classical_equal(delta: SuperWeight, gamma: SuperWeight) -> bool:
@@ -491,7 +512,10 @@ def _insertion(word: Permutation) -> Tableau:
 def classical_cover(delta: SuperWeight, gamma: SuperWeight, **kw) -> bool:
     """Covering relation in the product poset of the two factor orbits:
     exactly one factor changes its left cell, to a cell covering the old one
-    among the cells of the rearrangements of its labels."""
+    among the cells of the rearrangements of its labels.  Every cell below
+    the new one is such a cell: the ties of the labels are descents of the
+    rank word's inverse, and that descent set is constant on left cells and
+    only grows down the left order (Kazhdan-Lusztig 1979, 2.4)."""
     if not orbit_equal(delta, gamma):
         return False
     moved = None
@@ -501,12 +525,15 @@ def classical_cover(delta: SuperWeight, gamma: SuperWeight, **kw) -> bool:
         if cd != cg:
             if moved or not order.preorder.class_leq(cd, cg):
                 return False
-            moved = labels, order, cd, cg
+            moved = order, cd, cg
     if moved is None:
         return False
-    labels, order, cd, cg = moved
-    leq = order.preorder.class_leq
-    return not any(
-        cz not in (cd, cg) and leq(cd, cz) and leq(cz, cg)
-        for cz in {order.class_id(rank_word(w)) for w in set(iperm(labels))}
-    )
+    order, cd, cg = moved
+    preorder = order.preorder
+    between = preorder.below(cg) & ~(1 << cd | 1 << cg)
+    while between:
+        cz = between.bit_length() - 1
+        if preorder.class_leq(cd, cz):
+            return False
+        between ^= 1 << cz
+    return True

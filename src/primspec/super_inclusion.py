@@ -25,9 +25,11 @@ Decidable regimes and their routes:
 Everything else raises UnsupportedRegimeError: a loud "cannot decide",
 distinct from False.
 
-Each pair is classified once (`_classify`: central characters, orbit, one
-atypicality degree), and `relation` and `decide` read both directions off
-that one classification; `covers` enters through `inclusion`.  What the
+`relation` and `decide` classify a pair first (`_classify`: central
+characters, orbit, one atypicality degree) and read both directions off
+that one classification.  Equal ideals share an orbit, so only a same-orbit
+pair is tested for equality, by one `classical_relation` call that reads
+the pair once.  `covers` enters through `inclusion`.  What the
 classification and the ladder read of a weight is kept in two
 `functools.lru_cache` memos of MEMO_SIZE entries each, shared across
 pairs: `_invariants` (central character and sorted orbit key) and
@@ -52,7 +54,7 @@ from .errors import (
     PreconditionError,
     UnsupportedRegimeError,
 )
-from .kl_classical import classical_cover, classical_equal, classical_inclusion
+from .kl_classical import classical_cover, classical_equal, classical_inclusion, classical_relation
 from .posets import strongly_connected_components, transitive_reduction
 from .weights import (
     SuperWeight,
@@ -393,7 +395,7 @@ def _gl22_patterns(alpha: SuperWeight) -> tuple[SuperWeight, ...]:
     """The four weights beta with J(beta) in J(alpha) across orbits, for
     doubly atypical gl(2|2): nonempty only for alpha = (c+1, c | c, c+1)."""
     c = alpha.left[1]
-    if alpha != SuperWeight((c + 1, c), (c, c + 1)):
+    if alpha.left != (c + 1, c) or alpha.right != (c, c + 1):
         return ()
     return tuple(
         SuperWeight((c + l0, c + l1), (c + r0, c + r1))
@@ -457,13 +459,15 @@ def equal_ideal(alpha: SuperWeight, beta: SuperWeight) -> bool:
 
 def _relate(alpha: SuperWeight, beta: SuperWeight, **kw) -> tuple[str, str | None, object]:
     """`relation` from one classification, with the route taken and, for a
-    strict pair, what `_includes` returned."""
-    if equal_ideal(alpha, beta):
-        return "equal", None, None
+    strict cross-orbit pair, what `_includes` returned; a same-orbit pair is
+    read once, by `classical_relation`."""
     try:
         route = _classify(alpha, beta)
     except UnsupportedRegimeError:
         return "unsupported", None, None
+    if route == "same_orbit":
+        return classical_relation(alpha, beta, **kw), route, None
+    # equal ideals share an orbit, so a cross-orbit pair is never equal
     for rel, big, small in (("subset", beta, alpha), ("superset", alpha, beta)):
         found = _includes(route, big, small, **kw)
         if found:
@@ -531,21 +535,24 @@ def covers(alpha: SuperWeight, beta: SuperWeight, **kw) -> bool:
     covers.  Across orbits alpha is (c+1, c | c, c+1) and beta one of its
     patterns, and only another pattern in beta's orbit can lie between.
     """
-    if not inclusion(alpha, beta, **kw) or equal_ideal(alpha, beta):
+    if not inclusion(alpha, beta, **kw):
         return False
-    # distinct ideals in one central character: one degree serves both weights
+    # one central character, so one degree serves both weights; equal ideals
+    # share an orbit, and every left cell, so `classical_cover` refuses them
+    same_orbit = _invariants(alpha)[1] == _invariants(beta)[1]
     degree = _atypical(alpha)[0]
+    if same_orbit and (degree == 0 or (degree == 2 and alpha.m == alpha.n == 2)):
+        return classical_cover(beta, alpha, **kw)
+    if same_orbit and equal_ideal(alpha, beta):
+        return False
     if degree == 1:
         # `inclusion` answers a bool, so the ladder pass runs again here
         _, gamma, delta = _required_ladder(alpha, beta)
         return classical_cover(delta, gamma, **kw)
-    if not orbit_equal(alpha, beta):
+    if not same_orbit:
         return not any(
-            not equal_ideal(kappa, beta) and classical_inclusion(beta, kappa, **kw)
-            for kappa in _gl22_patterns(alpha)
+            classical_relation(beta, kappa, **kw) == "subset" for kappa in _gl22_patterns(alpha)
         )
-    if degree == 0 or (degree == 2 and alpha.m == alpha.n == 2):
-        return classical_cover(beta, alpha, **kw)
     raise UnsupportedRegimeError(
         f"covering undecidable at atypicality {degree} for gl({alpha.m}|{alpha.n})"
     )

@@ -194,7 +194,7 @@ def central_character(weight: SuperWeight) -> tuple[tuple[int, int], ...]:
         counts[a] = counts.get(a, 0) + 1
     for b in weight.right:
         counts[b] = counts.get(b, 0) - 1
-    return tuple(sorted((x, c) for x, c in counts.items() if c))
+    return tuple(sorted([item for item in counts.items() if item[1]]))
 
 
 def atypicality_degree(weight: SuperWeight) -> int:

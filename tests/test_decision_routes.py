@@ -7,6 +7,9 @@ the canonical-basis order on sampled blocks, and for reading each weight's
 invariants at most once (and not again once memoised).
 """
 
+import hashlib
+import json
+import random
 from collections import Counter
 from itertools import permutations, product
 
@@ -14,10 +17,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primspec import super_inclusion
+from primspec import kl_classical, super_inclusion
 from primspec.brundan_kl import kl_left_order
 from primspec.errors import BoundExceededError, UnsupportedRegimeError
 from primspec.super_inclusion import (
+    covers,
     decide,
     equal_ideal,
     inclusion,
@@ -155,6 +159,81 @@ def test_bound_still_holds_once_memoised(pair):
     assert inclusion(alpha, beta)
     with pytest.raises(BoundExceededError):
         inclusion(alpha, beta, bound=5)
+
+
+def test_bound_is_checked_only_for_the_factors_read(monkeypatch):
+    # each direction reads a factor's order only while the factors before it
+    # leave that direction open, and equality reads no order at all
+    ranks = []
+    real = kl_classical.left_preorder
+
+    def recorded(m, **kw):
+        ranks.append(m)
+        return real(m, **kw)
+
+    monkeypatch.setattr(kl_classical, "left_preorder", recorded)
+    # the rank-3 factors are incomparable, so the rank-4 factor is never read
+    alpha, beta = W("0,2,1|5,6,7,8"), W("1,0,2|8,7,6,5")
+    assert relation(alpha, beta, bound=3) == "incomparable"
+    assert decide(alpha, beta, bound=3).relation == "incomparable"
+    assert 4 not in ranks
+    ranks.clear()
+    alpha, beta = W("1,2,3,0|"), W("1,2,0,3|")
+    assert relation(alpha, beta, bound=3) == "equal"
+    assert ranks == []
+    with pytest.raises(BoundExceededError):
+        covers(alpha, beta, bound=3)
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except Exception as exc:  # the same inputs must raise the same class
+        return type(exc).__name__
+
+
+def _sampled_window(m, n, lo, hi, count, seed):
+    """`count` ordered pairs of one window, beta drawn from the weights that
+    share alpha's central character (equal, same-orbit and ladder pairs)."""
+    by_character = {}
+    for w in _window(m, n, lo, hi):
+        by_character.setdefault(central_character(w), []).append(w)
+    rng = random.Random(seed)
+    weights = [w for ws in by_character.values() for w in ws]
+    pairs = []
+    for _ in range(count):
+        alpha = rng.choice(weights)
+        pairs.append((alpha, rng.choice(by_character[central_character(alpha)])))
+    return pairs
+
+
+def _golden_pairs():
+    for (m, n), lo, hi in WINDOWS:
+        weights = _window(m, n, lo, hi)
+        yield from product(weights, weights)
+    yield from _sampled_window(4, 1, 0, 3, 600, 41)
+    yield from _sampled_window(5, 1, 0, 3, 600, 51)
+
+
+GOLDEN_DIGEST = "e74ae27c4b87e579848bc0d826261a8f8ade94ac4856e214bdbfb52c5473c57b"
+
+
+def _golden_digest():
+    digest = hashlib.sha256()
+    for alpha, beta in _golden_pairs():
+        record = _outcome(decide, alpha, beta)
+        if not isinstance(record, str):
+            record = json.dumps(record.to_json_dict(), sort_keys=True)
+        line = (alpha, beta, _outcome(relation, alpha, beta), record, _outcome(covers, alpha, beta))
+        digest.update(("\t".join(map(str, line)) + "\n").encode())
+    return digest.hexdigest()
+
+
+def test_answers_match_the_golden_digest():
+    # relation, decide and covers (or the class of what they raise) on every
+    # ordered pair of WINDOWS and on sampled gl(4|1) and gl(5|1) pairs,
+    # recorded before `relation` read a same-orbit pair once
+    assert _golden_digest() == GOLDEN_DIGEST
 
 
 def _block(key, lo, hi):

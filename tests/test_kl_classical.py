@@ -31,6 +31,7 @@ from primspec.super_inclusion import inclusion
 from primspec.tableaux import (
     all_permutations,
     identity,
+    inverse,
     inversions,
     robinson_schensted,
     tau_of_weight,
@@ -430,6 +431,22 @@ class TestLeftPreorder:
         for m in (2, 3, 4, 5):
             assert left_preorder(m, **NO_DISK).class_count() == involution_count(m)
 
+    def test_inverse_descents_grow_down_the_order(self):
+        # what `classical_cover` relies on to search every cell below the new
+        # one: the descents of a word's inverse (its ties) are constant on
+        # left cells and only grow downwards
+        for m in range(2, 7):
+            order = left_preorder(m, **NO_DISK)
+            descents = {}
+            for w in all_permutations(m):
+                inv = inverse(w)
+                got = frozenset(k for k in range(m - 1) if inv[k] > inv[k + 1])
+                assert descents.setdefault(order.class_id(w), got) == got
+            for lower, below in descents.items():
+                for upper, above in descents.items():
+                    if order.preorder.class_leq(lower, upper):
+                        assert below >= above, (m, lower, upper)
+
     def test_cached_order_still_honours_bound(self):
         # a cached rank-5 order must not answer for a caller bounded at 3
         left_preorder(5, **NO_DISK)
@@ -563,25 +580,38 @@ class TestClassicalCover:
         assert classical_cover(W("0,1|1,0"), W("1,0|1,0"), **NO_DISK)
         assert not classical_cover(W("0,1|0,1"), W("1,0|1,0"), **NO_DISK)
 
-    def test_matches_brute_force_covers(self):
-        # every ordered same-orbit pair of gl(m)+gl(n), m+n <= 4, labels 0..2:
-        # a cover is a strict inclusion with no orbit member strictly between
-        def below(a, b):
-            return classical_inclusion(a, b, **NO_DISK) and not classical_equal(a, b)
+    @staticmethod
+    def _brute_force_covers(orbit):
+        """The covers of one orbit, each checked against the reference: a
+        strict inclusion with no orbit member strictly between."""
+        below = {
+            (d, g) for d in orbit for g in orbit
+            if classical_inclusion(d, g, **NO_DISK) and not classical_equal(d, g)
+        }
+        found = 0
+        for d in orbit:
+            for g in orbit:
+                expected = (d, g) in below and not any(
+                    (d, z) in below and (z, g) in below for z in orbit
+                )
+                assert classical_cover(d, g, **NO_DISK) == expected, (d, g)
+                found += expected
+        return found
 
+    def test_matches_brute_force_covers(self):
+        # every ordered same-orbit pair of gl(m)+gl(n), m+n <= 4, labels 0..2
         found = 0
         for m, n in [(m, n) for m in range(1, 5) for n in range(5 - m)]:
             for left in multisets(range(3), m):
                 for right in multisets(range(3), n):
-                    orbit = [
+                    found += self._brute_force_covers([
                         SuperWeight(a, b)
                         for a in set(iperm(left)) for b in set(iperm(right))
-                    ]
-                    for d in orbit:
-                        for g in orbit:
-                            expected = below(d, g) and not any(
-                                below(d, z) and below(z, g) for z in orbit
-                            )
-                            assert classical_cover(d, g, **NO_DISK) == expected, (d, g)
-                            found += expected
+                    ])
         assert found == 338  # the reference is not vacuous
+        # and every tie pattern of a rank-5 factor, one per composition of 5
+        found = 0
+        for cuts in range(16):
+            labels = [(cuts & (1 << k) - 1).bit_count() for k in range(5)]
+            found += self._brute_force_covers([SuperWeight(a, ()) for a in set(iperm(labels))])
+        assert found == 3292
