@@ -29,6 +29,17 @@ it is 1.  The disk cache holds what the table holds: one line per stored
 pair x < y, by y then x, under a header with the line count and a CRC-32
 of the lines.
 
+Column y = y's, J' = DR(y') and K = J & J', comes from the column of y':
+each extremal x of y is the raise of a K-top u v (DR(u v) containing K),
+u stored for y' and v in W_J'.  A stored u has DR(u) containing J', so
+u = u0 w_J' with u0 minimal in u W_J' and DR(u v) & J' = DR(w_J' v) & J':
+which v give a K-top does not depend on u.  So the build walks, for each
+(J', K), one spanning tree of W_J' cut down to those v and their
+ancestors, and applies it to every stored u.  The build reads h through
+one local function over the table's lists (raise, column lookup, shift);
+the public reads go through `KLTable._h`, and `kl_polynomial` returns the
+one LaurentPolynomial kept per distinct stored P.
+
 On top of the table sits the left preorder on a regular orbit of weight
 tuples, generated by wall-crossing conditions plus nonvanishing Ext^1
 between simples (equivalently nonvanishing mu), and the full inclusion
@@ -50,6 +61,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import tempfile
 import threading
 import zlib
@@ -60,7 +72,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .errors import BoundExceededError, CacheVersionError, InvariantError, PreconditionError
-from .laurent import ZERO, LaurentPolynomial
+from .laurent import ONE, ZERO, LaurentPolynomial
 from .posets import Preorder, wall_edges
 from .tableaux import (
     Permutation,
@@ -144,9 +156,10 @@ class KLTable:
 
     def __init__(self, m: int):
         self.m = m
-        self.perms = perms = sorted(all_permutations(m), key=lambda w: (inversions(w), w))
+        by_length = sorted((inversions(w), w) for w in all_permutations(m))
+        self.perms = perms = [w for _, w in by_length]
+        self.lengths = [length for length, _ in by_length]
         self.index = index = {w: i for i, w in enumerate(perms)}
-        self.lengths = [inversions(w) for w in perms]
         # w s_p swaps positions p, p+1 and s_t w values t+1, t+2; descents are bitmasks
         self._right = [[index[w[:p] + (w[p + 1], w[p]) + w[p + 2:]] for p in range(m - 1)]
                        for w in perms]
@@ -156,9 +169,9 @@ class KLTable:
         self._dl = [self._dr[j] for j in inv]
         self._low = [(k & -k).bit_length() - 1 for k in range(1 << max(m - 1, 0))]  # lowest bit
         self._cols = [{yi: 0} for yi in range(len(perms))]  # y: each extremal x -> id of h_{x,y}
-        # by id (0 is the diagonal): packed h, P's pairs, the coefficient of v
+        # by id (0 is the diagonal): packed h, P, the coefficient of v
         self._packed = [1]
-        self._p_pairs: list[tuple[tuple[int, int], ...]] = [((0, 1),)]
+        self._polys = [ONE]
         self._slot_one = [0]
         self._id_of: dict[tuple[int, int], int] = {}
 
@@ -166,7 +179,7 @@ class KLTable:
         """The id of an off-diagonal packed h at gap `gap`, checked once."""
         pid = self._id_of.get((h, gap))
         if pid is None:
-            self._p_pairs.append(_unpack(h, gap))
+            self._polys.append(LaurentPolynomial(dict(_unpack(h, gap))))
             self._slot_one.append(h >> _SLOT & _SLOT_MASK)
             pid = self._id_of[(h, gap)] = len(self._packed)
             self._packed.append(h)
@@ -175,17 +188,19 @@ class KLTable:
     def _raise(self, xi: int, yi: int) -> int:
         """x raised along the descents of y it lacks: the top of W_I x W_J."""
         dl, dr, low = self._dl, self._dr, self._low
-        while miss := dl[yi] & ~dl[xi]:
+        dly, dry = dl[yi], dr[yi]
+        while miss := dly & ~dl[xi]:
             xi = self._left[xi][low[miss]]
-        while miss := dr[yi] & ~dr[xi]:
+        while miss := dry & ~dr[xi]:
             xi = self._right[xi][low[miss]]
         return xi
 
     def _h(self, xi: int, yi: int) -> int:
         """Packed h_{x,y} = v^k h_{x*,y}, x* x raised k steps (0 unless x <= y)."""
         top = self._raise(xi, yi)
+        pid = self._cols[yi].get(top)
         k = self.lengths[top] - self.lengths[xi]
-        return self._packed[self._cols[yi][top]] << _SLOT * k if top in self._cols[yi] else 0
+        return 0 if pid is None else self._packed[pid] << _SLOT * k
 
     def __len__(self) -> int:
         """Stored x stands for |W_I x W_J| = |W_I| |W_J| / prod M_ab! pairs, M_ab
@@ -208,51 +223,61 @@ class KLTable:
         """P_{x,y} in the variable q (1 on the diagonal, 0 unless x <= y)."""
         xi, yi = self.index[tuple(x)], self.index[tuple(y)]
         pid = self._cols[yi].get(self._raise(xi, yi))
-        return ZERO if pid is None else LaurentPolynomial(dict(self._p_pairs[pid]))
+        return ZERO if pid is None else self._polys[pid]
 
     def mu(self, x: Permutation, y: Permutation) -> int:
         """Symmetrized mu: the coefficient of v in h_{x,y}, x the shorter; off the
         extremal pairs the raise makes it 1 at y = sx or xs and 0 otherwise."""
-        xi, yi = sorted((self.index[tuple(x)], self.index[tuple(y)]))  # indices follow length
+        xi, yi = self.index[tuple(x)], self.index[tuple(y)]
+        if xi > yi:  # indices follow length
+            xi, yi = yi, xi
         return self._h(xi, yi) >> _SLOT & _SLOT_MASK
 
-    def _mu_below(self, yi: int) -> dict[int, int]:
-        """x -> mu(x, y) != 0 over x < y: one step below y, or stored with a v term."""
-        lengths, slot_one = self.lengths, self._slot_one
-        below = {w: 1 for w in self._left[yi] + self._right[yi] if lengths[w] < lengths[yi]}
-        below.update((x, slot_one[pid]) for x, pid in self._cols[yi].items() if slot_one[pid])
-        return below
+    def _mu_below(self, yi: int) -> Iterator[tuple[int, int]]:
+        """(x, mu(x, y)) for each x < y with mu != 0: one step below y, or
+        stored with a v term (a stored x one step below has h = v)."""
+        lengths, slot_one, column = self.lengths, self._slot_one, self._cols[yi]
+        ly = lengths[yi]
+        yield from ((x, 1) for x in {*self._left[yi], *self._right[yi]}
+                    if lengths[x] < ly and x not in column)
+        yield from ((x, slot_one[pid]) for x, pid in column.items() if slot_one[pid])
 
     def mu_pairs(self) -> Iterable[tuple[Permutation, Permutation, int]]:
         """All (x, y, mu) with x shorter than y and mu(x, y) != 0, by y then x."""
-        for yi, y in enumerate(self.perms):
-            below = self._mu_below(yi)
-            yield from ((self.perms[xi], y, below[xi]) for xi in sorted(below))
+        perms = self.perms
+        for yi, y in enumerate(perms):
+            yield from ((perms[xi], y, mu_xy) for xi, mu_xy in sorted(self._mu_below(yi)))
 
     # -- persistence ---------------------------------------------------------
 
     def save(self, path: Path) -> None:
         """Atomically write the table: one line per stored pair x < y, by y
         then x, under a header with their count and CRC-32; exact round-trip
-        with `load`."""
+        with `load`.  The lines go to an unnamed temporary file first and are
+        copied in under the header, so only one column's text is held."""
         perm_text = [json.dumps(list(w)) for w in self.perms]
-        poly_text = [json.dumps([list(kc) for kc in pairs]) for pairs in self._p_pairs]
-        body = b"".join("".join(f"[{perm_text[xi]}, {perm_text[yi]}, {poly_text[column[xi]]}]\n"
-                                for xi in sorted(column) if xi != yi).encode()
-                        for yi, column in enumerate(self._cols))
-        header = {"format": _CACHE_FORMAT, "version": _CACHE_VERSION, "m": self.m,
-                  "count": body.count(b"\n"), "crc32": zlib.crc32(body)}
+        poly_text = [json.dumps(poly.to_pairs()) for poly in self._polys]
         path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name)
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
-                fh.write(body)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        with tempfile.TemporaryFile(dir=path.parent) as body:
+            count, crc = 0, 0
+            for yi, column in enumerate(self._cols):
+                lines = "".join(f"[{perm_text[xi]}, {perm_text[yi]}, {poly_text[column[xi]]}]\n"
+                                for xi in sorted(column) if xi != yi).encode()
+                count, crc = count + len(column) - 1, zlib.crc32(lines, crc)
+                body.write(lines)
+            body.seek(0)
+            header = {"format": _CACHE_FORMAT, "version": _CACHE_VERSION, "m": self.m,
+                      "count": count, "crc32": crc}
+            fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name)
+            try:
+                with os.fdopen(fd, "wb") as fh:
+                    fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
+                    shutil.copyfileobj(body, fh)
+                os.replace(tmp, path)
+            except BaseException:
+                if os.path.exists(tmp):
+                    os.unlink(tmp)
+                raise
 
     @classmethod
     def load(cls, path: Path, m: int) -> "KLTable":
@@ -292,42 +317,83 @@ class KLTable:
         return table
 
 
-def _coset_walk(mult: list[list[int]], mask: int):
-    """w -> its coset under W_mask via `mult`, along a spanning tree of W_mask."""
-    nodes, seen, tree = [0], {0}, []
+def _coset_walk(mult: list[list[int]], dr: list[int], low: list[int], mask: int, keep: int):
+    """w -> the elements of its coset w W_mask whose right descents contain
+    `keep` (a subset of `mask`), for w the top of that coset.
+
+    Such a w is w0 w_mask, w0 minimal in the coset and w_mask the top of
+    W_mask, and l(w0 v) = l(w0) + l(v) for v in W_mask, so s in mask is a
+    right descent of w v exactly when it is one of w_mask v: which v pass
+    does not depend on w.  The spanning tree of W_mask, grown from w_mask by
+    `mult`, is cut down once to the passing nodes and their ancestors."""
+    top = 0
+    while miss := mask & ~dr[top]:
+        top = mult[top][low[miss]]
+    nodes, tree, seen = [top], [(-1, -1)], {top}
     for k, w in enumerate(nodes):
         for t, v in enumerate(mult[w]):
             if mask >> t & 1 and v not in seen:
                 seen.add(v)
                 nodes.append(v)
                 tree.append((k, t))
+    passes = [dr[w] & keep == keep for w in nodes]
+    needed = passes[:]
+    for k in range(len(nodes) - 1, 0, -1):
+        if needed[k]:
+            needed[tree[k][0]] = True
+    place, pruned, yielded = [0] * len(nodes), [], [0]  # the root passes: dr[top] holds mask
+    for k in range(1, len(nodes)):
+        if needed[k]:
+            parent, t = tree[k]
+            place[k] = len(pruned) + 1
+            pruned.append((place[parent], t))
+            if passes[k]:
+                yielded.append(place[k])
 
     def walk(start: int) -> list[int]:
         out = [start]
-        for parent, t in tree:
+        for parent, t in pruned:
             out.append(mult[out[parent]][t])
-        return out
+        return [out[i] for i in yielded]
 
     return walk
 
 
 def _build_kl_table(m: int) -> KLTable:
     table = KLTable(m)
-    lengths, cols, raise_, read = table.lengths, table._cols, table._raise, table._h
-    right, dr = table._right, table._dr
-    walks = {mask: _coset_walk(right, mask) for mask in set(dr)}
+    lengths, cols, packed, raise_ = table.lengths, table._cols, table._packed, table._raise
+    left, right, dl, dr, low = table._left, table._right, table._dl, table._dr, table._low
+
+    def read(xi: int, yi: int) -> int:  # KLTable._h over the locals
+        top, dly, dry = xi, dl[yi], dr[yi]
+        while miss := dly & ~dl[top]:
+            top = left[top][low[miss]]
+        while miss := dry & ~dr[top]:
+            top = right[top][low[miss]]
+        pid = cols[yi].get(top)
+        return 0 if pid is None else packed[pid] << _SLOT * (lengths[top] - lengths[xi])
+
+    walks = {}
     for yi in range(1, len(table.perms)):
-        p = table._low[dr[yi]]  # the first right descent s
+        p = low[dr[yi]]  # the first right descent s
         y1 = right[yi][p]
         # [e, y] is [e, y'] with [e, y'] s: each extremal x tops a u w, u stored for y', w in W_J'
         k = dr[yi] & dr[y1]  # K = J & J': raise one u w of each u w W_K, its K-top
-        tops = {raise_(g, yi) for u in cols[y1] for g in walks[dr[y1]](u) if dr[g] & k == k}
+        walk = walks.get((dr[y1], k))
+        if walk is None:
+            walk = walks[dr[y1], k] = _coset_walk(right, dr, low, dr[y1], k)
+        tops = {raise_(g, yi) for u in cols[y1] for g in walk(u)}
         # B_y = B_{y'} B_s - sum mu(z, y') B_z over z s < z, with H_x B_s =
         # H_{xs} + v^{-1} H_x for x s < x
-        terms = [(z, mu_z) for z, mu_z in table._mu_below(y1).items() if dr[z] >> p & 1]
-        column = {xi: read(right[xi][p], y1) + (read(xi, y1) >> _SLOT)
-                  - sum(mu_z * read(xi, zi) for zi, mu_z in terms if lengths[xi] <= lengths[zi])
-                  for xi in tops}
+        terms = [(z, lengths[z], mu_z) for z, mu_z in table._mu_below(y1) if dr[z] >> p & 1]
+        column = {}
+        for xi in tops:
+            lx = lengths[xi]
+            h = read(right[xi][p], y1) + (read(xi, y1) >> _SLOT)
+            for zi, lz, mu_z in terms:
+                if lx <= lz:
+                    h -= mu_z * read(xi, zi)
+            column[xi] = h
         if column.pop(yi) != 1:
             raise InvariantError("new-basis element is not unitriangular")
         cols[yi].update((xi, table._intern(h, lengths[yi] - lengths[xi]))
@@ -411,8 +477,9 @@ class LeftOrder:
         # bit p: strictly on the positive side of wall p (an ascent of the word)
         ascent_mask = [sum(1 << p for p in range(m - 1) if r[p] < r[p + 1]) for r in perms]
         # u, antidominant-based, has rank word inverse(u w0); u w0 is u's word reversed
-        node = {u: self.index[inverse(tuple(reversed(u)))] for u in table.perms}
-        pairs = ((node[x], node[y]) for x, y, _ in table.mu_pairs())
+        node = [self.index[inverse(u[::-1])] for u in table.perms]
+        pairs = ((node[xi], node[yi]) for yi in range(len(node))
+                 for xi, _ in sorted(table._mu_below(yi)))
         self.preorder = Preorder(len(perms), wall_edges(ascent_mask, pairs))
 
     def node(self, r: Permutation) -> int:
@@ -438,14 +505,11 @@ def left_preorder(
 ) -> LeftOrder:
     """The left preorder for rank m (cached; the bound is checked first)."""
     _check_rank(m, bound)
-    with _lock:
-        order = _orders.get(m)
-    if order is not None:
-        return order
-    table = kl_table(m, bound=bound, cache_dir=cache_dir, use_disk=use_disk)
-    order = LeftOrder(table)
-    with _lock:
-        _orders[m] = order
+    order = _orders.get(m)  # a single dict read; the lock guards publishing
+    if order is None:
+        order = LeftOrder(kl_table(m, bound=bound, cache_dir=cache_dir, use_disk=use_disk))
+        with _lock:
+            order = _orders.setdefault(m, order)
     return order
 
 

@@ -129,7 +129,8 @@ def rank_word(labels: Sequence[int]) -> Permutation:
     >>> rank_word((1, 1, 0))
     (2, 1, 3)
     """
-    order = sorted(range(len(labels)), key=lambda i: (-labels[i], -i))
+    # a stable descending sort over the positions taken backwards
+    order = sorted(range(len(labels) - 1, -1, -1), key=labels.__getitem__, reverse=True)
     ranks = [0] * len(labels)
     for rank, i in enumerate(order, start=1):
         ranks[i] = rank

@@ -215,6 +215,43 @@ class TestKLTable:
             "52f020590a3ad93e8613c50e15418d610b6ac276ca2d7d812db1eaeeb227a0dc"
         )
 
+    @pytest.mark.slow
+    def test_rank_seven_digest(self):
+        # each column's packed h by x and the left cell of every rank word,
+        # digested from the build with the full coset walk
+        table = kl_classical._build_kl_table(7)
+        order = LeftOrder(table)
+        digest = hashlib.sha256()
+        for column in TestCache._stored(table):
+            digest.update(repr(sorted(column.items())).encode())
+        digest.update(repr([order.class_id(r) for r in order.perms]).encode())
+        assert digest.hexdigest() == (
+            "887e8d21fe2943a541b856456aec8b99d29bbaeaa9029257a1094488e12b74e8"
+        )
+
+    @pytest.mark.parametrize("m", range(2, 7))
+    def test_pruned_walk_yields_the_k_tops(self, m):
+        # for every (J', K) the build walks and every u stored for y': the
+        # K-tops of the whole coset u W_J', found by a search of the coset
+        table = kl_table(m, **NO_DISK)
+        right, dr, low = table._right, table._dr, table._low
+        for yi in range(1, len(table.perms)):
+            y1 = right[yi][low[dr[yi]]]
+            mask, keep = dr[y1], dr[yi] & dr[y1]
+            walk = kl_classical._coset_walk(right, dr, low, mask, keep)
+            for u in table._cols[y1]:
+                coset = {u}
+                frontier = [u]
+                while frontier:
+                    w = frontier.pop()
+                    for t in range(m - 1):
+                        if mask >> t & 1 and right[w][t] not in coset:
+                            coset.add(right[w][t])
+                            frontier.append(right[w][t])
+                walked = walk(u)
+                assert len(walked) == len(set(walked))
+                assert set(walked) == {g for g in coset if dr[g] & keep == keep}
+
     def test_bound_refusal_names_bound(self):
         with pytest.raises(BoundExceededError) as err:
             kl_table(9, bound=7, **NO_DISK)

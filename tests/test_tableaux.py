@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
@@ -93,6 +93,16 @@ class TestRankWord:
     def test_ties_break_backwards(self):
         assert rank_word((1, 1, 0)) == (2, 1, 3)
         assert rank_word((2, 2, 2)) == (3, 2, 1)
+
+    def test_every_short_label_tuple_follows_the_rule(self):
+        # rank of position i: 1 + the labels above it + its ties to its right
+        for n in range(7):
+            for labels in product(range(4), repeat=n):
+                expected = tuple(
+                    1 + sum(b > a for b in labels) + sum(b == a for b in labels[i + 1:])
+                    for i, a in enumerate(labels)
+                )
+                assert rank_word(labels) == expected, labels
 
 
 def egf_series(order=11):
