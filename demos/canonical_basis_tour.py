@@ -17,7 +17,7 @@ for b in table.weights:
     terms = [
         f"({table.d(a, b)}) v[{a}]"
         for a in table.weights
-        if not table.d(a, b).is_zero() and a != b
+        if table.d(a, b) and a != b
     ]
     print(f"  b[{b}] = v[{b}]" + ("  +  " + "  +  ".join(terms) if terms else ""))
 

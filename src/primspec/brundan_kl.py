@@ -106,6 +106,12 @@ def unpack(x: int, offset: int = 0) -> LaurentPolynomial:
     return LaurentPolynomial(dict(_digits(x, offset)))
 
 
+def _q_digit(x: int) -> int:
+    """The coefficient of q in x, an entry of D: D is in qZ[q], so the q^0
+    digit is zero and lends nothing to the q digit."""
+    return (((x >> BITS) + _HALF) & _MASK) - _HALF
+
+
 class TensorWindow(_Frozen):
     """A finite label interval [lo, hi] with factor shape (m, n)."""
 
@@ -315,15 +321,15 @@ class CanonicalBasisTable:
 
     def mu(self, alpha: SuperWeight, beta: SuperWeight) -> int:
         """dim Ext^1 between the simples: q-linear terms of d both ways."""
-        return self.d(alpha, beta).coeff(1) + self.d(beta, alpha).coeff(1)
+        i, j = self._key(alpha), self._key(beta)
+        return _q_digit(self._d.get((i, j), 0)) + _q_digit(self._d.get((j, i), 0))
 
     def mu_pairs(self) -> Iterable[tuple[SuperWeight, SuperWeight, int]]:
         """All (alpha, beta, mu) with mu != 0; D is unitriangular, so at most
         one of d(alpha, beta) and d(beta, alpha) is nonzero: each pair once."""
         ws = self._weights
         for (i, j), x in self._d.items():
-            c = (((x >> BITS) + _HALF) & _MASK) - _HALF  # the q term: D is in qZ[q]
-            if c:
+            if c := _q_digit(x):
                 yield ws[i], ws[j], c
 
     def to_json_dict(self) -> dict:

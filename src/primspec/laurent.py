@@ -1,25 +1,35 @@
 """Exact Laurent polynomials in one variable `q` with integer coefficients.
 
-Coefficients are Python ints, exponents may be negative.  Instances are
-immutable and hashable, so they can be used as table values throughout the
-Kazhdan-Lusztig machinery.
+`LaurentPolynomial` is the value type the two polynomial tables hand out:
+`KLTable.kl_polynomial` (classical P_{x,y}) and `CanonicalBasisTable.d`
+(canonical-basis coefficients).  Both compute on packed ints and build a
+`LaurentPolynomial` only to read one out, so the type is an immutable value:
+it is built from an exponent -> coefficient mapping, read with `coeff` and
+`to_pairs`, compared, hashed and printed.  Exponents may be negative.  Of
+the ring operations only `*` is left, for the benchmark's tracer (see the
+class).
 
->>> p = LaurentPolynomial({0: 1, 1: 1})
->>> p * p
-LaurentPolynomial({0: 1, 1: 2, 2: 1})
->>> print(p.bar())
-q^-1 + 1
+>>> p = LaurentPolynomial({-1: 1, 0: 0, 1: -2})
+>>> print(p)
+q^-1 - 2*q
+>>> p.coeff(1), p.to_pairs()
+(-2, [[-1, 1], [1, -2]])
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping
+from typing import Mapping
 
-__all__ = ["LaurentPolynomial", "ZERO", "ONE", "Q"]
+__all__ = ["LaurentPolynomial", "ZERO", "ONE"]
 
 
 class LaurentPolynomial:
-    """A Z[q, q^-1] element stored as a sparse exponent -> coefficient map."""
+    """A Z[q, q^-1] element stored as a sparse exponent -> coefficient map.
+
+    `*` (by a polynomial or an int) is the one ring operation kept: no code
+    in the package multiplies, but the benchmark's tracer counts
+    `LaurentPolynomial.__mul__` calls, so the name must resolve.
+    """
 
     __slots__ = ("_coeffs",)
 
@@ -31,69 +41,22 @@ class LaurentPolynomial:
                     data[int(exp)] = int(c)
         self._coeffs = data
 
-    # -- inspection ---------------------------------------------------------
-
     def coeff(self, exp: int) -> int:
         """Coefficient of q^exp (0 if absent)."""
         return self._coeffs.get(exp, 0)
 
-    def items(self) -> Iterator[tuple[int, int]]:
-        return iter(sorted(self._coeffs.items()))
-
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
-    # -- arithmetic ---------------------------------------------------------
-
-    def __add__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
-        data = dict(self._coeffs)
-        for exp, c in other._coeffs.items():
-            s = data.get(exp, 0) + c
-            if s:
-                data[exp] = s
-            else:
-                data.pop(exp, None)
-        out = LaurentPolynomial.__new__(LaurentPolynomial)
-        out._coeffs = data
-        return out
-
-    def __neg__(self) -> "LaurentPolynomial":
-        out = LaurentPolynomial.__new__(LaurentPolynomial)
-        out._coeffs = {e: -c for e, c in self._coeffs.items()}
-        return out
-
-    def __sub__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
-        return self + (-other)
-
     def __mul__(self, other: "LaurentPolynomial | int") -> "LaurentPolynomial":
         if isinstance(other, int):
-            out = LaurentPolynomial.__new__(LaurentPolynomial)
-            out._coeffs = (
-                {e: c * other for e, c in self._coeffs.items()} if other else {}
-            )
-            return out
+            return LaurentPolynomial({e: c * other for e, c in self._coeffs.items()})
         data: dict[int, int] = {}
         for e1, c1 in self._coeffs.items():
             for e2, c2 in other._coeffs.items():
-                e = e1 + e2
-                s = data.get(e, 0) + c1 * c2
-                if s:
-                    data[e] = s
-                else:
-                    data.pop(e, None)
-        out = LaurentPolynomial.__new__(LaurentPolynomial)
-        out._coeffs = data
-        return out
+                data[e1 + e2] = data.get(e1 + e2, 0) + c1 * c2
+        return LaurentPolynomial(data)
 
     __rmul__ = __mul__
 
-    def bar(self) -> "LaurentPolynomial":
-        """The involution q -> q^-1."""
-        out = LaurentPolynomial.__new__(LaurentPolynomial)
-        out._coeffs = {-e: c for e, c in self._coeffs.items()}
-        return out
-
-    # -- comparisons / container protocol -----------------------------------
+    # -- comparisons --------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
@@ -134,4 +97,3 @@ class LaurentPolynomial:
 
 ZERO = LaurentPolynomial()
 ONE = LaurentPolynomial({0: 1})
-Q = LaurentPolynomial({1: 1})

@@ -413,7 +413,8 @@ def _classify(alpha: SuperWeight, beta: SuperWeight) -> str:
     (incomparable), 'same_orbit', 'ladder' or 'gl22'.  Equal central
     characters give equal atypicality degrees (m minus the positive counts),
     so one degree serves both weights."""
-    if (alpha.m, alpha.n) != (beta.m, beta.n):
+    m, n = len(alpha.left), len(alpha.right)
+    if m != len(beta.left) or n != len(beta.right):
         raise ValueError("weights live in different Z^(m|n)")
     (character, orbit), (other_character, other_orbit) = _invariants(alpha), _invariants(beta)
     if character != other_character:
@@ -423,11 +424,11 @@ def _classify(alpha: SuperWeight, beta: SuperWeight) -> str:
     degree = _atypical(alpha)[0]
     if degree == 1:
         return "ladder"
-    if degree == 2 and alpha.m == alpha.n == 2:
+    if degree == 2 and m == n == 2:
         return "gl22"
     raise UnsupportedRegimeError(
         f"cross-orbit inclusion undecidable here: atypicality degrees "
-        f"({degree}, {degree}) for gl({alpha.m}|{alpha.n})"
+        f"({degree}, {degree}) for gl({m}|{n})"
     )
 
 
@@ -503,14 +504,7 @@ class Decision(NamedTuple):
             "gamma": str(self.gamma) if self.gamma else None,
             "delta": str(self.delta) if self.delta else None,
             "trace": [
-                {
-                    "side": s.side,
-                    "op": s.op,
-                    "color": s.color,
-                    "power": s.power,
-                    "before": str(s.before),
-                    "after": str(s.after),
-                }
+                {**s._asdict(), "before": str(s.before), "after": str(s.after)}
                 for s in (self.trace.steps if self.trace else ())
             ],
         }
@@ -541,7 +535,7 @@ def covers(alpha: SuperWeight, beta: SuperWeight, **kw) -> bool:
     # share an orbit, and every left cell, so `classical_cover` refuses them
     same_orbit = _invariants(alpha)[1] == _invariants(beta)[1]
     degree = _atypical(alpha)[0]
-    if same_orbit and (degree == 0 or (degree == 2 and alpha.m == alpha.n == 2)):
+    if same_orbit and (degree == 0 or (degree == 2 and len(alpha.left) == len(alpha.right) == 2)):
         return classical_cover(beta, alpha, **kw)
     if same_orbit and equal_ideal(alpha, beta):
         return False

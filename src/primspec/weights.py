@@ -130,9 +130,11 @@ class SuperWeight(_Frozen):
             raise WeightParseError(
                 f"cannot parse weight {text!r}: expected 'a1,...,am|b1,...,bn'"
             )
+        left, right = (part.split(",") if part.strip() else [] for part in match.groups())
+        if not all(tok.strip() for tok in left + right):
+            raise WeightParseError(f"empty label in {text!r}")
         try:
-            left = tuple(int(tok) for tok in match.group(1).split(",") if tok.strip())
-            right = tuple(int(tok) for tok in match.group(2).split(",") if tok.strip())
+            left, right = tuple(map(int, left)), tuple(map(int, right))
         except ValueError as exc:
             raise WeightParseError(f"non-integer label in {text!r}") from exc
         if not left:

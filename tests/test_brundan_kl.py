@@ -17,7 +17,7 @@ from primspec.brundan_kl import (
 )
 from primspec.errors import BoundExceededError, InvariantError, PreconditionError
 from primspec.kl_classical import kl_table, left_preorder
-from primspec.laurent import ONE, LaurentPolynomial
+from primspec.laurent import ONE, ZERO, LaurentPolynomial
 from primspec.super_inclusion import inclusion
 from primspec.tableaux import inversions, rank_word
 from primspec.weights import SuperWeight, atypicality_degree, central_character
@@ -30,14 +30,26 @@ def _decoded(bar, vec):
     return {mono: unpack(x, bar.offset) for mono, x in vec.items()}
 
 
+def _bar(p):
+    """p with q -> q^-1."""
+    return LaurentPolynomial({-e: c for e, c in p.to_pairs()})
+
+
+def _add(a, b):
+    out = dict(a.to_pairs())
+    for e, c in b.to_pairs():
+        out[e] = out.get(e, 0) + c
+    return LaurentPolynomial(out)
+
+
 def _psi_vector(bar, vec):
     """psi of a vector with unpacked coefficients (antilinear)."""
     out = {}
     for mono, coeff in vec.items():
         for target, c in _decoded(bar, bar.psi(mono)).items():
             cur = out.get(target)
-            val = coeff.bar() * c
-            out[target] = cur + val if cur is not None else val
+            val = _bar(coeff) * c
+            out[target] = _add(cur, val) if cur is not None else val
     return {t: c for t, c in out.items() if c}
 
 
@@ -81,7 +93,7 @@ class TestBarInvolution:
 
 
 def _pack(poly, offset=0):
-    return sum(c << (BITS * (e + offset)) for e, c in poly.items())
+    return sum(c << (BITS * (e + offset)) for e, c in poly.to_pairs())
 
 
 class _StubBar:
@@ -183,7 +195,7 @@ class TestCanonicalBasis:
             assert table.d(up, b) == LaurentPolynomial({1: 1})
             two_up = SuperWeight((a + 2,), (a + 2,))
             if a + 2 <= 3:
-                assert table.d(two_up, b).is_zero()
+                assert not table.d(two_up, b)
 
     def test_singleton_block(self):
         # a typical 1|1 weight is alone in its weight space
@@ -197,7 +209,7 @@ class TestCanonicalBasis:
         assert table.d(W("5,0|"), W("5,0|")) == ONE
         # the antidominant canonical vector picks up the dominant monomial
         assert table.d(W("5,0|"), W("0,5|")) == LaurentPolynomial({1: 1})
-        assert table.d(W("0,5|"), W("5,0|")).is_zero()
+        assert not table.d(W("0,5|"), W("5,0|"))
 
     def test_block_after_bar_eviction_matches_a_cold_build(self):
         # the bar involution is cached for the latest window only: a block on
@@ -224,7 +236,7 @@ class TestCanonicalBasis:
             for b in ws:
                 if a != b:
                     poly = table.d(a, b)
-                    assert all(e >= 1 for e, _ in poly.items())
+                    assert all(e >= 1 for e, _ in poly.to_pairs())
 
     def test_derivative_identity_between_p_and_d(self):
         # the inverse transition p(b, a) = (D^-1)_{ab}(-q) has the q-linear
@@ -235,7 +247,7 @@ class TestCanonicalBasis:
         strict: dict = {}
         for c in ws:
             for b in ws:
-                if c != b and not table.d(c, b).is_zero():
+                if c != b and table.d(c, b):
                     strict.setdefault(c, []).append((b, table.d(c, b)))
         inverse = {(a, a): ONE for a in ws}
         term = dict(inverse)
@@ -243,15 +255,15 @@ class TestCanonicalBasis:
             nxt: dict = {}
             for (a, c), x in term.items():
                 for b, y in strict.get(c, ()):
-                    nxt[a, b] = nxt.get((a, b), LaurentPolynomial()) - x * y
+                    nxt[a, b] = _add(nxt.get((a, b), ZERO), x * y * -1)
             term = {key: x for key, x in nxt.items() if x}
             for key, x in term.items():
-                inverse[key] = inverse.get(key, LaurentPolynomial()) + x
+                inverse[key] = _add(inverse.get(key, ZERO), x)
         for a in ws:
             for b in ws:
                 if a != b:
                     # q -> -q negates the q-linear term
-                    lhs = -inverse.get((a, b), LaurentPolynomial()).coeff(1)
+                    lhs = -inverse.get((a, b), ZERO).coeff(1)
                     assert lhs == table.d(a, b).coeff(1)
 
     def test_typical_block_matches_classical_kl(self):
@@ -265,7 +277,7 @@ class TestCanonicalBasis:
         assert len(block) == 2
         lo_w, hi_w = W("1,2|0"), W("2,1|0")
         assert table.d(hi_w, lo_w) == LaurentPolynomial({1: 1})
-        assert table.d(lo_w, hi_w).is_zero()
+        assert not table.d(lo_w, hi_w)
 
     def test_typical_gl31_block_matches_classical(self):
         # regular typical gl(3|1) block: the d-matrix is the classical KL
@@ -287,7 +299,7 @@ class TestCanonicalBasis:
                 elif bruhat_leq(ra, rb):
                     assert poly == LaurentPolynomial({lb - la: 1})
                 else:
-                    assert poly.is_zero()
+                    assert not poly
 
     def test_ext_splitting_only_one_direction(self):
         table = canonical_basis([W("1,0|0,1")], interval=(-1, 3))
@@ -409,7 +421,7 @@ class TestLeftOrder:
                 else:
                     p = kl.kl_polynomial(ra, rb)
                     expected = LaurentPolynomial(
-                        {lb - la - 2 * e: c for e, c in p.items()}
+                        {lb - la - 2 * e: c for e, c in p.to_pairs()}
                     )
                 assert table.d(a, b) == expected
         s2w = SuperWeight(tuple(4 - x for x in (1, 3, 2, 4)), ())

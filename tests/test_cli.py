@@ -46,6 +46,11 @@ class TestInclusion:
         assert code == 1
         assert "error" in err
 
+    def test_empty_label_is_refused(self, capsys):
+        code, out, err = run(capsys, "inclusion", "--weights", "1,,2|3", "2,1|3")
+        assert code == 1 and out == ""
+        assert err == "error: empty label in '1,,2|3'\n"
+
     def test_rank_validation_flags(self, capsys):
         code, _, err = run(
             capsys, "inclusion", "--weights", "1,0|1", "1,1|1", "--m", "3"

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -30,16 +31,21 @@ def small_weights(max_rank=3, lo=-2, hi=4):
 
 class TestParsing:
     def test_round_trip(self):
-        for text in ["7,6,2,3,6,1,3,1|4,3,4,5", "2,1,0|", "1,0|0,1", "-3|-3"]:
+        for text in ["7,6,2,3,6,1,3,1|4,3,4,5", "2,1,0|", "1|", "1,0|0,1", "-3|-3"]:
             assert str(W(text)) == text
 
     def test_spaces_allowed(self):
         assert W(" 1, 0 | 0, 1 ") == SuperWeight((1, 0), (0, 1))
+        assert W("2,1,0| ") == SuperWeight((2, 1, 0), ())
 
     def test_rejects_garbage(self):
-        for text in ["1,2,3", "1,x|2", "|1", ""]:
-            with pytest.raises(WeightParseError):
+        for text in ["1,2,3", "1,x|2", "|1", "", "1,,2|3", ",1|2", "1,|2", "1|2,", "1|,"]:
+            with pytest.raises(WeightParseError, match=re.escape(repr(text))):
                 W(text)
+
+    @given(small_weights())
+    def test_parse_inverts_str(self, w):
+        assert W(str(w)) == w
 
 
 class TestFromRhoShifted:
