@@ -32,7 +32,7 @@ from .errors import (
     NotSinglyAtypicalError,
     PreconditionError,
 )
-from .kl_classical import DEFAULT_KL_BOUND, LeftOrder, left_preorder
+from .kl_classical import DEFAULT_KL_BOUND, LeftOrder, _check_keywords, left_preorder
 from .posets import transitive_reduction
 from .super_inclusion import _delta, _gamma, _orbit_key, frame
 from .tableaux import involution_count, rank_word, tau_of_weight
@@ -103,6 +103,7 @@ def enumerate_X(m: int, *, bound: int = DEFAULT_KL_BOUND, **kw) -> IdealPoset:
     lexicographically largest member.  The total count must be (m+1)/2
     times the involution number, which is asserted.
     """
+    _check_keywords(kw)
     if m < 1:
         raise PreconditionError(f"the augmentation poset needs m >= 1, got {m}")
     if m > bound:

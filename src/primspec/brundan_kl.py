@@ -42,10 +42,10 @@ first factors of L1 norm at most l by n l 2^8, doubled by the (q^-1 - q)
 step, and a column of the solve by 2^8 times the L1 norms of its solved
 entries.
 
-The eight latest tables are cached by window and central character, and
-the bar involution for the latest window only, with its caches of psi, of
-each chain and of F_i on unit monomials: a caller that takes its blocks
-window by window builds each window's bar once and frees it on moving on.
+Tables are not cached; the bar involution is, for the latest window only,
+with its caches of psi, of each chain and of F_i on unit monomials: a
+caller that takes its blocks window by window builds each window's bar
+once and frees it on moving on.
 """
 
 from __future__ import annotations
@@ -442,11 +442,6 @@ def canonical_basis(
         if not window.contains(w):
             raise PreconditionError(f"{w} lies outside the interval {interval}")
 
-    return _table(window, invariant)
-
-
-@lru_cache(maxsize=8)
-def _table(window: TensorWindow, invariant: tuple[tuple[int, int], ...]) -> CanonicalBasisTable:
     monos = _weight_space(window, invariant)
     return CanonicalBasisTable(window, monos, _solve_canonical(bar_involution(window), monos))
 

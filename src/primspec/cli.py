@@ -12,13 +12,15 @@ components  irreducible components of an augmentation poset
 
 All machine output is JSON on stdout (DOT for ``--format dot``); identical
 invocations against an unchanged cache print identical bytes.  Exit codes:
-0 decided/ok, 1 usage, parse or bound errors, 2 undecidable regime.
+0 decided/ok, 1 usage, parse or bound errors or a closed stdout, 2 undecidable
+regime.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -74,24 +76,15 @@ def cmd_aug_poset(args) -> int:
 
 
 def cmd_crystal(args) -> int:
-    weight = SuperWeight.parse(args.weight)
-    i = args.i
-    if args.op in ("e", "f"):
-        moved = (crystal.e_tilde if args.op == "e" else crystal.f_tilde)(weight, i)
-        _emit(
-            {
-                "weight": str(weight),
-                "op": args.op,
-                "i": i,
-                "result": None if moved is None else str(moved),
-            }
-        )
-    elif args.op in ("eps", "phi"):
-        value = (crystal.epsilon if args.op == "eps" else crystal.phi)(weight, i)
-        _emit({"weight": str(weight), "op": args.op, "i": i, "result": value})
+    weight, op, i = SuperWeight.parse(args.weight), args.op, args.i
+    if op in ("e", "f"):
+        moved = (crystal.e_tilde if op == "e" else crystal.f_tilde)(weight, i)
+        result = None if moved is None else str(moved)
+    elif op in ("eps", "phi"):
+        result = (crystal.epsilon if op == "eps" else crystal.phi)(weight, i)
     else:  # signature
-        sig = crystal.reduce(crystal.i_signature(weight, i))
-        _emit({"weight": str(weight), "op": "signature", "i": i, "result": str(sig)})
+        result = str(crystal.reduce(crystal.i_signature(weight, i)))
+    _emit({"weight": str(weight), "op": op, "i": i, "result": result})
     return 0
 
 
@@ -265,7 +258,13 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that left shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # stdout's reader is gone: send what is left to devnull and exit 1
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except UnsupportedRegimeError as exc:
         print(f"undecidable: {exc}", file=sys.stderr)
         return 2

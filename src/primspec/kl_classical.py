@@ -496,6 +496,20 @@ class LeftOrder:
         return self.preorder.class_count()
 
 
+_ORDER_KEYWORDS = frozenset(("bound", "cache_dir", "use_disk"))
+
+
+def _check_keywords(kw: dict) -> None:
+    """Refuse a keyword `left_preorder` does not take, before any work, so a
+    misspelt one fails on every pair, also on one that fetches no order."""
+    if not _ORDER_KEYWORDS.issuperset(kw):
+        unknown = ", ".join(map(repr, sorted(set(kw) - _ORDER_KEYWORDS)))
+        raise TypeError(
+            f"unexpected keyword argument(s) {unknown}; the order takes "
+            "bound, cache_dir and use_disk"
+        )
+
+
 def left_preorder(
     m: int,
     *,
@@ -534,6 +548,7 @@ def classical_inclusion(delta: SuperWeight, gamma: SuperWeight, **kw) -> bool:
     the conjunction of the factor decisions, each routed through longest
     coset representatives into the regular-orbit preorder.
     """
+    _check_keywords(kw)
     return orbit_equal(delta, gamma) and _below(_factors(delta, gamma), kw)
 
 
@@ -548,6 +563,7 @@ def classical_relation(delta: SuperWeight, gamma: SuperWeight, **kw) -> str:
     (strictly included), 'superset' or 'incomparable' (so for different
     orbits).  Equality is decided as `classical_equal` does; each direction
     then fetches a factor's order only where `classical_inclusion` would."""
+    _check_keywords(kw)
     if not orbit_equal(delta, gamma):
         return "incomparable"
     factors = list(_factors(delta, gamma))
@@ -580,6 +596,7 @@ def classical_cover(delta: SuperWeight, gamma: SuperWeight, **kw) -> bool:
     the new one is such a cell: the ties of the labels are descents of the
     rank word's inverse, and that descent set is constant on left cells and
     only grows down the left order (Kazhdan-Lusztig 1979, 2.4)."""
+    _check_keywords(kw)
     if not orbit_equal(delta, gamma):
         return False
     moved = None

@@ -54,7 +54,13 @@ from .errors import (
     PreconditionError,
     UnsupportedRegimeError,
 )
-from .kl_classical import classical_cover, classical_equal, classical_inclusion, classical_relation
+from .kl_classical import (
+    _check_keywords,
+    classical_cover,
+    classical_equal,
+    classical_inclusion,
+    classical_relation,
+)
 from .posets import strongly_connected_components, transitive_reduction
 from .weights import (
     SuperWeight,
@@ -326,12 +332,6 @@ def _apply_power(
     if power == 0:
         return start
     fn = crystal.e_tilde_power if op == "e" else crystal.f_tilde_power
-    stat = crystal.epsilon if op == "e" else crystal.phi
-    avail = stat(start, color)
-    if avail < power:
-        raise PreconditionError(
-            f"{op}~_{color}^{power} undefined on {start} (statistic is {avail})"
-        )
     after = fn(start, color, power)
     steps.append(TraceStep(side, op, color, power, start, after))
     return after
@@ -450,6 +450,7 @@ def inclusion(alpha: SuperWeight, beta: SuperWeight, **kw) -> bool:
     Raises UnsupportedRegimeError for cross-orbit pairs of atypicality
     degree >= 2 outside gl(2|2).
     """
+    _check_keywords(kw)
     return alpha == beta or bool(_includes(_classify(alpha, beta), alpha, beta, **kw))
 
 
@@ -481,6 +482,7 @@ def relation(alpha: SuperWeight, beta: SuperWeight, **kw) -> str:
 
     'subset' means J(alpha) is strictly contained in J(beta).
     """
+    _check_keywords(kw)
     return _relate(alpha, beta, **kw)[0]
 
 
@@ -512,6 +514,7 @@ class Decision(NamedTuple):
 
 def decide(alpha: SuperWeight, beta: SuperWeight, **kw) -> Decision:
     """Full decision record for the pair; relation of J(alpha) vs J(beta)."""
+    _check_keywords(kw)
     rel, route, found = _relate(alpha, beta, **kw)
     if route != "ladder" or found is None:
         return Decision(alpha, beta, rel)
@@ -529,6 +532,7 @@ def covers(alpha: SuperWeight, beta: SuperWeight, **kw) -> bool:
     covers.  Across orbits alpha is (c+1, c | c, c+1) and beta one of its
     patterns, and only another pattern in beta's orbit can lie between.
     """
+    _check_keywords(kw)
     if not inclusion(alpha, beta, **kw):
         return False
     # one central character, so one degree serves both weights; equal ideals
@@ -562,6 +566,7 @@ def gl22_component_classes(
     the window is the caller's truncation.  Edges are covers within the
     window, as pairs of class indices (lower, upper).
     """
+    _check_keywords(kw)
     if seed is None:
         seed = SuperWeight((1, 0), (0, 1))
     # doubly atypical: both sides arrange the same two labels

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import zlib
+from pathlib import Path
 
 import pytest
 
+import primspec
 from primspec import kl_classical
 from primspec.cli import main
 
@@ -305,6 +310,24 @@ class TestUsage:
             main(list(argv))
         assert exc.value.code == 0
         assert "usage:" in capsys.readouterr().out
+
+    def test_closed_stdout_exits_1_without_a_traceback(self):
+        # the reader of stdout is gone before the first write
+        src = str(Path(primspec.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "primspec.cli", "inclusion",
+                 "--weights", "1,2,3,3|3", "2,3,1,2|2"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True,
+                env={**os.environ, "PYTHONPATH": path}, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert proc.stderr == ""
 
 
 class TestDeterminism:

@@ -1,16 +1,21 @@
 import random
 from itertools import product
 
+import pytest
+
 from primspec.crystal import (
     Signature,
     active_colors,
     e_tilde,
+    e_tilde_power,
     epsilon,
     f_tilde,
+    f_tilde_power,
     i_signature,
     phi,
     reduce,
 )
+from primspec.errors import PreconditionError
 from primspec.weights import SuperWeight, central_character, is_antidominant
 
 W = SuperWeight.parse
@@ -131,6 +136,28 @@ class TestProperties:
                 while (cur := f_tilde(cur, i)) is not None:
                     s += 1
                 assert (r, s) == (epsilon(w, i), phi(w, i))
+
+    def test_power_is_iterated_step_up_to_the_statistic(self):
+        shapes = [(m, size - m) for size in range(1, 5) for m in range(1, size + 1)]
+        ops = ((e_tilde_power, e_tilde, epsilon, "e"), (f_tilde_power, f_tilde, phi, "f"))
+        for w in all_weights(shapes, -1, 3):
+            for i in active_colors(w):
+                for power, step, statistic, op in ops:
+                    top, stepped = statistic(w, i), w
+                    for k in range(top + 1):
+                        assert power(w, i, k) == stepped
+                        stepped = step(stepped, i)
+                    assert stepped is None
+                    with pytest.raises(PreconditionError) as refused:
+                        power(w, i, top + 1)
+                    assert str(refused.value) == (
+                        f"{op}~_{i}^{top + 1} undefined on {w} (statistic is {top})"
+                    )
+
+    def test_no_weight_is_an_attribute_error(self):
+        # the benchmark's failing-query check relies on this exception type
+        with pytest.raises(AttributeError):
+            e_tilde(None, 0)
 
     def test_central_character_compatibility(self):
         pool = [w for w in sampled_weights(600, max_rank=2, lo=0, hi=3)]

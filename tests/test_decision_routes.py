@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primspec import kl_classical, super_inclusion
+from primspec import aug_poset, kl_classical, super_inclusion
 from primspec.brundan_kl import kl_left_order
 from primspec.errors import BoundExceededError, UnsupportedRegimeError
 from primspec.super_inclusion import (
@@ -276,3 +276,26 @@ def test_relation_matches_canonical_order_on_sampled_blocks(weight):
             }[below, above]
             assert relation(alpha, beta) == want, (alpha, beta)
             assert order.same_class(alpha, beta) == (want == "equal")
+
+
+# each call decides without fetching an order: different central characters,
+# equal ideals, a one-weight window, a rank-1 poset
+NO_ORDER_CALLS = {
+    "inclusion": (super_inclusion.inclusion, (W("1,0|1"), W("5,2|5"))),
+    "relation": (super_inclusion.relation, (W("2,0,1|0"), W("0,2,1|0"))),
+    "decide": (super_inclusion.decide, (W("2,0,1|0"), W("0,2,1|0"))),
+    "covers": (super_inclusion.covers, (W("1,0|1"), W("5,2|5"))),
+    "gl22_component_classes": (super_inclusion.gl22_component_classes, (0, 0, W("0,0|0,0"))),
+    "enumerate_X": (aug_poset.enumerate_X, (1,)),
+    "classical_inclusion": (kl_classical.classical_inclusion, (W("1,0|1"), W("5,2|5"))),
+    "classical_relation": (kl_classical.classical_relation, (W("2,0,1|0"), W("0,2,1|0"))),
+    "classical_cover": (kl_classical.classical_cover, (W("1,0|1"), W("5,2|5"))),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(NO_ORDER_CALLS))
+def test_unknown_keyword_refused_on_a_pair_that_fetches_no_order(entry):
+    fn, args = NO_ORDER_CALLS[entry]
+    fn(*args, cache_dir=None, use_disk=False)  # the keywords `left_preorder` takes
+    with pytest.raises(TypeError, match="'kl_bound'"):
+        fn(*args, kl_bound=2)
