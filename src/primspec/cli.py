@@ -69,7 +69,10 @@ def cmd_aug_poset(args) -> int:
         doc = aug_poset.to_json_dict(poset, aug_poset.strata(poset))
         text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if args.out:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:
+            raise PreconditionError(f"--out {args.out!r}: cannot write: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
     return 0
@@ -156,6 +159,8 @@ def cmd_counts(args) -> int:
     lo, hi = bounds[0], bounds[-1]
     if lo > hi:
         raise PreconditionError(f"--m range {args.m!r} is empty: {lo} > {hi}")
+    if lo < 0:
+        raise PreconditionError(f"--m {args.m!r}: ranks must be nonnegative")
     rows = []
     for m in range(lo, hi + 1):
         s_m = aug_poset.involution_count(m)

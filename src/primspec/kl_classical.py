@@ -53,8 +53,10 @@ tableau is kept per rank word in a memo of INSERTION_MEMO_SIZE entries).
 `classical_relation` reads each factor's rank words once for all three
 questions.
 
-Tables are immutable once built and are cached both in-process and on disk
-(one versioned file per rank).
+Tables are immutable once built.  On disk there is one versioned file per
+rank, which `kl_table` reads when it exists and writes when it builds; in
+memory only the left orders are kept, one per (rank, cache settings), by
+`left_preorder`.
 """
 
 from __future__ import annotations
@@ -63,10 +65,9 @@ import json
 import os
 import shutil
 import tempfile
-import threading
 import zlib
 from collections import Counter
-from functools import lru_cache
+from functools import cache, lru_cache
 from math import factorial, prod
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -401,11 +402,6 @@ def _build_kl_table(m: int) -> KLTable:
     return table
 
 
-_tables: dict[int, KLTable] = {}
-_orders: dict[int, "LeftOrder"] = {}
-_lock = threading.Lock()
-
-
 def cache_file(m: int, cache_dir: Path | str | None = None) -> Path:
     """The file `kl_table` caches rank m in: under `cache_dir`, else under
     $PRIMSPEC_CACHE, else under ~/.cache/primspec."""
@@ -428,29 +424,26 @@ def kl_table(
     cache_dir: Path | str | None = None,
     use_disk: bool = True,
 ) -> KLTable:
-    """The full KL table for rank m, built once and cached.
+    """The full KL table for rank m, read from its cache file when `use_disk`
+    is set and the file exists, else built (and written there, with
+    `use_disk`).  Nothing is kept in memory; `left_preorder` keeps the orders.
 
     Raises BoundExceededError (naming the bound) for m above `bound`.
     """
     _check_rank(m, bound)
-    with _lock:
-        path = cache_file(m, cache_dir)
-        table = _tables.get(m)
-        if table is None:
-            if use_disk and path.exists():
-                table = KLTable.load(path, m)
-            else:
-                table = _build_kl_table(m)
-            _tables[m] = table
-        if use_disk and not path.exists():
-            try:
-                table.save(path)
-            except OSError as exc:  # caching is best-effort; the table is still valid
-                import logging  # lazily: importing it costs each process 0.5 MB
-                logging.getLogger(__name__).warning(
-                    "could not write the KL cache %s: %s", path, exc
-                )
-        return table
+    path = cache_file(m, cache_dir)
+    if use_disk and path.exists():
+        return KLTable.load(path, m)
+    table = _build_kl_table(m)
+    if use_disk:
+        try:
+            table.save(path)
+        except OSError as exc:  # caching is best-effort; the table is still valid
+            import logging  # lazily: importing it costs each process 0.5 MB
+            logging.getLogger(__name__).warning(
+                "could not write the KL cache %s: %s", path, exc
+            )
+    return table
 
 
 def mu(x: Permutation, y: Permutation, table: KLTable) -> int:
@@ -517,14 +510,15 @@ def left_preorder(
     cache_dir: Path | str | None = None,
     use_disk: bool = True,
 ) -> LeftOrder:
-    """The left preorder for rank m (cached; the bound is checked first)."""
+    """The left preorder for rank m, kept per (m, cache_dir, use_disk); the
+    bound is checked before the cache, so a kept order honours it too."""
     _check_rank(m, bound)
-    order = _orders.get(m)  # a single dict read; the lock guards publishing
-    if order is None:
-        order = LeftOrder(kl_table(m, bound=bound, cache_dir=cache_dir, use_disk=use_disk))
-        with _lock:
-            order = _orders.setdefault(m, order)
-    return order
+    return _left_order(m, cache_dir, use_disk)
+
+
+@cache
+def _left_order(m: int, cache_dir: Path | str | None, use_disk: bool) -> LeftOrder:
+    return LeftOrder(kl_table(m, bound=m, cache_dir=cache_dir, use_disk=use_disk))
 
 
 # -- label-tuple front end ---------------------------------------------------

@@ -41,7 +41,8 @@ __all__ = [
     "antidominant_representative",
 ]
 
-_WEIGHT_RE = re.compile(r"^\s*\(?\s*([^|()]*)\|([^|()]*)\)?\s*$")
+_WEIGHT_RE = re.compile(r"^\s*(\()?\s*([^|()]*)\|([^|()]*)(?(1)\))\s*$")  # parens paired
+_LABEL_RE = re.compile(r"\s*[+-]?[0-9]+\s*")  # what `int` reads, less `_` and non-ASCII digits
 
 
 class _Frozen:
@@ -130,13 +131,12 @@ class SuperWeight(_Frozen):
             raise WeightParseError(
                 f"cannot parse weight {text!r}: expected 'a1,...,am|b1,...,bn'"
             )
-        left, right = (part.split(",") if part.strip() else [] for part in match.groups())
+        left, right = (part.split(",") if part.strip() else [] for part in match.group(2, 3))
         if not all(tok.strip() for tok in left + right):
             raise WeightParseError(f"empty label in {text!r}")
-        try:
-            left, right = tuple(map(int, left)), tuple(map(int, right))
-        except ValueError as exc:
-            raise WeightParseError(f"non-integer label in {text!r}") from exc
+        if not all(map(_LABEL_RE.fullmatch, left + right)):
+            raise WeightParseError(f"non-integer label in {text!r}")
+        left, right = tuple(map(int, left)), tuple(map(int, right))
         if not left:
             raise WeightParseError(f"empty left part in {text!r}")
         return cls(left, right)

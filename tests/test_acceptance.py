@@ -108,8 +108,7 @@ def test_criterion_2_reduction_pipeline():
 def test_criterion_3_classical_gl4():
     import primspec.kl_classical as kc
 
-    kc._tables.pop(4, None)
-    kc._orders.pop(4, None)
+    kc._left_order.cache_clear()
 
     def run():
         table = kl_table(4, use_disk=False)

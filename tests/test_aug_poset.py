@@ -237,7 +237,7 @@ class TestMinimalAndComponents:
         from primspec import kl_classical
 
         poset = enumerate_X(4, cache_dir=tmp_path / "given")
-        monkeypatch.setattr(kl_classical, "_orders", {})
+        kl_classical._left_order.cache_clear()
         default = tmp_path / "default"
         default.mkdir()
         monkeypatch.setenv("PRIMSPEC_CACHE", str(default))

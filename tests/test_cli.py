@@ -105,6 +105,12 @@ class TestAugPoset:
         assert code == 0 and out == ""
         assert len(json.loads(target.read_text())["classes"]) == 3
 
+    def test_unwritable_out_names_the_flag_and_path(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "poset.json"
+        code, out, err = run(capsys, "aug-poset", "--m", "2", "--out", str(target))
+        assert code == 1 and out == ""
+        assert err == f"error: --out {str(target)!r}: cannot write: No such file or directory\n"
+
 
 class TestCrystal:
     def test_raising(self, capsys):
@@ -185,8 +191,7 @@ class TestKl:
         assert err == "error: --pair 'a,b': 'a' is not an integer\n"
         assert list(tmp_path.iterdir()) == []
 
-    def _corrupt_cache_run(self, capsys, tmp_path, monkeypatch, text=None):
-        monkeypatch.setattr(kl_classical, "_tables", {})  # force a disk read
+    def _corrupt_cache_run(self, capsys, tmp_path, text=None):
         path = kl_classical.cache_file(3, tmp_path)
         if text is None:
             path.mkdir()
@@ -197,19 +202,19 @@ class TestKl:
         assert err.startswith("error: ") and str(path) in err
         return err
 
-    def test_cache_file_not_json(self, capsys, tmp_path, monkeypatch):
-        self._corrupt_cache_run(capsys, tmp_path, monkeypatch, "not a cache file\n")
+    def test_cache_file_not_json(self, capsys, tmp_path):
+        self._corrupt_cache_run(capsys, tmp_path, "not a cache file\n")
 
-    def test_cache_file_names_unknown_permutation(self, capsys, tmp_path, monkeypatch):
+    def test_cache_file_names_unknown_permutation(self, capsys, tmp_path):
         line = "[[1, 2, 9], [2, 1, 3], [[0, 1]]]\n"
         header = json.dumps({"count": 1, "crc32": zlib.crc32(line.encode()),
                              "format": "primspec-kl", "m": 3, "version": 2}, sort_keys=True)
-        err = self._corrupt_cache_run(capsys, tmp_path, monkeypatch, f"{header}\n{line}")
+        err = self._corrupt_cache_run(capsys, tmp_path, f"{header}\n{line}")
         assert "KeyError" in err
 
-    def test_unreadable_cache_path_is_named(self, capsys, tmp_path, monkeypatch):
+    def test_unreadable_cache_path_is_named(self, capsys, tmp_path):
         # a directory where the cache file should be
-        err = self._corrupt_cache_run(capsys, tmp_path, monkeypatch)
+        err = self._corrupt_cache_run(capsys, tmp_path)
         assert "cannot be read" in err
 
 
@@ -274,6 +279,17 @@ class TestCounts:
         code, out, err = run(capsys, "counts", "--m", "3..1")
         assert code == 1 and out == ""
         assert "3..1" in err
+
+    @pytest.mark.parametrize("ranks", ["-1..2", "-1"])
+    def test_negative_rank_names_the_flag(self, capsys, ranks):
+        code, out, err = run(capsys, "counts", f"--m={ranks}")
+        assert code == 1 and out == ""
+        assert err == f"error: --m {ranks!r}: ranks must be nonnegative\n"
+
+    def test_rank_zero_keeps_its_output(self, capsys):
+        code, out, _ = run(capsys, "counts", "--m", "0", "--no-enumerate")
+        assert code == 0
+        assert json.loads(out) == {"counts": [{"m": 0, "s": 1, "t": 0}]}
 
 
 class TestComponents:

@@ -299,3 +299,31 @@ def test_unknown_keyword_refused_on_a_pair_that_fetches_no_order(entry):
     fn(*args, cache_dir=None, use_disk=False)  # the keywords `left_preorder` takes
     with pytest.raises(TypeError, match="'kl_bound'"):
         fn(*args, kl_bound=2)
+
+
+# each call fetches the left order of the given rank: a same-orbit pair of
+# distinct ideals, a gl(2|2) window, a rank-3 poset
+_APART = (W("2,1,0|0"), W("0,1,2|0"))
+ORDER_CALLS = {
+    "inclusion": (super_inclusion.inclusion, _APART, 3),
+    "relation": (super_inclusion.relation, _APART, 3),
+    "decide": (super_inclusion.decide, _APART, 3),
+    "covers": (super_inclusion.covers, _APART, 3),
+    "gl22_component_classes": (super_inclusion.gl22_component_classes, (0, 1), 2),
+    "enumerate_X": (aug_poset.enumerate_X, (3,), 3),
+    "classical_inclusion": (kl_classical.classical_inclusion, _APART, 3),
+    "classical_relation": (kl_classical.classical_relation, _APART, 3),
+    "classical_cover": (kl_classical.classical_cover, _APART, 3),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ORDER_CALLS))
+def test_smaller_bound_refused_once_the_order_is_cached(entry):
+    fn, args, rank = ORDER_CALLS[entry]
+    fn(*args, use_disk=False)
+    cached = kl_classical._left_order
+    hits = cached.cache_info().hits
+    cached(rank, None, False)
+    assert cached.cache_info().hits == hits + 1  # the call left its order cached
+    with pytest.raises(BoundExceededError):
+        fn(*args, bound=rank - 1, use_disk=False)

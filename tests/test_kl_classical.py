@@ -2,6 +2,8 @@ import hashlib
 import json
 import logging
 import re
+import sys
+import threading
 import zlib
 from itertools import combinations_with_replacement as multisets
 from itertools import permutations as iperm
@@ -345,6 +347,13 @@ class TestCache:
                 fresh.class_id(r) for r in fresh.perms
             ]
 
+    def test_table_is_read_from_disk_on_every_call(self, tmp_path):
+        built = kl_table(3, cache_dir=tmp_path)
+        assert kl_table(3, **NO_DISK) is not built
+        kl_classical.cache_file(3, tmp_path).write_text("not a cache file\n")
+        with pytest.raises(CacheVersionError):
+            kl_table(3, cache_dir=tmp_path)
+
     @staticmethod
     def _stored(table):
         """Each column's packed h by x: every P and mu is read off these."""
@@ -496,6 +505,38 @@ class TestLeftPreorder:
         left_preorder(3, **NO_DISK)
         with pytest.raises(TypeError, match="use_disc"):
             left_preorder(3, use_disc=False)
+
+    def test_concurrent_first_fetches_agree(self):
+        kl_classical._left_order.cache_clear()
+        start, orders = threading.Barrier(2, timeout=60), [None, None]
+
+        def fetch(k):
+            start.wait()
+            orders[k] = left_preorder(5, **NO_DISK)
+
+        threads = [threading.Thread(target=fetch, args=(k,)) for k in range(2)]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the two builds finely
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads)
+        first, second = orders
+        assert [first.class_id(r) for r in first.perms] == [
+            second.class_id(r) for r in second.perms
+        ]
+
+    def test_order_kept_per_cache_setting(self, tmp_path):
+        # an order is reused only under the same cache_dir and use_disk
+        kept = left_preorder(3, **NO_DISK)
+        assert left_preorder(3, **NO_DISK) is kept
+        assert not kl_classical.cache_file(3, tmp_path).exists()
+        assert left_preorder(3, cache_dir=tmp_path) is not kept
+        assert kl_classical.cache_file(3, tmp_path).exists()
 
 
 class TestClassicalInclusion:

@@ -39,9 +39,15 @@ class TestParsing:
         assert W("2,1,0| ") == SuperWeight((2, 1, 0), ())
 
     def test_rejects_garbage(self):
-        for text in ["1,2,3", "1,x|2", "|1", "", "1,,2|3", ",1|2", "1,|2", "1|2,", "1|,"]:
+        for text in ["1,2,3", "1,x|2", "|1", "", "1,,2|3", ",1|2", "1,|2", "1|2,", "1|,",
+                     "1_0|1_0", "\u0663|1", "(1,2|3", "1,2|3)"]:
             with pytest.raises(WeightParseError, match=re.escape(repr(text))):
                 W(text)
+
+    def test_sign_and_parentheses_allowed(self):
+        assert W("+1,-2|+0") == SuperWeight((1, -2), (0,))
+        assert W("(1,2|3)") == W(" ( 1, 2 | 3 ) ") == SuperWeight((1, 2), (3,))
+        assert W("(1|)") == SuperWeight((1,), ())
 
     @given(small_weights())
     def test_parse_inverts_str(self, w):
