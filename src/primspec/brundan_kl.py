@@ -387,6 +387,8 @@ def _solve_canonical(bar: BarInvolution, monos: list[Mono]) -> dict[tuple[int, i
         norms = 1  # L1 norms of the column's solved entries, d_jj = 1 included
         # rows strictly below j in the linear order, nearest first
         for i in reversed(order[:pos]):
+            if not g_of:  # psi(v_i) touches only rows before i: nothing more can appear
+                break
             g = g_of.pop(i, 0)
             if not g:
                 continue

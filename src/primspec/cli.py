@@ -165,7 +165,7 @@ def cmd_counts(args) -> int:
     for m in range(lo, hi + 1):
         s_m = aug_poset.involution_count(m)
         row = {"m": m, "s": s_m, "t": (m + 1) * s_m // 2}
-        if args.enumerate and m <= args.kl_bound:
+        if args.enumerate and 1 <= m <= args.kl_bound:  # m = 0 has no poset to enumerate
             poset = aug_poset.enumerate_X(m, **kwargs)
             report = aug_poset.counts(poset)
             row["enumerated"] = report.total

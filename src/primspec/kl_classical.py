@@ -40,6 +40,17 @@ one local function over the table's lists (raise, column lookup, shift);
 the public reads go through `KLTable._h`, and `kl_polynomial` returns the
 one LaurentPolynomial kept per distinct stored P.
 
+Only the first column of each orbit of {id, x -> x^-1, x -> w0 x w0, both}
+runs that recursion (230 of 720 at rank 6).  P_{x,y} = P_{x^-1,y^-1}
+(Kazhdan-Lusztig 1979) and P_{x,y} = P_{w0 x w0,w0 y w0} (the diagram
+automorphism), and both maps keep lengths and send extremal pairs to
+extremal pairs: inversion swaps DL and DR, conjugation by w0 reverses the
+descent positions.  An orbit's members share a length, so its first column,
+the least index, is built before the others, which copy it relabelled.
+Every column is held in full, so no reader knows which were mirrored; only
+the polynomial ids and the order of x inside a column differ from running
+the recursion everywhere, and every reader looks x up or sorts.
+
 On top of the table sits the left preorder on a regular orbit of weight
 tuples, generated by wall-crossing conditions plus nonvanishing Ext^1
 between simples (equivalently nonvanishing mu), and the full inclusion
@@ -68,6 +79,7 @@ import tempfile
 import zlib
 from collections import Counter
 from functools import cache, lru_cache
+from itertools import chain
 from math import factorial, prod
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -80,7 +92,6 @@ from .tableaux import (
     Tableau,
     all_permutations,
     inverse,
-    inversions,
     rank_word,
     robinson_schensted,
 )
@@ -151,25 +162,80 @@ def _unpack(h: int, gap: int) -> tuple[tuple[int, int], ...]:
     return tuple(((gap - e) // 2, slots[e]) for e in reversed(exps))
 
 
+def _lex_tables(m: int, ids: list[int]) -> tuple[list, list, list[list[int]], list[list[int]]]:
+    """By lex rank over S_m: each w's length and right descent mask, and for
+    each p the lex ranks of all w s_p, then of all s_p w.
+
+    The digits of w's lex rank in the factorial base are its Lehmer code c
+    (c_p counts the later values below w[p]), so l(w) is their sum and p is
+    a right descent iff c_p > c_{p+1}.  Rank k lists w = (d+1, u) for
+    d = c_0 = 0..k-1 in turn, u running over rank k-1 relabelled, so each
+    table is k blocks of the last one but for the two new cases:
+    - w s_0 swaps c_0 and c_1: (c_1 + 1, c_0) on an ascent, else (c_1, c_0 - 1);
+    - s_d w and s_{d-1} w change only the first value, to d+2 and d, and
+      keep u; any other s_t w is (d+1, s_t' u), t' = t below d and t - 1 above.
+
+    A rank r is entered as ids[r], so each is one shared int object."""
+    def tile(parts: Iterable[Iterable[int]]) -> list[int]:
+        return list(chain.from_iterable(parts))
+
+    def ranks(parts: Iterable[Iterable[int]]) -> list[int]:
+        return list(map(ids.__getitem__, chain.from_iterable(parts)))
+
+    lengths, dr, right, left = [0], [0], [], []
+    for k in range(2, m + 1):
+        f1 = len(lengths)  # (k-1)!
+        f2 = f1 // (k - 1)
+        bases = [d * f1 for d in range(k)]
+        tail = [[v << 1 for v in dr[c * f2:(c + 1) * f2]] for c in range(k - 1)]  # by c_1
+        lengths = tile(map(d.__add__, lengths) for d in range(k))
+        dr = tile(map((1).__or__, tail[c]) if d > c else tail[c]
+                  for d in range(k) for c in range(k - 1))
+        swap = ranks(range((c + 1) * f1 + d * f2, (c + 1) * f1 + (d + 1) * f2) if d <= c
+                     else range(c * f1 + (d - 1) * f2, c * f1 + d * f2)
+                     for d in range(k) for c in range(k - 1))
+        right = [swap, *(ranks(map(b.__add__, col) for b in bases) for col in right)]
+        left = [ranks(map(b.__add__, left[t]) if t < d - 1 else range(b - f1, b) if t == d - 1
+                      else range(b + f1, b + 2 * f1) if t == d else map(b.__add__, left[t - 1])
+                      for d, b in enumerate(bases)) for t in range(k - 1)]
+    return lengths, dr, right, left
+
+
 class KLTable:
     """Immutable table of KL polynomials and mu values for one rank, once
     `_build_kl_table` or `load` has filled its columns."""
 
     def __init__(self, m: int):
         self.m = m
-        by_length = sorted((inversions(w), w) for w in all_permutations(m))
-        self.perms = perms = [w for _, w in by_length]
-        self.lengths = [length for length, _ in by_length]
-        self.index = index = {w: i for i, w in enumerate(perms)}
+        n = factorial(m)
+        ids = list(range(n))  # the one int object of each index, shared by every list below
+        lengths, dr, right, left = _lex_tables(m, ids)
+        order = sorted(ids, key=lengths.__getitem__)  # stable: by (length, w)
+        place = sorted(ids, key=order.__getitem__)  # lex rank -> index
+
+        def by_index(cols: list[list[int]]) -> list[tuple[int, ...]]:
+            rows = zip(*(list(map(place.__getitem__, map(col.__getitem__, order))) for col in cols))
+            return list(rows) or [()]
+
+        lex = list(all_permutations(m))
+        self.perms = perms = list(map(lex.__getitem__, order))
+        self.lengths = list(map(lengths.__getitem__, order))
+        self.index = dict(zip(perms, ids))
         # w s_p swaps positions p, p+1 and s_t w values t+1, t+2; descents are bitmasks
-        self._right = [[index[w[:p] + (w[p + 1], w[p]) + w[p + 2:]] for p in range(m - 1)]
-                       for w in perms]
-        inv = [index[inverse(w)] for w in perms]
-        self._left = [[inv[r] for r in self._right[j]] for j in inv]
-        self._dr = [sum(1 << p for p in range(m - 1) if w[p] > w[p + 1]) for w in perms]
-        self._dl = [self._dr[j] for j in inv]
-        self._low = [(k & -k).bit_length() - 1 for k in range(1 << max(m - 1, 0))]  # lowest bit
-        self._cols = [{yi: 0} for yi in range(len(perms))]  # y: each extremal x -> id of h_{x,y}
+        self._right, self._left = by_index(right), by_index(left)
+        self._dr = list(map(dr.__getitem__, order))
+        # the lowest bit of each mask
+        self._low = low = [(k & -k).bit_length() - 1 for k in range(1 << max(m - 1, 0))]
+        inv = [0] * n  # (w s)^-1 = s w^-1 for the first right descent s of w
+        for yi in range(1, n):
+            p = low[self._dr[yi]]
+            inv[yi] = self._left[inv[self._right[yi][p]]][p]
+        self._dl = list(map(self._dr.__getitem__, inv))
+        # w0 w reverses both keys of the order, so its index is n - 1 - i;
+        # w0 w w0 = w0 (w0 w^-1)^-1
+        sigma = [ids[n - 1 - inv[n - 1 - j]] for j in inv]
+        self._mirrors = (inv, sigma, list(map(inv.__getitem__, sigma)))  # x^-1, w0 x w0, both
+        self._cols = [{yi: 0} for yi in ids]  # y: each extremal x -> id of h_{x,y}
         # by id (0 is the diagonal): packed h, P, the coefficient of v
         self._packed = [1]
         self._polys = [ONE]
@@ -205,7 +271,8 @@ class KLTable:
 
     def __len__(self) -> int:
         """Stored x stands for |W_I x W_J| = |W_I| |W_J| / prod M_ab! pairs, M_ab
-        the values of block a of I at positions of block b of J (Kilmoyer)."""
+        the values of block a of I at positions of block b of J (Kilmoyer);
+        the first column of an orbit counts for each column of the orbit."""
         def young(keys: Iterable) -> int:  # the Young subgroup on classes of equal keys
             return prod(map(factorial, Counter(keys).values()))
 
@@ -214,11 +281,20 @@ class KLTable:
 
         total = -len(self._cols)  # the diagonal
         for yi, column in enumerate(self._cols):
+            if self._mirror(yi) is not None:  # a mirror maps cosets onto cosets
+                continue
             vb, pb = blocks(self._dl[yi]), blocks(self._dr[yi])
             order = young(vb) * young(pb)
-            total += sum(order // young(zip([vb[v - 1] for v in self.perms[x]], pb))
-                         for x in column)
+            orbit = len({yi, *(g[yi] for g in self._mirrors)})
+            total += orbit * sum(order // young(zip([vb[v - 1] for v in self.perms[x]], pb))
+                                 for x in column)
         return total
+
+    def _mirror(self, yi: int) -> list[int] | None:
+        """The map of `_mirrors` taking y to the first member of its orbit,
+        or None for the first member itself."""
+        g = min(self._mirrors, key=lambda g: g[yi])
+        return g if g[yi] < yi else None
 
     def kl_polynomial(self, x: Permutation, y: Permutation) -> LaurentPolynomial:
         """P_{x,y} in the variable q (1 on the diagonal, 0 unless x <= y)."""
@@ -318,7 +394,8 @@ class KLTable:
         return table
 
 
-def _coset_walk(mult: list[list[int]], dr: list[int], low: list[int], mask: int, keep: int):
+def _coset_walk(mult: list[tuple[int, ...]], dr: list[int], low: list[int], mask: int,
+                keep: int):
     """w -> the elements of its coset w W_mask whose right descents contain
     `keep` (a subset of `mask`), for w the top of that coset.
 
@@ -376,6 +453,10 @@ def _build_kl_table(m: int) -> KLTable:
 
     walks = {}
     for yi in range(1, len(table.perms)):
+        g = table._mirror(yi)
+        if g is not None:  # P_{x,y} = P_{gx,gy}: relabel the orbit's first column
+            cols[yi] = {g[x]: pid for x, pid in cols[g[yi]].items()}
+            continue
         p = low[dr[yi]]  # the first right descent s
         y1 = right[yi][p]
         # [e, y] is [e, y'] with [e, y'] s: each extremal x tops a u w, u stored for y', w in W_J'

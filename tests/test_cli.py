@@ -291,6 +291,13 @@ class TestCounts:
         assert code == 0
         assert json.loads(out) == {"counts": [{"m": 0, "s": 1, "t": 0}]}
 
+    def test_range_from_zero_enumerates_the_rest(self, capsys):
+        code, out, _ = run(capsys, "counts", "--m", "0..2")
+        assert code == 0
+        zero, *rows = json.loads(out)["counts"]
+        assert zero == {"m": 0, "s": 1, "t": 0}
+        assert [(row["m"], row["enumerated"]) for row in rows] == [(1, 1), (2, 3)]
+
 
 class TestComponents:
     def test_m3(self, capsys):

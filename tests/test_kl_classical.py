@@ -217,19 +217,51 @@ class TestKLTable:
             "52f020590a3ad93e8613c50e15418d610b6ac276ca2d7d812db1eaeeb227a0dc"
         )
 
-    @pytest.mark.slow
-    def test_rank_seven_digest(self):
-        # each column's packed h by x and the left cell of every rank word,
-        # digested from the build with the full coset walk
-        table = kl_classical._build_kl_table(7)
+    @staticmethod
+    def _digest(m):
+        """Each column's packed h by x and the left cell of every rank word."""
+        table = kl_classical._build_kl_table(m)
         order = LeftOrder(table)
         digest = hashlib.sha256()
         for column in TestCache._stored(table):
             digest.update(repr(sorted(column.items())).encode())
         digest.update(repr([order.class_id(r) for r in order.perms]).encode())
-        assert digest.hexdigest() == (
+        return digest.hexdigest()
+
+    @pytest.mark.slow
+    def test_rank_seven_digest(self):
+        # digested from the build with the full coset walk
+        assert self._digest(7) == (
             "887e8d21fe2943a541b856456aec8b99d29bbaeaa9029257a1094488e12b74e8"
         )
+
+    @pytest.mark.slow
+    def test_rank_eight_digest(self):
+        # digested from the build that ran the recursion for every column
+        assert self._digest(8) == (
+            "5cdc3c092b942a3ac18ad38aba339cfea97db761f700da32fd9055ca81703524"
+        )
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_oracle_is_invariant_under_the_mirrors(self, m):
+        # P_{x,y} = P_{x^-1,y^-1} = P_{w0 x w0, w0 y w0} (Kazhdan-Lusztig 1979),
+        # on the oracle alone: what lets the build mirror columns
+        P = {y: {x: LaurentPolynomial(dict(enumerate(poly))) for x, poly in column.items()}
+             for y, column in _oracle_kl(m).items()}
+
+        def conjugate(w):  # w0 w w0
+            return tuple(m + 1 - v for v in reversed(w))
+
+        for y, column in P.items():
+            for g in (inverse, conjugate):
+                assert P[g(y)] == {g(x): poly for x, poly in column.items()}, (y, g)
+
+    def test_mirrored_columns_hold_only_extremal_pairs(self):
+        table = kl_table(6, **NO_DISK)
+        mirrored = [yi for yi in range(720) if table._mirror(yi) is not None]
+        assert len(mirrored) == 720 - 230
+        for yi in mirrored:
+            assert all(table._raise(xi, yi) == xi for xi in table._cols[yi]), yi
 
     @pytest.mark.parametrize("m", range(2, 7))
     def test_pruned_walk_yields_the_k_tops(self, m):
