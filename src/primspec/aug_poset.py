@@ -15,14 +15,17 @@ lies on, and every Z_k is order-isomorphic to the classical poset of the
 regular stratum through an explicit chain of crystal raising maps.
 
 Enumeration is exact: equality classes are keyed by the stratum and the
-left-cell id of the rank word, strict inclusions are decided by the ladder
-algorithm from data computed once per class, and the Hasse diagram is the
-transitive reduction.
+left-cell id of the members' rank words, which are generated, not read off
+weights (a stratum's words are those of S_m with its two tied ranks in a
+fixed order); strict inclusions are decided by the ladder algorithm from
+data computed once per class, and the Hasse diagram is the transitive
+reduction.  `strata` checks at run time that the ladder length is one
+value per class: it reads p off every member's left labels and runs
+`frame` once per class, on the representative, which must agree.
 """
 
 from __future__ import annotations
 
-from itertools import permutations as iperm
 from typing import NamedTuple
 
 from . import crystal
@@ -36,7 +39,7 @@ from .kl_classical import DEFAULT_KL_BOUND, LeftOrder, _check_keywords, left_pre
 from .posets import transitive_reduction
 from .super_inclusion import _delta, _gamma, _orbit_key, frame
 from .tableaux import involution_count, rank_word, tau_of_weight
-from .weights import SuperWeight, _Frozen, atypicality_degree
+from .weights import SuperWeight, _Frozen, _weight, atypicality_degree
 
 __all__ = [
     "IdealClass",
@@ -84,24 +87,17 @@ class IdealPoset(_Frozen):
         return lower == upper or (lower, upper) in self.strict
 
 
-def _orbit_weights(m: int, i: int) -> list[SuperWeight]:
-    if i == 0:
-        left_multiset = tuple(range(m - 1, -1, -1))
-    else:
-        left_multiset = tuple(sorted(list(range(m - 1, 0, -1)) + [i], reverse=True))
-    return [
-        SuperWeight(left, (i,))
-        for left in sorted(set(iperm(left_multiset)), reverse=True)
-    ]
-
-
 def enumerate_X(m: int, *, bound: int = DEFAULT_KL_BOUND, **kw) -> IdealPoset:
     """All primitive ideals below the augmentation ideal, fully ordered.
 
-    Classes group each stratum by the left-cell id of the rank word (m = 1
-    has one weight and needs no order) and are labeled by their
-    lexicographically largest member.  The total count must be (m+1)/2
-    times the involution number, which is asserted.
+    Classes are keyed, within each stratum, by the left-cell id of the
+    members' rank words (m = 1 has one weight and needs no order).  No rank
+    word is computed: stratum i's are the words in which rank m-i+1 stands
+    left of rank m-i (its two labels i, ranked right to left), read in the
+    order's lexicographic node order.  That lists the members from the
+    largest left labels down, so each class is labeled by its first member,
+    the lexicographically largest.  The total count must be (m+1)/2 times
+    the involution number, which is asserted.
     """
     _check_keywords(kw)
     if m < 1:
@@ -109,16 +105,21 @@ def enumerate_X(m: int, *, bound: int = DEFAULT_KL_BOUND, **kw) -> IdealPoset:
     if m > bound:
         raise BoundExceededError("augmentation poset rank", m, bound)
     order = left_preorder(m, bound=bound, **kw) if m > 1 else None
+    words = order.perms if order else [(1,)]
+    cells = list(map(order.preorder.class_id, range(len(words)))) if order else [0]
     classes: list[IdealClass] = []
     for i in range(m):
-        groups: dict[int, list[SuperWeight]] = {}
-        for w in _orbit_weights(m, i):
-            cell = order.class_id(rank_word(w.left)) if order else 0
-            groups.setdefault(cell, []).append(w)
-        for members in sorted(groups.values(), key=lambda ws: ws[0].labels, reverse=True):
-            classes.append(
-                IdealClass(len(classes), i, members[0], tuple(members))
-            )
+        # the label of each rank: m-1, ..., i+1, then i twice, then i-1, ..., 1
+        label = (None, *range(m - 1, i, -1), i, i, *range(i - 1, 0, -1))
+        right = (i,)
+        groups: dict[int, list[SuperWeight]] = {}  # first members in descending order
+        for cell, word in zip(cells, words):
+            if i and word.index(m - i + 1) > word.index(m - i):
+                continue
+            left = tuple(map(label.__getitem__, word))
+            groups.setdefault(cell, []).append(_weight(left, right))
+        for members in groups.values():
+            classes.append(IdealClass(len(classes), i, members[0], tuple(members)))
     expected = (m + 1) * involution_count(m) // 2
     if len(classes) != expected:
         raise InvariantError(
@@ -181,20 +182,49 @@ class StratumAssignment(NamedTuple):
     z_set: tuple[int, ...]
 
 
+def _ladder_length(weight: SuperWeight) -> int:
+    """`frame(weight).p_value` of a gl(m|1) weight whose right label a is
+    also a left label, read off the left labels alone.
+
+    The ladder is a+1, a+2, ..., each at the rightmost of its positions left
+    of the previous step, starting from the a nearest the separator: the
+    positions `frame` picks.  Counted from the right, each step is one
+    `index` call on the reversed labels.
+    """
+    rev, (a,) = weight.left[::-1], weight.right
+    if a not in rev:
+        raise NotSinglyAtypicalError(weight, 0)
+    at, p = rev.index(a), 0
+    try:
+        while True:
+            at = rev.index(a + p + 1, at + 1)
+            p += 1
+    except ValueError:
+        return p
+
+
 def strata(poset: IdealPoset) -> dict[int, StratumAssignment]:
     """Both stratification indices per class, cross-checked two ways.
 
-    j is computed from the descent set of the weight and from m-1-i-p;
-    disagreement would mean a broken invariant and raises.
+    The ladder length p is read off every member's left labels
+    (`_ladder_length`) and must be one value per class; `frame` runs once
+    per class, on the representative, and must give the same p.  j is
+    computed from the descent set of the representative and from m-1-i-p;
+    any disagreement means a broken invariant and raises.
     """
     m = poset.m
     out: dict[int, StratumAssignment] = {}
     for cls in poset.classes:
         i = cls.i_index
-        p_values = {frame(w).p_value for w in cls.members}
+        p_values = set(map(_ladder_length, cls.members))
         if len(p_values) != 1:
             raise InvariantError(f"ladder length not class-invariant on {cls}")
-        p = p_values.pop()
+        p = frame(cls.representative).p_value
+        if p_values != {p}:
+            raise InvariantError(
+                f"ladder length of {cls.representative}: frame gives {p}, "
+                f"its labels give {p_values.pop()}"
+            )
         tau_positions = tau_of_weight(cls.representative.left)
         j_tau = max(
             (k for k in range(1, m - i) if k in tau_positions), default=0

@@ -77,10 +77,9 @@ import os
 import shutil
 import tempfile
 import zlib
-from collections import Counter
 from functools import cache, lru_cache
-from itertools import chain
-from math import factorial, prod
+from itertools import chain, repeat
+from math import factorial
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -201,6 +200,17 @@ def _lex_tables(m: int, ids: list[int]) -> tuple[list, list, list[list[int]], li
     return lengths, dr, right, left
 
 
+def _parabolic_order(mask: int) -> int:
+    """|W_K| for K the simple reflections s_(k+1) at the set bits k of mask:
+    (r+1)! for each run of r consecutive bits."""
+    order, run = 1, 1
+    while mask:
+        run = run + 1 if mask & 1 else 1
+        order *= run
+        mask >>= 1
+    return order
+
+
 class KLTable:
     """Immutable table of KL polynomials and mu values for one rank, once
     `_build_kl_table` or `load` has filled its columns."""
@@ -270,24 +280,39 @@ class KLTable:
         return 0 if pid is None else self._packed[pid] << _SLOT * k
 
     def __len__(self) -> int:
-        """Stored x stands for |W_I x W_J| = |W_I| |W_J| / prod M_ab! pairs, M_ab
-        the values of block a of I at positions of block b of J (Kilmoyer);
-        the first column of an orbit counts for each column of the orbit."""
-        def young(keys: Iterable) -> int:  # the Young subgroup on classes of equal keys
-            return prod(map(factorial, Counter(keys).values()))
+        """Stored x, the top of W_I x W_J for I and J the left and right descents
+        of y, stands for the |W_I| |W_J| / |W_I & x W_J x^-1| pairs of that double
+        coset.  At the top, W_I & x W_J x^-1 is the parabolic W_K, K the s_t in I
+        with x^-1 s_t x = s_u in J (Kilmoyer, through w0), i.e. values t, t+1 at
+        positions u, u+1; bit (t-1)(m-1) + u-1 of adj[x] marks each such (t, u).
+        The first column of an orbit counts for each column of the orbit."""
+        m1 = max(self.m - 1, 0)
+        sizes = list(map(_parabolic_order, range(1 << m1)))
+        bit = {}  # (u-1, w(u), w(u+1)) -> the bit of (t, u) when {w(u), w(u+1)} = {t, t+1}
+        for u in range(m1):
+            for t in range(1, m1 + 1):
+                bit[u, t, t + 1] = bit[u, t + 1, t] = 1 << (t - 1) * m1 + u
+        adj = [sum(map(bit.get, zip(range(m1), w, w[1:]), repeat(0, m1))) for w in self.perms]
 
-        def blocks(mask: int) -> list[int]:  # the block of each place; bit k joins k, k+1
-            return [(~mask & (1 << k) - 1).bit_count() for k in range(self.m)]
+        @cache
+        def stabiliser(key: int) -> int:  # |W_K| for the (t, u) bits of adj[x] & (I x J)
+            k = 0
+            while key:
+                low = key & -key
+                k |= 1 << (low.bit_length() - 1) // m1
+                key ^= low
+            return sizes[k]
 
         total = -len(self._cols)  # the diagonal
-        for yi, column in enumerate(self._cols):
-            if self._mirror(yi) is not None:  # a mirror maps cosets onto cosets
+        for yi, first in enumerate(map(min, *self._mirrors)):
+            if first < yi:  # a mirror maps cosets onto cosets
                 continue
-            vb, pb = blocks(self._dl[yi]), blocks(self._dr[yi])
-            order = young(vb) * young(pb)
+            dl, dr = self._dl[yi], self._dr[yi]
+            pairs = sum(dr << t * m1 for t in range(m1) if dl >> t & 1)  # I x J
+            order = sizes[dl] * sizes[dr]
             orbit = len({yi, *(g[yi] for g in self._mirrors)})
-            total += orbit * sum(order // young(zip([vb[v - 1] for v in self.perms[x]], pb))
-                                 for x in column)
+            x_pairs = map(pairs.__and__, map(adj.__getitem__, self._cols[yi]))
+            total += orbit * sum(map(order.__floordiv__, map(stabiliser, x_pairs)))
         return total
 
     def _mirror(self, yi: int) -> list[int] | None:

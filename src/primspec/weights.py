@@ -149,6 +149,15 @@ class SuperWeight(_Frozen):
 _set_left, _set_right = SuperWeight.left.__set__, SuperWeight.right.__set__
 
 
+def _weight(left: tuple[int, ...], right: tuple[int, ...]) -> SuperWeight:
+    """SuperWeight(left, right) for tuples of ints built by the caller: no
+    coercion and no check."""
+    weight = SuperWeight.__new__(SuperWeight)
+    _set_left(weight, left)
+    _set_right(weight, right)
+    return weight
+
+
 def from_rho_shifted(
     coeffs: Sequence[int | Fraction | str], m: int, n: int
 ) -> SuperWeight:

@@ -2,12 +2,13 @@ import hashlib
 import json
 import re
 from fractions import Fraction
-from itertools import permutations as iperm
+from itertools import permutations as iperm, product
 
 import pytest
 
 from primspec.aug_poset import (
     IdealPoset,
+    _ladder_length,
     counts,
     enumerate_X,
     exceptional_coverings,
@@ -19,7 +20,12 @@ from primspec.aug_poset import (
     to_json_dict,
 )
 from primspec.cli import main
-from primspec.errors import BoundExceededError, InvariantError, PreconditionError
+from primspec.errors import (
+    BoundExceededError,
+    InvariantError,
+    NotSinglyAtypicalError,
+    PreconditionError,
+)
 from primspec.super_inclusion import covers, frame, inclusion
 from primspec.tableaux import involution_count, rank_word, robinson_schensted, tau_of_weight
 from primspec.weights import SuperWeight
@@ -161,6 +167,23 @@ class TestRankSeven:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+class TestRankEight:
+    # gl(8|1): 3,438 ideals; digests recorded from the build that read every
+    # member's ladder length through `frame`
+    @pytest.mark.slow
+    @pytest.mark.parametrize(
+        "command, digest",
+        [
+            ("aug-poset", "aa895eb02f46daa4b62b4c1fe664c45eeb1774f3f3b17b24ade424e3fdd61c8f"),
+            ("components", "b2d3378c4adfc907d6716cfbd65c59eccc820e59d15ac4fd22b478af6fd1e101"),
+        ],
+    )
+    def test_output_matches_the_recorded_digest(self, capsys, command, digest):
+        assert main(["--kl-bound", "8", command, "--m", "8"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestStrataChecks:
     def test_a_class_mixing_ladder_lengths_is_refused(self, posets, assignments):
         poset, assign = posets[4], assignments[4]
@@ -176,6 +199,36 @@ class TestStrataChecks:
         doctored = IdealPoset(poset.m, classes, poset.strict, poset.hasse, poset.order)
         with pytest.raises(InvariantError, match="ladder length not class-invariant"):
             strata(doctored)
+
+    @pytest.mark.parametrize("m", range(1, 8))
+    def test_label_read_matches_frame_on_every_member(self, m):
+        for c in enumerate_X(m).classes:
+            for w in c.members:
+                assert _ladder_length(w) == frame(w).p_value, w
+
+    def test_label_read_picks_the_positions_frame_picks(self):
+        # off the block too, every left part on labels 0..3 up to m = 5:
+        # repeated labels above a, where the rightmost position left of the
+        # last step is the one that counts (1,2,1,0|0 has p = 2, not 1)
+        for m in range(1, 6):
+            for left in product(range(4), repeat=m):
+                for a in set(left):
+                    w = SuperWeight(left, (a,))
+                    assert _ladder_length(w) == frame(w).p_value, w
+
+    def test_label_read_refuses_a_typical_weight(self):
+        with pytest.raises(NotSinglyAtypicalError):
+            _ladder_length(W("2,1,0|5"))
+
+    def test_frame_disagreeing_with_the_label_read_is_refused(self, posets, monkeypatch):
+        import primspec.aug_poset as aug_poset
+
+        real = aug_poset.frame
+        monkeypatch.setattr(
+            aug_poset, "frame", lambda w: real(w)._replace(p_value=real(w).p_value + 1)
+        )
+        with pytest.raises(InvariantError, match="frame gives"):
+            strata(posets[3])
 
 
 class TestClassKeys:

@@ -217,6 +217,14 @@ class TestKLTable:
             "52f020590a3ad93e8613c50e15418d610b6ac276ca2d7d812db1eaeeb227a0dc"
         )
 
+    def test_rank_seven_len(self):
+        # recorded from the count that built one Counter per stored x
+        assert len(kl_classical._build_kl_table(7)) == 3545879
+
+    @pytest.mark.slow
+    def test_rank_eight_len(self):
+        assert len(kl_classical._build_kl_table(8)) == 170248265
+
     @staticmethod
     def _digest(m):
         """Each column's packed h by x and the left cell of every rank word."""

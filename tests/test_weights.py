@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from primspec.errors import WeightParseError
 from primspec.weights import (
     SuperWeight,
+    _weight,
     antidominant_representative,
     atypicality_degree,
     central_character,
@@ -106,6 +107,15 @@ class TestPredicates:
         assert not orbit_equal(W("1,0|0,1"), W("1,1|1,1"))
         w = W("3,1|2")
         assert orbit_equal(w, w)
+
+
+@given(small_weights())
+def test_private_constructor_builds_the_same_weight(w):
+    # `_weight` skips the int coercion of `SuperWeight(left, right)` only
+    built = _weight(w.left, w.right)
+    assert type(built) is SuperWeight
+    assert built == w and hash(built) == hash(w)
+    assert str(built) == str(w) and repr(built) == repr(w)
 
 
 @given(small_weights())
