@@ -38,7 +38,10 @@ which v give a K-top does not depend on u.  So the build walks, for each
 ancestors, and applies it to every stored u.  The build reads h through
 one local function over the table's lists (raise, column lookup, shift);
 the public reads go through `KLTable._h`, and `kl_polynomial` returns the
-one LaurentPolynomial kept per distinct stored P.
+one LaurentPolynomial kept per distinct stored P.  A read whose answer the
+lengths fix skips the raise: P_{x,y} = 0 when x follows y in the index
+order (x not shorter, x != y), and mu(x, y) = 0 when l(y) - l(x) is even, as
+h_{x,y} has only powers of v of that parity (Kazhdan-Lusztig 1979).
 
 Only the first column of each orbit of {id, x -> x^-1, x -> w0 x w0, both}
 runs that recursion (230 of 720 at rank 6).  P_{x,y} = P_{x^-1,y^-1}
@@ -62,7 +65,8 @@ representative: inclusion and covers are read off its left cell, equality
 off its Robinson-Schensted insertion tableau (no KL table, no bound; the
 tableau is kept per rank word in a memo of INSERTION_MEMO_SIZE entries).
 `classical_relation` reads each factor's rank words once for all three
-questions.
+questions.  `LeftOrder` numbers its nodes by lex rank and reads everything
+else off the table's own lists (see there).
 
 Tables are immutable once built.  On disk there is one versioned file per
 rank, which `kl_table` reads when it exists and writes when it builds; in
@@ -90,7 +94,6 @@ from .tableaux import (
     Permutation,
     Tableau,
     all_permutations,
-    inverse,
     rank_word,
     robinson_schensted,
 )
@@ -228,6 +231,7 @@ class KLTable:
             return list(rows) or [()]
 
         lex = list(all_permutations(m))
+        self._lex_rank = order  # index -> lex rank, which `LeftOrder` numbers its nodes by
         self.perms = perms = list(map(lex.__getitem__, order))
         self.lengths = list(map(lengths.__getitem__, order))
         self.index = dict(zip(perms, ids))
@@ -324,15 +328,21 @@ class KLTable:
     def kl_polynomial(self, x: Permutation, y: Permutation) -> LaurentPolynomial:
         """P_{x,y} in the variable q (1 on the diagonal, 0 unless x <= y)."""
         xi, yi = self.index[tuple(x)], self.index[tuple(y)]
+        if xi > yi:  # indices follow length: x is not below y
+            return ZERO
         pid = self._cols[yi].get(self._raise(xi, yi))
         return ZERO if pid is None else self._polys[pid]
 
     def mu(self, x: Permutation, y: Permutation) -> int:
         """Symmetrized mu: the coefficient of v in h_{x,y}, x the shorter; off the
-        extremal pairs the raise makes it 1 at y = sx or xs and 0 otherwise."""
+        extremal pairs the raise makes it 1 at y = sx or xs and 0 otherwise.
+        h_{x,y} has only powers of v of the parity of l(y) - l(x), so an even
+        gap gives 0 without the raise."""
         xi, yi = self.index[tuple(x)], self.index[tuple(y)]
         if xi > yi:  # indices follow length
             xi, yi = yi, xi
+        if (self.lengths[yi] - self.lengths[xi]) & 1 == 0:
+            return 0
         return self._h(xi, yi) >> _SLOT & _SLOT_MASK
 
     def _mu_below(self, yi: int) -> Iterator[tuple[int, int]]:
@@ -567,22 +577,34 @@ class LeftOrder:
     classes of the preorder are exactly the fibers of the insertion-tableau
     invariant (checked in the test suite), so quotienting yields the honest
     inclusion order on annihilators.
+
+    Node r is the word of lex rank r, and everything is index arithmetic on
+    the table: the table keeps each index's lex rank, so a word's node is
+    that rank of its table index and `perms` is the table's words put at
+    their ranks.  The rank word of u is inverse(u w0) = w0 u^-1, whose index
+    is n - 1 - that of u^-1 (`w0 w` reverses the index order), and a word's
+    ascents are the complement of its right descent mask.  The generating
+    edges still go into the set `wall_edges` builds: the class ids follow
+    that set's iteration order, and callers and digests read the ids.
     """
 
     def __init__(self, table: KLTable):
         self.m = m = table.m
-        self.perms = perms = sorted(all_permutations(m))
-        self.index = {w: i for i, w in enumerate(perms)}
-        # bit p: strictly on the positive side of wall p (an ascent of the word)
-        ascent_mask = [sum(1 << p for p in range(m - 1) if r[p] < r[p + 1]) for r in perms]
-        # u, antidominant-based, has rank word inverse(u w0); u w0 is u's word reversed
-        node = [self.index[inverse(u[::-1])] for u in table.perms]
-        pairs = ((node[xi], node[yi]) for yi in range(len(node))
-                 for xi, _ in sorted(table._mu_below(yi)))
-        self.preorder = Preorder(len(perms), wall_edges(ascent_mask, pairs))
+        n, full = len(table.perms), (1 << max(m - 1, 0)) - 1
+        rank = table._lex_rank
+        self._index, self._lex_rank = table.index, rank
+        # bit p of a mask: strictly on the positive side of wall p
+        self.perms = perms = [()] * n
+        ascent_mask = [0] * n
+        for r, w, dr in zip(rank, table.perms, table._dr):
+            perms[r], ascent_mask[r] = w, full & ~dr
+        # u, antidominant-based, has rank word w0 u^-1
+        node = [rank[n - 1 - j] for j in table._mirrors[0]]
+        pairs = ((node[xi], node[yi]) for yi in range(n) for xi, _ in table._mu_below(yi))
+        self.preorder = Preorder(n, wall_edges(ascent_mask, pairs))
 
     def node(self, r: Permutation) -> int:
-        return self.index[tuple(r)]
+        return self._lex_rank[self._index[tuple(r)]]
 
     def leq(self, r_small: Permutation, r_big: Permutation) -> bool:
         """Is the ideal at rank word r_small included in the one at r_big?"""

@@ -23,7 +23,6 @@ __all__ = [
     "Tableau",
     "is_permutation",
     "identity",
-    "longest_element",
     "inverse",
     "inversions",
     "all_permutations",
@@ -32,7 +31,6 @@ __all__ = [
     "tau_of_weight",
     "strict_tau",
     "rank_word",
-    "gamma_index_to_position",
     "involution_count",
 ]
 
@@ -50,10 +48,6 @@ def is_permutation(word: Sequence[int]) -> bool:
 
 def identity(m: int) -> Permutation:
     return tuple(range(1, m + 1))
-
-
-def longest_element(m: int) -> Permutation:
-    return tuple(range(m, 0, -1))
 
 
 def inverse(w: Permutation) -> Permutation:
@@ -179,11 +173,6 @@ def strict_tau(
             p for p in range(1, len(labels)) if labels[p - 1] < labels[p]
         )
     return frozenset(p for p in range(1, len(labels)) if labels[p - 1] > labels[p])
-
-
-def gamma_index_to_position(i: int, m: int) -> int:
-    """The simple root addressed by gamma-index i sits at position m - i."""
-    return m - i
 
 
 def involution_count(m: int) -> int:

@@ -33,12 +33,7 @@ __all__ = [
     "from_rho_shifted",
     "central_character",
     "atypicality_degree",
-    "is_dominant",
-    "is_antidominant",
-    "is_regular",
     "orbit_equal",
-    "dominant_representative",
-    "antidominant_representative",
 ]
 
 _WEIGHT_RE = re.compile(r"^\s*(\()?\s*([^|()]*)\|([^|()]*)(?(1)\))\s*$")  # parens paired
@@ -227,27 +222,6 @@ def atypicality_degree(weight: SuperWeight) -> int:
     return pairs
 
 
-def is_dominant(weight: SuperWeight) -> bool:
-    """Left labels weakly decreasing and right labels weakly increasing."""
-    left, right = weight.left, weight.right
-    return all(left[i] >= left[i + 1] for i in range(len(left) - 1)) and all(
-        right[j] <= right[j + 1] for j in range(len(right) - 1)
-    )
-
-
-def is_antidominant(weight: SuperWeight) -> bool:
-    """Left labels weakly increasing and right labels weakly decreasing."""
-    left, right = weight.left, weight.right
-    return all(left[i] <= left[i + 1] for i in range(len(left) - 1)) and all(
-        right[j] >= right[j + 1] for j in range(len(right) - 1)
-    )
-
-
-def is_regular(weight: SuperWeight) -> bool:
-    """No repeated label within the left part and none within the right part."""
-    return len(set(weight.left)) == weight.m and len(set(weight.right)) == weight.n
-
-
 def orbit_equal(a: SuperWeight, b: SuperWeight) -> bool:
     """Same orbit of the product of symmetric groups acting per side.
 
@@ -258,14 +232,3 @@ def orbit_equal(a: SuperWeight, b: SuperWeight) -> bool:
         raise ValueError("weights live in different Z^(m|n)")
     return sorted(a.left) == sorted(b.left) and sorted(a.right) == sorted(b.right)
 
-
-def dominant_representative(weight: SuperWeight) -> SuperWeight:
-    return SuperWeight(
-        tuple(sorted(weight.left, reverse=True)), tuple(sorted(weight.right))
-    )
-
-
-def antidominant_representative(weight: SuperWeight) -> SuperWeight:
-    return SuperWeight(
-        tuple(sorted(weight.left)), tuple(sorted(weight.right, reverse=True))
-    )

@@ -42,7 +42,6 @@ from primspec.weights import (
     SuperWeight,
     atypicality_degree,
     central_character,
-    is_regular,
 )
 from test_tableaux import egf_series, row_of
 

@@ -28,7 +28,8 @@ from primspec.kl_classical import (
     left_preorder,
     mu,
 )
-from primspec.laurent import ONE, LaurentPolynomial
+from primspec.laurent import ONE, ZERO, LaurentPolynomial
+from primspec.posets import Preorder, wall_edges
 from primspec.super_inclusion import inclusion
 from primspec.tableaux import (
     all_permutations,
@@ -322,6 +323,20 @@ class TestMu:
                 if x != y and (inversions(y) - inversions(x)) % 2 == 0:
                     assert mu(x, y, table) == 0
 
+    @pytest.mark.parametrize("m", range(1, 6))
+    def test_reads_match_the_raised_read(self, m):
+        # the length shortcuts of `kl_polynomial` and `mu` against the read
+        # through `_raise` and `_h` on every pair
+        table = kl_table(m, **NO_DISK)
+        for xi, x in enumerate(table.perms):
+            for yi, y in enumerate(table.perms):
+                pid = table._cols[yi].get(table._raise(xi, yi))
+                assert table.kl_polynomial(x, y) == (ZERO if pid is None else table._polys[pid])
+                lo, hi = min(xi, yi), max(xi, yi)
+                assert table.mu(x, y) == table._h(lo, hi) >> 16 & 0xFFFF, (x, y)
+                if (table.lengths[hi] - table.lengths[lo]) % 2 == 0:
+                    assert table.mu(x, y) == 0
+
 
 class TestPacking:
     def test_oversized_slot_is_refused(self):
@@ -532,6 +547,38 @@ class TestLeftPreorder:
                 for upper, above in descents.items():
                     if order.preorder.class_leq(lower, upper):
                         assert below >= above, (m, lower, upper)
+
+    @staticmethod
+    def _sorted_construction(table):
+        """The order built on its own lex-sorted words: a second index, each
+        node found as the index of inverse(u w0), masks read off the tuples
+        and mu rows sorted."""
+        m = table.m
+        perms = sorted(all_permutations(m))
+        index = {w: i for i, w in enumerate(perms)}
+        masks = [sum(1 << p for p in range(m - 1) if r[p] < r[p + 1]) for r in perms]
+        node = [index[inverse(u[::-1])] for u in table.perms]
+        pairs = ((node[xi], node[yi]) for yi in range(len(node))
+                 for xi, _ in sorted(table._mu_below(yi)))
+        return perms, Preorder(len(perms), wall_edges(masks, pairs))
+
+    def _check_index_arithmetic(self, m):
+        table = kl_classical._build_kl_table(m)
+        order = LeftOrder(table)
+        perms, preorder = self._sorted_construction(table)
+        assert order.perms == perms
+        assert [order.class_id(r) for r in perms] == list(map(preorder.class_id, range(len(perms))))
+        count = preorder.class_count()
+        assert order.class_count() == count
+        assert list(map(order.preorder.below, range(count))) == list(map(preorder.below, range(count)))
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_index_arithmetic_matches_the_sorted_construction(self, m):
+        self._check_index_arithmetic(m)
+
+    @pytest.mark.slow
+    def test_rank_eight_index_arithmetic(self):
+        self._check_index_arithmetic(8)
 
     def test_cached_order_still_honours_bound(self):
         # a cached rank-5 order must not answer for a caller bounded at 3

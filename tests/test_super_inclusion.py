@@ -274,12 +274,11 @@ class TestMonotonicityAndEquivariance:
                     assert equal_ideal(a, b)
 
     def test_regular_target_forces_same_orbit(self):
-        from primspec.weights import is_regular
-
         block = self._block()
         for a in block:
             for b in block:
-                if a != b and is_regular(b) and inclusion(a, b):
+                regular = len(set(b.left)) == b.m and len(set(b.right)) == b.n
+                if a != b and regular and inclusion(a, b):
                     assert orbit_equal(a, b)
 
 
