@@ -5,7 +5,7 @@ terms, the principal gl(2|2) block with its three Ext^1 pairings, and the
 agreement of the generated order with the independent ladder algorithm.
 """
 
-from primspec.brundan_kl import canonical_basis, kl_left_order, mu_super
+from primspec.brundan_kl import canonical_basis, kl_left_order
 from primspec.super_inclusion import inclusion
 from primspec.weights import SuperWeight, atypicality_degree
 
@@ -25,7 +25,7 @@ print("\ngl(2|2) principal block around the augmentation label (1,0|0,1):")
 table22 = canonical_basis([W("1,0|0,1")], interval=(-1, 3))
 top = W("1,0|0,1")
 for text in ["1,1|1,1", "2,1|2,1", "1,2|1,2", "1,2|2,1", "2,1|1,2"]:
-    print(f"  dim Ext^1(L({top}), L({text})) = {mu_super(top, W(text), table22)}")
+    print(f"  dim Ext^1(L({top}), L({text})) = {table22.mu(top, W(text))}")
 
 window = sorted(
     {w for w in table22.weights if atypicality_degree(w) == 2},

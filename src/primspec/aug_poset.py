@@ -263,18 +263,17 @@ class ComponentReport(NamedTuple):
 
 
 def irreducible_components(
-    poset: IdealPoset, assignments: dict[int, StratumAssignment] | None = None
+    poset: IdealPoset, assignments: dict[int, StratumAssignment]
 ) -> list[ComponentReport]:
     """The up-sets Z_k of the minimal ideals, with both membership routes
     checked and the crystal order-isomorphism onto the regular stratum
-    verified explicitly.
+    verified explicitly.  `assignments` is `strata(poset)`, computed once by
+    the caller and shared with the other readers.
 
     The isomorphism check compares rows: each member's strict down-row inside
     Z_k must equal the closure row of its image node, read back through the
     map from (orbit, class id) to member, which is injective once the image
     nodes are distinct."""
-    if assignments is None:
-        assignments = strata(poset)
     m = poset.m
     down = [0] * len(poset.classes)  # bit a of down[b]: a strictly below b
     for lower, upper in poset.strict:
@@ -330,11 +329,9 @@ def irreducible_components(
 
 
 def exceptional_coverings(
-    poset: IdealPoset, assignments: dict[int, StratumAssignment] | None = None
+    poset: IdealPoset, assignments: dict[int, StratumAssignment]
 ) -> list[tuple[int, int]]:
-    """Hasse edges along which both stratification indices jump."""
-    if assignments is None:
-        assignments = strata(poset)
+    """Hasse edges along which both indices of `assignments` (`strata(poset)`) jump."""
     out = []
     for lower, upper in poset.hasse:
         alo, aup = assignments[lower], assignments[upper]
@@ -418,11 +415,8 @@ def odd_reflection_ad(alpha: SuperWeight) -> OddReflectionResult:
 # -- export -------------------------------------------------------------------
 
 
-def to_json_dict(
-    poset: IdealPoset, assignments: dict[int, StratumAssignment] | None = None
-) -> dict:
-    if assignments is None:
-        assignments = strata(poset)
+def to_json_dict(poset: IdealPoset, assignments: dict[int, StratumAssignment]) -> dict:
+    """The classes with their `strata(poset)` indices, and the Hasse edges."""
     return {
         "m": poset.m,
         "classes": [

@@ -65,7 +65,6 @@ __all__ = [
     "CanonicalBasisTable",
     "SuperOrder",
     "canonical_basis",
-    "mu_super",
     "kl_left_order",
     "unpack",
     "DEFAULT_RANK_BOUND",
@@ -448,11 +447,6 @@ def canonical_basis(
     return CanonicalBasisTable(window, monos, _solve_canonical(bar_involution(window), monos))
 
 
-def mu_super(alpha: SuperWeight, beta: SuperWeight, table: CanonicalBasisTable) -> int:
-    """dim Ext^1(L(alpha), L(beta)) from the table's q-linear coefficients."""
-    return table.mu(alpha, beta)
-
-
 class SuperOrder:
     """The left order on a finite set of block weights.
 
@@ -499,16 +493,7 @@ def _wall_mask(weight: SuperWeight) -> int:
     )
 
 
-def kl_left_order(
-    block: Iterable[SuperWeight],
-    table: CanonicalBasisTable | None = None,
-    *,
-    rank_bound: int = DEFAULT_RANK_BOUND,
-    interval_bound: int = DEFAULT_INTERVAL_BOUND,
-) -> SuperOrder:
-    """The left order on the given block weights (table built if needed,
-    on the default interval, with these bounds)."""
-    weights = sorted(set(block), key=lambda w: w.labels)
-    if table is None:
-        table = canonical_basis(weights, rank_bound=rank_bound, interval_bound=interval_bound)
-    return SuperOrder(weights, table)
+def kl_left_order(block: Iterable[SuperWeight], table: CanonicalBasisTable) -> SuperOrder:
+    """The left order on the given block weights, read from `table`, a
+    canonical basis of a weight space that contains them."""
+    return SuperOrder(sorted(set(block), key=lambda w: w.labels), table)

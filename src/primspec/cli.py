@@ -140,7 +140,7 @@ def cmd_super_kl(args) -> int:
         raise PreconditionError(f"--interval {args.interval!r} is not lo:hi with lo <= hi")
     table = brundan_kl.canonical_basis(
         block, interval, rank_bound=_positive("--rank-bound", args.rank_bound),
-        interval_bound=args.interval_bound,
+        interval_bound=_positive("--interval-bound", args.interval_bound),
     )
     doc = table.to_json_dict()
     order = brundan_kl.kl_left_order(table.weights, table)

@@ -328,7 +328,7 @@ class KLTable:
     def kl_polynomial(self, x: Permutation, y: Permutation) -> LaurentPolynomial:
         """P_{x,y} in the variable q (1 on the diagonal, 0 unless x <= y)."""
         xi, yi = self.index[tuple(x)], self.index[tuple(y)]
-        if xi > yi:  # indices follow length: x is not below y
+        if xi != yi and self.lengths[xi] >= self.lengths[yi]:  # x is not below y
             return ZERO
         pid = self._cols[yi].get(self._raise(xi, yi))
         return ZERO if pid is None else self._polys[pid]

@@ -563,8 +563,8 @@ def gl22_component_classes(
     ideals with labels in [lo, hi]: equality classes and Hasse edges.
 
     The component of the augmentation ideal (seed (1,0|0,1)) is infinite;
-    the window is the caller's truncation.  Edges are covers within the
-    window, as pairs of class indices (lower, upper).
+    the window is the caller's truncation, and must hold the seed's class.
+    Edges are covers within the window, as pairs of class indices (lower, upper).
     """
     _check_keywords(kw)
     if seed is None:
@@ -580,6 +580,9 @@ def gl22_component_classes(
                 break
         else:
             classes.append([w])
+    seed_class = next((i for i, cls in enumerate(classes) if equal_ideal(cls[0], seed)), None)
+    if seed_class is None:
+        raise PreconditionError(f"seed {seed} lies in no class of the window [{lo}, {hi}]")
 
     n = len(classes)
     strict = {
@@ -587,7 +590,6 @@ def gl22_component_classes(
         if i != j and inclusion(classes[j][0], classes[i][0], **kw)
     }
     # connected component of the seed: strongly connected once symmetrized
-    seed_class = next(i for i, cls in enumerate(classes) if equal_ideal(cls[0], seed))
     comp = strongly_connected_components(n, strict | {(j, i) for i, j in strict})
     kept = [i for i in range(n) if comp[i] == comp[seed_class]]
     remap = {old: new for new, old in enumerate(kept)}

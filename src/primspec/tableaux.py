@@ -21,7 +21,6 @@ from typing import Iterator, Literal, Sequence
 __all__ = [
     "Permutation",
     "Tableau",
-    "is_permutation",
     "identity",
     "inverse",
     "inversions",
@@ -35,15 +34,6 @@ __all__ = [
 ]
 
 Permutation = tuple[int, ...]
-
-
-def is_permutation(word: Sequence[int]) -> bool:
-    """True iff `word` is a bijection of 1..len(word) in one-line notation.
-
-    >>> is_permutation((2, 1, 3)), is_permutation((1, 1, 2))
-    (True, False)
-    """
-    return sorted(word) == list(range(1, len(word) + 1))
 
 
 def identity(m: int) -> Permutation:
@@ -131,13 +121,9 @@ def rank_word(labels: Sequence[int]) -> Permutation:
     return tuple(ranks)
 
 
-def tau_of_weight(
-    labels: Sequence[int], orientation: Literal["left", "right"] = "left"
-) -> frozenset[int]:
-    """Descent set of the longest permutation whose inverse sorts `labels`.
-
-    With the right orientation (dominant = weakly increasing) the tuple is
-    read reversed and positions are mirrored.
+def tau_of_weight(labels: Sequence[int]) -> frozenset[int]:
+    """Descent set of the longest permutation whose inverse sorts `labels`,
+    read on the left side (dominant = weakly decreasing).
 
     >>> sorted(tau_of_weight((0, 1, 2)))
     [1, 2]
@@ -146,10 +132,6 @@ def tau_of_weight(
     >>> sorted(tau_of_weight((1, 3, 0, 2)))
     [2]
     """
-    if orientation == "right":
-        rev = tuple(reversed(labels))
-        n = len(labels)
-        return frozenset(n - p for p in tau_of_weight(rev, "left"))
     return tau(inverse(rank_word(labels)))
 
 

@@ -148,7 +148,7 @@ class TestCounts:
         report = counts(poset)
         assert report.total == 266
         assert report.stratum_sizes == {0: 76, 1: 38, 2: 38, 3: 38, 4: 38, 5: 38}
-        assert exceptional_coverings(poset) == []
+        assert exceptional_coverings(poset, strata(poset)) == []
 
 
 class TestRankSeven:
@@ -294,7 +294,7 @@ class TestMinimalAndComponents:
         default = tmp_path / "default"
         default.mkdir()
         monkeypatch.setenv("PRIMSPEC_CACHE", str(default))
-        reports = irreducible_components(poset)
+        reports = irreducible_components(poset, strata(poset))
         assert all(r.order_isomorphic for r in reports)
         assert list(default.iterdir()) == []
 

@@ -258,6 +258,13 @@ class TestSuperKl:
         assert code == 1 and out == ""
         assert err == f"error: --rank-bound {bound}: bounds must be positive\n"
 
+    @pytest.mark.parametrize("bound", ["0", "-3"])
+    def test_nonpositive_interval_bound_names_the_flag(self, capsys, bound):
+        args = ("super-kl", "--weights", "1,0|0,1", "--interval-bound", bound)
+        code, out, err = run(capsys, *args)
+        assert code == 1 and out == ""
+        assert err == f"error: --interval-bound {bound}: bounds must be positive\n"
+
 
 class TestCounts:
     def test_range(self, capsys):

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from primspec import aug_poset, kl_classical, super_inclusion
-from primspec.brundan_kl import kl_left_order
+from primspec.brundan_kl import canonical_basis, kl_left_order
 from primspec.errors import BoundExceededError, UnsupportedRegimeError
 from primspec.super_inclusion import (
     covers,
@@ -265,7 +265,7 @@ def test_relation_matches_canonical_order_on_sampled_blocks(weight):
     # singly atypical blocks, and a partial order on ideals
     key = central_character(weight)
     enlarged = sorted(_block(key, -2, 5), key=lambda w: w.labels)
-    order = kl_left_order(enlarged, interval_bound=12)
+    order = kl_left_order(enlarged, canonical_basis(enlarged, interval_bound=12))
     block = sorted(_block(key, 0, 3), key=lambda w: w.labels)
     for alpha in block:
         for beta in block:

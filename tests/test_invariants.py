@@ -10,7 +10,6 @@ from pathlib import Path
 import pytest
 
 import primspec
-import primspec.brundan_kl
 import primspec.crystal
 import primspec.kl_classical
 import primspec.laurent
@@ -18,7 +17,7 @@ import primspec.tableaux
 import primspec.weights
 from primspec import crystal
 from primspec.aug_poset import enumerate_X
-from primspec.brundan_kl import kl_left_order
+from primspec.brundan_kl import canonical_basis, kl_left_order
 from primspec.errors import InvariantError, PrimspecError
 from primspec.super_inclusion import equal_ideal, frame, reduction_trace, theta_representative
 from primspec.weights import SuperWeight, atypicality_degree
@@ -60,6 +59,59 @@ def test_package_has_no_assert_statements():
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.Assert)
         or isinstance(node, ast.Raise) and _raises_assertion_error(node)
+    ]
+    assert found == []
+
+
+def _dotted(node) -> str | None:
+    """'a.b.c' for the expression a.b.c, None for anything else."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        base = _dotted(node.value)
+        return None if base is None else f"{base}.{node.attr}"
+    return None
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names `source` imports and never reads (a bare name, or the dotted
+    path of an `import a.b`) nor lists in `__all__`; `__future__` imports
+    and lines marked `# noqa: F401` are skipped."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    used = {path for node in ast.walk(tree) if (path := _dotted(node)) is not None}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(elt.value for elt in node.value.elts)
+    return [
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        if "# noqa: F401" not in "".join(lines[node.lineno - 1 : node.end_lineno])
+        for alias in node.names
+        if (alias.asname or alias.name) not in used
+    ]
+
+
+def test_unused_import_check_sees_each_kind():
+    source = "import os\nimport a.b\nimport c.d\nfrom x import y, z\nz(c.d.e)\n"
+    assert _unused_imports(source) == ["os", "a.b", "y"]
+    assert _unused_imports("from x import y  # noqa: F401\n") == []
+    assert _unused_imports("from __future__ import annotations\n") == []
+    assert _unused_imports("from x import y\n__all__ = ['y']\n") == []
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    root = Path(primspec.weights.__file__).parent
+    paths = sorted(root.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py"))
+    assert len(paths) > 25
+    found = [
+        f"{path.parent.name}/{path.name}: {name}"
+        for path in paths
+        for name in _unused_imports(path.read_text())
     ]
     assert found == []
 
@@ -163,7 +215,7 @@ def test_super_order_classes_match_equal_ideal():
         for left in iperm(rep.left):
             block.add(SuperWeight(left, rep.right))
     block = sorted(block, key=lambda w: w.labels)
-    order = kl_left_order(block, interval_bound=10)
+    order = kl_left_order(block, canonical_basis(block, interval_bound=10))
     for a in block:
         for b in block:
             assert order.same_class(a, b) == equal_ideal(a, b)

@@ -337,6 +337,22 @@ class TestMu:
                 if (table.lengths[hi] - table.lengths[lo]) % 2 == 0:
                     assert table.mu(x, y) == 0
 
+    def test_same_length_reads_skip_the_raise(self, monkeypatch):
+        # distinct x, y of one length are never comparable: P is 0 by lengths alone
+        table = kl_table(5, **NO_DISK)
+
+        def refuse(*args):
+            raise AssertionError("raised a pair that lengths decide")
+
+        monkeypatch.setattr(kl_classical.KLTable, "_raise", refuse)
+        pairs = 0
+        for xi, x in enumerate(table.perms):
+            for yi, y in enumerate(table.perms):
+                if xi != yi and table.lengths[xi] == table.lengths[yi]:
+                    assert table.kl_polynomial(x, y) == ZERO
+                    pairs += 1
+        assert pairs == 1810  # sum of c (c - 1) over the Mahonian numbers of rank 5
+
 
 class TestPacking:
     def test_oversized_slot_is_refused(self):

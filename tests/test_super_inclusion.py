@@ -414,6 +414,15 @@ class TestGl22Component:
             assert inclusion(top_k, shared)
             assert inclusion(top_next, shared)
 
+    @pytest.mark.parametrize(
+        "lo, hi, seed",
+        [(0, 0, None), (3, 5, None), (2, 1, None), (0, 3, W("1,0|0,2"))],
+    )
+    def test_seed_outside_the_window_is_refused(self, lo, hi, seed):
+        # the default seed is 1,0|0,1; 1,0|0,2 has the shape but one atypicality
+        with pytest.raises(PreconditionError, match=rf"seed .*\[{lo}, {hi}\]"):
+            gl22_component_classes(lo, hi, seed)
+
 
 class TestDecisionRecords:
     def test_relations(self):

@@ -2,15 +2,12 @@ import random
 from fractions import Fraction
 from itertools import permutations, product
 
-import pytest
-
 from primspec.tableaux import (
     all_permutations,
     identity,
     inverse,
     inversions,
     involution_count,
-    is_permutation,
     rank_word,
     robinson_schensted,
     tau,
@@ -140,10 +137,6 @@ class TestTauOfWeight:
         assert tau_of_weight((0, 1, 2)) == frozenset({1, 2})
         assert 1 in tau_of_weight((1, 1, 0))
         assert tau_of_weight((1, 3, 0, 2)) == frozenset({2})
-
-    def test_right_orientation_mirrors(self):
-        assert tau_of_weight((0, 1), "right") == frozenset()
-        assert tau_of_weight((1, 0), "right") == frozenset({1})
 
     def test_against_longest_representative_brute_force(self):
         rng = random.Random(7)
