@@ -18,10 +18,10 @@ Enumeration is exact: equality classes are keyed by the stratum and the
 left-cell id of the members' rank words, which are generated, not read off
 weights (a stratum's words are those of S_m with its two tied ranks in a
 fixed order); strict inclusions are decided by the ladder algorithm from
-data computed once per class, and the Hasse diagram is the transitive
-reduction.  `strata` checks at run time that the ladder length is one
-value per class: it reads p off every member's left labels and runs
-`frame` once per class, on the representative, which must agree.
+data computed once per class and held as bitset rows; the Hasse diagram is
+their transitive reduction.  `strata` checks that the ladder length is one
+value per class: it reads p off every member's left labels, and `frame`,
+run once per class on the representative, must agree.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .errors import (
     PreconditionError,
 )
 from .kl_classical import DEFAULT_KL_BOUND, LeftOrder, _check_keywords, left_preorder
-from .posets import transitive_reduction
+from .posets import bits, transitive_reduction
 from .super_inclusion import _delta, _gamma, _orbit_key, frame
 from .tableaux import involution_count, rank_word, tau_of_weight
 from .weights import SuperWeight, _Frozen, _weight, atypicality_degree
@@ -69,22 +69,28 @@ class IdealClass(NamedTuple):
 
 
 class IdealPoset(_Frozen):
-    """Equality classes with strict inclusions and their Hasse diagram."""
+    """Equality classes, their strict inclusions as bitset rows (bit a of
+    down[b]: class a lies strictly inside class b) and the Hasse diagram."""
 
-    _compared = ("m", "classes", "strict", "hasse")  # not order (None at m = 1)
+    _compared = ("m", "classes", "down", "hasse")  # not order (None at m = 1)
     __slots__ = _compared + ("order",)
     m: int
     classes: tuple[IdealClass, ...]
-    strict: frozenset[tuple[int, int]]  # (lower, upper) class indices
+    down: tuple[int, ...]
     hasse: tuple[tuple[int, int], ...]
     order: LeftOrder | None
 
-    def __init__(self, m, classes, strict, hasse, order):
-        for name, value in zip(self.__slots__, (m, classes, strict, hasse, order)):
+    def __init__(self, m, classes, down, hasse, order):
+        for name, value in zip(self.__slots__, (m, classes, down, hasse, order)):
             object.__setattr__(self, name, value)
 
+    @property
+    def strict(self) -> frozenset[tuple[int, int]]:
+        """The (lower, upper) class pairs of `down`, derived on each access."""
+        return frozenset((a, b) for b, row in enumerate(self.down) for a in bits(row))
+
     def leq(self, lower: int, upper: int) -> bool:
-        return lower == upper or (lower, upper) in self.strict
+        return lower == upper or bool(self.down[upper] >> lower & 1)
 
 
 def enumerate_X(m: int, *, bound: int = DEFAULT_KL_BOUND, **kw) -> IdealPoset:
@@ -97,7 +103,8 @@ def enumerate_X(m: int, *, bound: int = DEFAULT_KL_BOUND, **kw) -> IdealPoset:
     order's lexicographic node order.  That lists the members from the
     largest left labels down, so each class is labeled by its first member,
     the lexicographically largest.  The total count must be (m+1)/2 times
-    the involution number, which is asserted.
+    the involution number, which is asserted.  The strict order is held as
+    rows, `down`, and the Hasse diagram is read off them.
     """
     _check_keywords(kw)
     if m < 1:
@@ -126,9 +133,8 @@ def enumerate_X(m: int, *, bound: int = DEFAULT_KL_BOUND, **kw) -> IdealPoset:
             f"enumerated {len(classes)} classes, counting identity gives {expected}"
         )
 
-    strict = _strict_pairs(classes, order)
-    hasse = transitive_reduction(len(classes), strict)
-    return IdealPoset(m, tuple(classes), frozenset(strict), tuple(hasse), order)
+    down = _down_rows(classes, order)
+    return IdealPoset(m, tuple(classes), tuple(down), tuple(transitive_reduction(down)), order)
 
 
 def _node(order: LeftOrder, weight: SuperWeight) -> tuple[tuple, int]:
@@ -138,9 +144,10 @@ def _node(order: LeftOrder, weight: SuperWeight) -> tuple[tuple, int]:
     return _orbit_key(weight.left, weight.right), order.class_id(rank_word(weight.left))
 
 
-def _strict_pairs(classes: list[IdealClass], order: LeftOrder | None) -> set[tuple[int, int]]:
-    """(lower, upper) with J(lower) strictly inside J(upper), as `inclusion`
-    decides it, from data computed once per class.
+def _down_rows(classes: list[IdealClass], order: LeftOrder | None) -> list[int]:
+    """One row per class upper: bit lower is set when J(lower) lies strictly
+    inside J(upper), as `inclusion` decides it, from data computed once per
+    class.
 
     Only a lower class with atypical value a_upper + p, 0 <= p <= p_upper,
     can lie below: below upper itself at p = 0 (one orbit), or with delta(lower)
@@ -148,29 +155,33 @@ def _strict_pairs(classes: list[IdealClass], order: LeftOrder | None) -> set[tup
     pair shifted by p lands in, so the ladder's orbit test always holds.
 
     The lower candidates are grouped by (a-value, own node or delta node,
-    orbit), then by class id, so each (upper, p) reads its top node's closure
-    row once and tests one bit per candidate cell.
+    orbit) into a bitset of their node's class ids, and within a group each
+    class id keeps a bitset of its classes.  Each (upper, p) masks its top
+    node's closure row with the group's ids and ORs in the classes of the hits.
     """
     if order is None:
-        return set()
+        return [0]
     frames = [frame(c.representative) for c in classes]
     own = [_node(order, c.representative) for c in classes]
-    cells: dict[tuple, dict[int, list[int]]] = {}
+    cells: dict[tuple, dict[int, int]] = {}  # group -> class id -> bitset of classes
     for c, f, node in zip(classes, frames, own):
         delta = _node(order, _delta(c.representative, f))
         for kind, (orbit, cid) in ((False, node), (True, delta)):
-            cells.setdefault((f.a_value, kind, orbit), {}).setdefault(cid, []).append(c.index)
+            group = cells.setdefault((f.a_value, kind, orbit), {})
+            group[cid] = group.get(cid, 0) | 1 << c.index
+    ids = {key: sum(1 << cid for cid in group) for key, group in cells.items()}
 
-    strict: set[tuple[int, int]] = set()
+    down = []
     for hi, fa in enumerate(frames):
-        alpha = classes[hi].representative
+        row = 0
         for p in range(fa.p_value + 1):
-            orbit, cid = _node(order, _gamma(alpha, fa, p)) if p else own[hi]
-            row = order.preorder.below(cid)
-            for lo_cid, lows in cells.get((fa.a_value + p, p > 0, orbit), {}).items():
-                if row >> lo_cid & 1:
-                    strict.update((lo, hi) for lo in lows if lo != hi)
-    return strict
+            orbit, cid = _node(order, _gamma(classes[hi].representative, fa, p)) if p else own[hi]
+            key = fa.a_value + p, p > 0, orbit
+            group = cells.get(key, {})
+            for lo_cid in bits(order.preorder.below(cid) & ids.get(key, 0)):
+                row |= group[lo_cid]
+        down.append(row & ~(1 << hi))
+    return down
 
 
 class StratumAssignment(NamedTuple):
@@ -240,16 +251,15 @@ def strata(poset: IdealPoset) -> dict[int, StratumAssignment]:
 
 
 def minimal_elements(poset: IdealPoset) -> list[IdealClass]:
-    """The minimal ideals; exactly one per stratum, pairwise incomparable."""
-    above_some = {upper for _, upper in poset.strict}
-    minimal = [c for c in poset.classes if c.index not in above_some]
-    class_of = {w: c for c in poset.classes for w in c.members}
-    expected = []
+    """The minimal ideals (the zero rows); exactly one per stratum, pairwise
+    incomparable.  Stratum k's holds the weight with left labels 0..m-1, k
+    doubled and one 0 dropped, and right label k."""
     m = poset.m
-    for k in range(m):
-        labels = list(range(1, k)) + [k, k] + list(range(k + 1, m)) if k else list(range(m))
-        expected.append(class_of[SuperWeight(tuple(labels), (k,))])
-    if sorted(c.index for c in minimal) != sorted(c.index for c in expected):
+    minimal = [c for c in poset.classes if not poset.down[c.index]]
+    if len(minimal) != m or any(  # the k-th holds a weight of stratum k
+        SuperWeight(tuple(sorted((*range(m), k)))[1:], (k,)) not in c.members
+        for k, c in enumerate(minimal)
+    ):
         raise InvariantError("the minimal ideals are not one per stratum")
     return minimal
 
@@ -274,10 +284,7 @@ def irreducible_components(
     Z_k must equal the closure row of its image node, read back through the
     map from (orbit, class id) to member, which is injective once the image
     nodes are distinct."""
-    m = poset.m
-    down = [0] * len(poset.classes)  # bit a of down[b]: a strictly below b
-    for lower, upper in poset.strict:
-        down[upper] |= 1 << lower
+    m, down = poset.m, poset.down
     reports = []
     minimal = {c.i_index: c for c in minimal_elements(poset)}
     # e_{k-1} ... e_0 maps Z_k onto the regular-stratum model; a class lies on
@@ -294,20 +301,16 @@ def irreducible_components(
             )
         members = sorted(by_stratum)
 
-        image_weights: dict[int, SuperWeight] = {}
         for ci in members:
             done, w = raised.get(ci, (0, poset.classes[ci].representative))
             for color in range(done, k):
                 nxt = crystal.e_tilde(w, color)
                 if nxt is None:
-                    raise InvariantError(
-                        f"raising chain broke at color {color} on {w}"
-                    )
+                    raise InvariantError(f"raising chain broke at color {color} on {w}")
                 w = nxt
             raised[ci] = k, w
-            image_weights[ci] = w
         order = poset.order  # None at m = 1, where Z_0 is one class
-        nodes = {ci: _node(order, w) for ci, w in image_weights.items()} if order else {}
+        nodes = {ci: _node(order, raised[ci][1]) for ci in members} if order else {}
         member_at = {node: ci for ci, node in nodes.items()}
         image_ids: dict[tuple, int] = {}  # orbit -> bitset of the image class ids
         for orbit, cid in member_at:
@@ -318,11 +321,7 @@ def irreducible_components(
             if not iso:
                 break
             reach = order.preorder.below(cid) & image_ids[orbit] & ~(1 << cid)
-            image = 0
-            while reach:
-                low = reach & -reach
-                image |= 1 << member_at[orbit, low.bit_length() - 1]
-                reach ^= low
+            image = sum(1 << member_at[orbit, c] for c in bits(reach))
             iso = down[b] & inside == image
         reports.append(ComponentReport(k, tuple(members), iso))
     return reports

@@ -249,7 +249,7 @@ def _parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_super_kl)
 
-    p = sub.add_parser("counts", help="class counts over a rank range")
+    p = sub.add_parser("counts", help="class counts; ranks above --kl-bound get the formula only")
     p.add_argument("--m", required=True, help="a rank or a range like 1..6")
     p.add_argument("--enumerate", action=argparse.BooleanOptionalAction, default=True)
     p.set_defaults(func=cmd_counts)

@@ -89,7 +89,7 @@ from typing import Iterable, Iterator
 
 from .errors import BoundExceededError, CacheVersionError, InvariantError, PreconditionError
 from .laurent import ONE, ZERO, LaurentPolynomial
-from .posets import Preorder, wall_edges
+from .posets import Preorder, bits, wall_edges
 from .tableaux import (
     Permutation,
     Tableau,
@@ -300,12 +300,7 @@ class KLTable:
 
         @cache
         def stabiliser(key: int) -> int:  # |W_K| for the (t, u) bits of adj[x] & (I x J)
-            k = 0
-            while key:
-                low = key & -key
-                k |= 1 << (low.bit_length() - 1) // m1
-                key ^= low
-            return sizes[k]
+            return sizes[sum({1 << b // m1 for b in bits(key)})]  # K: s_t for each t of a bit
 
         total = -len(self._cols)  # the diagonal
         for yi, first in enumerate(map(min, *self._mirrors)):
@@ -734,9 +729,4 @@ def classical_cover(delta: SuperWeight, gamma: SuperWeight, **kw) -> bool:
     order, cd, cg = moved
     preorder = order.preorder
     between = preorder.below(cg) & ~(1 << cd | 1 << cg)
-    while between:
-        cz = between.bit_length() - 1
-        if preorder.class_leq(cd, cz):
-            return False
-        between ^= 1 << cz
-    return True
+    return not any(preorder.class_leq(cd, cz) for cz in bits(between))

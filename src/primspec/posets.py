@@ -3,7 +3,8 @@
 One iterative depth-first search serves every graph walk: the topological
 order is its reversed finishing order, the strongly connected components are
 Kosaraju's second search on the reversed graph, and the transitive closure
-follows the topological order.
+follows the topological order.  Relations are held as bitset rows, one per
+node, and `bits` lists a row's members.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Sequence
 
 __all__ = [
+    "bits",
     "Preorder",
     "wall_edges",
     "topological_order",
@@ -18,6 +20,14 @@ __all__ = [
     "transitive_reduction",
     "strongly_connected_components",
 ]
+
+
+def bits(row: int) -> Iterator[int]:
+    """The indices of the set bits of `row`, lowest first."""
+    while row:
+        low = row & -row
+        yield low.bit_length() - 1
+        row ^= low
 
 
 class Preorder:
@@ -57,11 +67,8 @@ class Preorder:
         for node, c in enumerate(self._comp):
             members[c].append(node)
         for upper_class, reach in enumerate(self._closure):
-            reach &= ~(1 << upper_class)
-            while reach:
-                bit = reach & -reach
-                reach ^= bit
-                for lower in members[bit.bit_length() - 1]:
+            for lower_class in bits(reach & ~(1 << upper_class)):
+                for lower in members[lower_class]:
                     for upper in members[upper_class]:
                         yield lower, upper
 
@@ -125,17 +132,17 @@ def topological_order(n: int, adj: Sequence[Sequence[int]]) -> list[int]:
     return order
 
 
-def transitive_reduction(
-    n: int, strict: set[tuple[int, int]]
-) -> list[tuple[int, int]]:
-    """Hasse edges of a strict partial order given as ordered pairs (a < b):
-    the pairs with no node c such that a < c and c < b."""
-    up = [0] * n  # bit c of up[a]: a < c
-    down = [0] * n  # bit c of down[b]: c < b
-    for a, b in strict:
-        up[a] |= 1 << b
-        down[b] |= 1 << a
-    return sorted((a, b) for a, b in strict if not up[a] & down[b])
+def transitive_reduction(down: Sequence[int]) -> list[tuple[int, int]]:
+    """Hasse edges (a, b), sorted, of a strict partial order on nodes
+    0..len(down)-1 given as rows (bit a of down[b]: a < b): the pairs with
+    no node c such that a < c and c < b."""
+    edges = []
+    for b, row in enumerate(down):
+        through = 0  # bit a: a < c for some c < b
+        for c in bits(row):
+            through |= down[c]
+        edges.extend((a, b) for a in bits(row & ~through))
+    return sorted(edges)
 
 
 def strongly_connected_components(

@@ -569,6 +569,8 @@ def gl22_component_classes(
     _check_keywords(kw)
     if seed is None:
         seed = SuperWeight((1, 0), (0, 1))
+    if (len(seed.left), len(seed.right)) != (2, 2):
+        raise PreconditionError(f"seed {seed} is not a weight of gl(2|2)")
     # doubly atypical: both sides arrange the same two labels
     window = product(range(lo, hi + 1), repeat=2)
     weights = {SuperWeight(l, r) for l in window for r in (l, l[::-1])}
@@ -585,14 +587,14 @@ def gl22_component_classes(
         raise PreconditionError(f"seed {seed} lies in no class of the window [{lo}, {hi}]")
 
     n = len(classes)
-    strict = {
-        (i, j) for i in range(n) for j in range(n)
-        if i != j and inclusion(classes[j][0], classes[i][0], **kw)
-    }
-    # connected component of the seed: strongly connected once symmetrized
-    comp = strongly_connected_components(n, strict | {(j, i) for i, j in strict})
+    down = [  # bit i of down[j]: J(class i) strictly inside J(class j)
+        sum(1 << i for i in range(n) if i != j and inclusion(classes[j][0], classes[i][0], **kw))
+        for j in range(n)
+    ]
+    hasse = transitive_reduction(down)
+    # the seed's connected component (a finite order is connected through its
+    # covers, symmetrized); its covers are the edges that start in it, renumbered
+    comp = strongly_connected_components(n, hasse + [(j, i) for i, j in hasse])
     kept = [i for i in range(n) if comp[i] == comp[seed_class]]
     remap = {old: new for new, old in enumerate(kept)}
-    strict_kept = {(remap[i], remap[j]) for i, j in strict if i in remap and j in remap}
-    hasse = transitive_reduction(len(kept), strict_kept)
-    return [classes[old] for old in kept], hasse
+    return [classes[old] for old in kept], [(remap[i], remap[j]) for i, j in hasse if i in remap]

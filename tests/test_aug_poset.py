@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations as iperm, product
 
@@ -26,6 +27,7 @@ from primspec.errors import (
     NotSinglyAtypicalError,
     PreconditionError,
 )
+from primspec.kl_classical import left_preorder
 from primspec.super_inclusion import covers, frame, inclusion
 from primspec.tableaux import involution_count, rank_word, robinson_schensted, tau_of_weight
 from primspec.weights import SuperWeight
@@ -183,6 +185,20 @@ class TestRankEight:
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    @pytest.mark.slow
+    def test_enumeration_memory(self):
+        # held as (lower, upper) pairs, the 218,258 strict inclusions took
+        # the traced peak to 57.8 MiB; as rows it is about 34 MiB
+        left_preorder(8, bound=8)  # the order is built outside the measure
+        tracemalloc.start()
+        try:
+            poset = enumerate_X(8, bound=8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(poset.classes) == 3438
+        assert peak < 45 * 2**20, peak
+
 
 class TestStrataChecks:
     def test_a_class_mixing_ladder_lengths_is_refused(self, posets, assignments):
@@ -196,7 +212,7 @@ class TestStrataChecks:
         )
         merged = x._replace(members=x.members + y.members)
         classes = tuple(merged if c is x else c for c in poset.classes)
-        doctored = IdealPoset(poset.m, classes, poset.strict, poset.hasse, poset.order)
+        doctored = IdealPoset(poset.m, classes, poset.down, poset.hasse, poset.order)
         with pytest.raises(InvariantError, match="ladder length not class-invariant"):
             strata(doctored)
 
@@ -264,6 +280,20 @@ class TestMinimalAndComponents:
                             a.representative, b.representative
                         ) and not inclusion(b.representative, a.representative)
 
+    @pytest.mark.parametrize("k", range(4))
+    def test_minimal_rows_off_their_weights_are_refused(self, posets, k):
+        poset = posets[4]
+        q = minimal_elements(poset)[k].index
+        other = next(c.index for c in poset.classes if c.i_index == k and c.index != q)
+        for moved in (True, False):  # q's zero row moved to `other`, or just lost
+            down = list(poset.down)
+            down[q] = 1 << other
+            if moved:
+                down[other] = 0
+            doctored = IdealPoset(poset.m, poset.classes, tuple(down), poset.hasse, poset.order)
+            with pytest.raises(InvariantError, match="not one per stratum"):
+                minimal_elements(doctored)
+
     def test_minimal_elements_sit_in_dual_strata(self, posets, assignments):
         # the minimal ideal of stratum i lives in dual stratum m - i - 1
         for m in range(1, 6):
@@ -310,7 +340,9 @@ class TestMinimalAndComponents:
             if a not in minimal
             and any({a, b} <= set(r.class_indices) for r in reports)
         )
-        broken = IdealPoset(poset.m, poset.classes, poset.strict - {(a, b)}, poset.hasse, poset.order)
+        down = list(poset.down)
+        down[b] &= ~(1 << a)
+        broken = IdealPoset(poset.m, poset.classes, tuple(down), poset.hasse, poset.order)
         outcome = [r.order_isomorphic for r in irreducible_components(broken, assign)]
         assert outcome == [not {a, b} <= set(r.class_indices) for r in reports]
         assert False in outcome and True in outcome
@@ -362,6 +394,21 @@ class TestOrderProperties:
                     t_lo = tau_of_weight(poset.classes[lo].representative.left)
                     t_hi = tau_of_weight(poset.classes[hi].representative.left)
                     assert t_lo >= t_hi | {m - i_lo}
+
+    def test_readers_agree_with_the_rows(self, posets):
+        for m in range(1, 6):
+            poset = posets[m]
+            n = len(poset.classes)
+            pairs = {(a, b) for b in range(n) for a in range(n) if poset.down[b] >> a & 1}
+            assert poset.strict == pairs
+            for a in range(n):
+                for b in range(n):
+                    assert poset.leq(a, b) == (a == b or (a, b) in pairs)
+            assert set(poset.hasse) == {
+                (a, b)
+                for a, b in pairs
+                if not any((a, c) in pairs and (c, b) in pairs for c in range(n))
+            }
 
     def test_no_exceptional_coverings_small_ranks(self, posets, assignments):
         for m in range(1, 6):

@@ -22,9 +22,12 @@ BENCH = runpy.run_path(str(WORKLOADS))
 @pytest.mark.parametrize("name", sorted(BENCH["WORKLOADS"]))
 def test_smoke_workload_matches_the_reference(name, tmp_path):
     work = BENCH["WORKLOADS"][name](1, "smoke", str(tmp_path))
-    work.check(work.job())
+    out = work.job()
+    work.check(out)
     assert work.attempted > 0
     assert (work.failed, work.errors) == (0, [])
+    sizes = work.sizes(out)
+    assert all(value > 0 for value in sizes.values()), sizes
 
 
 def test_kl_cli_output_matches_the_reference(tmp_path, capsys):

@@ -305,6 +305,13 @@ class TestCounts:
         assert zero == {"m": 0, "s": 1, "t": 0}
         assert [(row["m"], row["enumerated"]) for row in rows] == [(1, 1), (2, 3)]
 
+    def test_ranks_above_the_bound_carry_only_the_formula(self, capsys):
+        code, out, _ = run(capsys, "--kl-bound", "3", "counts", "--m", "3..4")
+        assert code == 0
+        three, four = json.loads(out)["counts"]
+        assert three["enumerated"] == three["t"] == 8
+        assert four == {"m": 4, "s": 10, "t": 25}
+
 
 class TestComponents:
     def test_m3(self, capsys):

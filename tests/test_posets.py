@@ -4,6 +4,7 @@ import pytest
 
 from primspec.posets import (
     Preorder,
+    bits,
     strongly_connected_components,
     topological_order,
     transitive_closure,
@@ -18,6 +19,14 @@ def _reduction_by_definition(n, strict):
         for a, b in strict
         if not any((a, c) in strict and (c, b) in strict for c in range(n))
     )
+
+
+def _rows(n, strict):
+    """The pairs (a, b) as rows: bit a of rows[b]."""
+    rows = [0] * n
+    for a, b in strict:
+        rows[b] |= 1 << a
+    return rows
 
 
 def _random_strict_order(rng, n, density):
@@ -40,13 +49,20 @@ def test_transitive_reduction_matches_definition(seed):
     for _ in range(25):
         n = rng.randint(0, 24)
         strict = _random_strict_order(rng, n, rng.choice((0.05, 0.15, 0.4)))
-        assert transitive_reduction(n, strict) == _reduction_by_definition(n, strict)
+        assert transitive_reduction(_rows(n, strict)) == _reduction_by_definition(n, strict)
 
 
 def test_transitive_reduction_of_a_chain_and_an_antichain():
     chain = {(a, b) for a in range(5) for b in range(a + 1, 5)}
-    assert transitive_reduction(5, chain) == [(0, 1), (1, 2), (2, 3), (3, 4)]
-    assert transitive_reduction(4, set()) == []
+    assert transitive_reduction(_rows(5, chain)) == [(0, 1), (1, 2), (2, 3), (3, 4)]
+    assert transitive_reduction(_rows(4, set())) == []
+
+
+@pytest.mark.parametrize(
+    "row", [0, 1, 2, 5, 0b1011_0000, 255, 1 << 64, (1 << 64) - 1, 3 << 100 | 1 << 63 | 9]
+)
+def test_bits_match_a_naive_scan(row):
+    assert list(bits(row)) == [i for i in range(row.bit_length()) if row >> i & 1]
 
 
 def _reachability_by_warshall(n, edges):

@@ -88,15 +88,16 @@ class TestIdealPoset:
             "left=(0, 1), right=(0,)), members=(SuperWeight(left=(0, 1), right=(0,)),)), "
             "IdealClass(index=2, i_index=1, representative=SuperWeight(left=(1, 1), "
             "right=(1,)), members=(SuperWeight(left=(1, 1), right=(1,)),))), "
-            "strict=frozenset({(1, 0), (2, 0)}), hasse=((1, 0), (2, 0)))"
+            "down=(6, 0, 0), hasse=((1, 0), (2, 0)))"
         )
 
     def test_equality_ignores_the_order(self):
         poset = enumerate_X(3)
-        other = IdealPoset(poset.m, poset.classes, poset.strict, poset.hasse, None)
+        other = IdealPoset(poset.m, poset.classes, poset.down, poset.hasse, None)
         assert poset.order is not None
         assert poset == other and hash(poset) == hash(other)
-        assert poset != IdealPoset(poset.m, poset.classes, frozenset(), poset.hasse, poset.order)
+        empty = (0,) * len(poset.classes)
+        assert poset != IdealPoset(poset.m, poset.classes, empty, poset.hasse, poset.order)
         with pytest.raises(AttributeError):
             poset.order = None
 

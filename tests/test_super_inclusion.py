@@ -327,11 +327,11 @@ def _covers_mismatches(block):
         class_of[w] = next((i for i, rep in enumerate(classes) if equal_ideal(w, rep)), len(classes))
         if class_of[w] == len(classes):
             classes.append(w)
-    strict = {
-        (i, j) for i, lower in enumerate(classes) for j, upper in enumerate(classes)
-        if i != j and inclusion(upper, lower)
-    }
-    hasse = set(transitive_reduction(len(classes), strict))
+    down = [
+        sum(1 << i for i, lower in enumerate(classes) if i != j and inclusion(upper, lower))
+        for j, upper in enumerate(classes)
+    ]
+    hasse = set(transitive_reduction(down))
     bad = []
     for a in block:
         for b in block:
@@ -422,6 +422,11 @@ class TestGl22Component:
         # the default seed is 1,0|0,1; 1,0|0,2 has the shape but one atypicality
         with pytest.raises(PreconditionError, match=rf"seed .*\[{lo}, {hi}\]"):
             gl22_component_classes(lo, hi, seed)
+
+    @pytest.mark.parametrize("text", ["0|0", "1,0,0|0,1", "1,0|0"])
+    def test_seed_of_another_shape_is_refused(self, text):
+        with pytest.raises(PreconditionError, match=rf"seed {text} .*gl\(2\|2\)"):
+            gl22_component_classes(0, 1, W(text))
 
 
 class TestDecisionRecords:
