@@ -19,9 +19,9 @@ left-cell id of the members' rank words, which are generated, not read off
 weights (a stratum's words are those of S_m with its two tied ranks in a
 fixed order); strict inclusions are decided by the ladder algorithm from
 data computed once per class and held as bitset rows; the Hasse diagram is
-their transitive reduction.  `strata` checks that the ladder length is one
-value per class: it reads p off every member's left labels, and `frame`,
-run once per class on the representative, must agree.
+their transitive reduction.  `frame` runs once per class, in `enumerate_X`,
+which checks its ladder length against the one read off the representative's
+labels; `strata` checks that the label read gives one value per class.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .errors import (
 )
 from .kl_classical import DEFAULT_KL_BOUND, LeftOrder, _check_keywords, left_preorder
 from .posets import bits, transitive_reduction
-from .super_inclusion import _delta, _gamma, _orbit_key, frame
+from .super_inclusion import AtypicalityFrame, _delta, _gamma, _orbit_key, frame
 from .tableaux import involution_count, rank_word, tau_of_weight
 from .weights import SuperWeight, _Frozen, _weight, atypicality_degree
 
@@ -99,12 +99,13 @@ def enumerate_X(m: int, *, bound: int = DEFAULT_KL_BOUND, **kw) -> IdealPoset:
     Classes are keyed, within each stratum, by the left-cell id of the
     members' rank words (m = 1 has one weight and needs no order).  No rank
     word is computed: stratum i's are the words in which rank m-i+1 stands
-    left of rank m-i (its two labels i, ranked right to left), read in the
-    order's lexicographic node order.  That lists the members from the
-    largest left labels down, so each class is labeled by its first member,
-    the lexicographically largest.  The total count must be (m+1)/2 times
-    the involution number, which is asserted.  The strict order is held as
-    rows, `down`, and the Hasse diagram is read off them.
+    left of rank m-i (its two labels i, ranked right to left), the words with
+    left descent m-i-1, read in the order's lexicographic node order.  That
+    lists the members from the largest left labels down, so each class is
+    labeled by its first member, the lexicographically largest.  Asserted:
+    the total count is (m+1)/2 times the involution number, and `frame`
+    and the labels give each representative one ladder length.  The strict
+    order is held as rows, `down`, and the Hasse diagram is read off them.
     """
     _check_keywords(kw)
     if m < 1:
@@ -114,26 +115,37 @@ def enumerate_X(m: int, *, bound: int = DEFAULT_KL_BOUND, **kw) -> IdealPoset:
     order = left_preorder(m, bound=bound, **kw) if m > 1 else None
     words = order.perms if order else [(1,)]
     cells = list(map(order.preorder.class_id, range(len(words)))) if order else [0]
+    descents = order.left_descents if order else [0]
     classes: list[IdealClass] = []
+    keys: list[tuple[AtypicalityFrame, tuple]] = []  # frame and `_node` of each class
     for i in range(m):
         # the label of each rank: m-1, ..., i+1, then i twice, then i-1, ..., 1
         label = (None, *range(m - 1, i, -1), i, i, *range(i - 1, 0, -1))
         right = (i,)
+        orbit = _orbit_key(label[1 : m + 1], right)
+        tie = 1 << m - i - 1 if i else 0
         groups: dict[int, list[SuperWeight]] = {}  # first members in descending order
-        for cell, word in zip(cells, words):
-            if i and word.index(m - i + 1) > word.index(m - i):
+        for cell, word, dl in zip(cells, words, descents):
+            if tie & ~dl:
                 continue
             left = tuple(map(label.__getitem__, word))
             groups.setdefault(cell, []).append(_weight(left, right))
-        for members in groups.values():
-            classes.append(IdealClass(len(classes), i, members[0], tuple(members)))
+        for cell, members in groups.items():
+            rep, f = members[0], frame(members[0])
+            if f.p_value != _ladder_length(rep):
+                raise InvariantError(
+                    f"ladder length of {rep}: frame gives {f.p_value}, "
+                    f"its labels give {_ladder_length(rep)}"
+                )
+            classes.append(IdealClass(len(classes), i, rep, tuple(members)))
+            keys.append((f, (orbit, cell)))  # a stratum is one orbit, a class one cell
     expected = (m + 1) * involution_count(m) // 2
     if len(classes) != expected:
         raise InvariantError(
             f"enumerated {len(classes)} classes, counting identity gives {expected}"
         )
 
-    down = _down_rows(classes, order)
+    down = _down_rows(classes, keys, order)
     return IdealPoset(m, tuple(classes), tuple(down), tuple(transitive_reduction(down)), order)
 
 
@@ -144,10 +156,10 @@ def _node(order: LeftOrder, weight: SuperWeight) -> tuple[tuple, int]:
     return _orbit_key(weight.left, weight.right), order.class_id(rank_word(weight.left))
 
 
-def _down_rows(classes: list[IdealClass], order: LeftOrder | None) -> list[int]:
+def _down_rows(classes: list[IdealClass], keys: list[tuple], order: LeftOrder | None) -> list[int]:
     """One row per class upper: bit lower is set when J(lower) lies strictly
-    inside J(upper), as `inclusion` decides it, from data computed once per
-    class.
+    inside J(upper), as `inclusion` decides it, from `keys`: each class's
+    frame and own node (`_node` of its representative), computed once.
 
     Only a lower class with atypical value a_upper + p, 0 <= p <= p_upper,
     can lie below: below upper itself at p = 0 (one orbit), or with delta(lower)
@@ -161,10 +173,8 @@ def _down_rows(classes: list[IdealClass], order: LeftOrder | None) -> list[int]:
     """
     if order is None:
         return [0]
-    frames = [frame(c.representative) for c in classes]
-    own = [_node(order, c.representative) for c in classes]
     cells: dict[tuple, dict[int, int]] = {}  # group -> class id -> bitset of classes
-    for c, f, node in zip(classes, frames, own):
+    for c, (f, node) in zip(classes, keys):
         delta = _node(order, _delta(c.representative, f))
         for kind, (orbit, cid) in ((False, node), (True, delta)):
             group = cells.setdefault((f.a_value, kind, orbit), {})
@@ -172,10 +182,10 @@ def _down_rows(classes: list[IdealClass], order: LeftOrder | None) -> list[int]:
     ids = {key: sum(1 << cid for cid in group) for key, group in cells.items()}
 
     down = []
-    for hi, fa in enumerate(frames):
+    for hi, (fa, own) in enumerate(keys):
         row = 0
         for p in range(fa.p_value + 1):
-            orbit, cid = _node(order, _gamma(classes[hi].representative, fa, p)) if p else own[hi]
+            orbit, cid = _node(order, _gamma(classes[hi].representative, fa, p)) if p else own
             key = fa.a_value + p, p > 0, orbit
             group = cells.get(key, {})
             for lo_cid in bits(order.preorder.below(cid) & ids.get(key, 0)):
@@ -218,10 +228,10 @@ def strata(poset: IdealPoset) -> dict[int, StratumAssignment]:
     """Both stratification indices per class, cross-checked two ways.
 
     The ladder length p is read off every member's left labels
-    (`_ladder_length`) and must be one value per class; `frame` runs once
-    per class, on the representative, and must give the same p.  j is
-    computed from the descent set of the representative and from m-1-i-p;
-    any disagreement means a broken invariant and raises.
+    (`_ladder_length`) and must be one value per class; `enumerate_X` has
+    already checked it against `frame` on the representative, so no frame
+    runs here.  j is computed from the descent set of the representative
+    and from m-1-i-p; any disagreement means a broken invariant and raises.
     """
     m = poset.m
     out: dict[int, StratumAssignment] = {}
@@ -230,12 +240,7 @@ def strata(poset: IdealPoset) -> dict[int, StratumAssignment]:
         p_values = set(map(_ladder_length, cls.members))
         if len(p_values) != 1:
             raise InvariantError(f"ladder length not class-invariant on {cls}")
-        p = frame(cls.representative).p_value
-        if p_values != {p}:
-            raise InvariantError(
-                f"ladder length of {cls.representative}: frame gives {p}, "
-                f"its labels give {p_values.pop()}"
-            )
+        (p,) = p_values
         tau_positions = tau_of_weight(cls.representative.left)
         j_tau = max(
             (k for k in range(1, m - i) if k in tau_positions), default=0
@@ -415,21 +420,16 @@ def odd_reflection_ad(alpha: SuperWeight) -> OddReflectionResult:
 
 
 def to_json_dict(poset: IdealPoset, assignments: dict[int, StratumAssignment]) -> dict:
-    """The classes with their `strata(poset)` indices, and the Hasse edges."""
-    return {
-        "m": poset.m,
-        "classes": [
-            {
-                "repr": str(c.representative),
-                "members": [str(w) for w in c.members],
-                "i": assignments[c.index].i_index,
-                "j": assignments[c.index].j_index,
-                "z": list(assignments[c.index].z_set),
-            }
-            for c in poset.classes
-        ],
-        "hasse": [[a, b] for a, b in poset.hasse],
-    }
+    """The classes with their `strata(poset)` indices, and the Hasse edges.
+    Each class's representative is its first member, so its text is reused."""
+    classes = []
+    for c in poset.classes:
+        members, s = [str(w) for w in c.members], assignments[c.index]
+        classes.append(
+            {"repr": members[0], "members": members, "i": s.i_index, "j": s.j_index,
+             "z": list(s.z_set)}
+        )
+    return {"m": poset.m, "classes": classes, "hasse": [[a, b] for a, b in poset.hasse]}
 
 
 def to_dot(poset: IdealPoset, cluster: str | None = None) -> str:

@@ -578,9 +578,10 @@ class LeftOrder:
     that rank of its table index and `perms` is the table's words put at
     their ranks.  The rank word of u is inverse(u w0) = w0 u^-1, whose index
     is n - 1 - that of u^-1 (`w0 w` reverses the index order), and a word's
-    ascents are the complement of its right descent mask.  The generating
-    edges still go into the set `wall_edges` builds: the class ids follow
-    that set's iteration order, and callers and digests read the ids.
+    ascents are the complement of its right descent mask (`left_descents`
+    keeps the left one: bit t, rank t+2 stands left of rank t+1).  The
+    generating edges still go into the set `wall_edges` builds: the class
+    ids follow that set's iteration order, and callers and digests read them.
     """
 
     def __init__(self, table: KLTable):
@@ -590,9 +591,10 @@ class LeftOrder:
         self._index, self._lex_rank = table.index, rank
         # bit p of a mask: strictly on the positive side of wall p
         self.perms = perms = [()] * n
+        self.left_descents = dl = [0] * n
         ascent_mask = [0] * n
-        for r, w, dr in zip(rank, table.perms, table._dr):
-            perms[r], ascent_mask[r] = w, full & ~dr
+        for r, w, dr, d in zip(rank, table.perms, table._dr, table._dl):
+            perms[r], ascent_mask[r], dl[r] = w, full & ~dr, d
         # u, antidominant-based, has rank word w0 u^-1
         node = [rank[n - 1 - j] for j in table._mirrors[0]]
         pairs = ((node[xi], node[yi]) for yi in range(n) for xi, _ in table._mu_below(yi))

@@ -64,6 +64,7 @@ from .kl_classical import (
 from .posets import strongly_connected_components, transitive_reduction
 from .weights import (
     SuperWeight,
+    _weight,
     atypicality_degree,
     central_character,
     orbit_equal,
@@ -391,21 +392,17 @@ def _trace(alpha: SuperWeight, beta: SuperWeight, ladder: tuple) -> ReductionTra
 # -- the decision procedure ---------------------------------------------------
 
 
+# the four labels, less c, of each pattern of alpha = (c+1, c | c, c+1)
+_GL22_OFFSETS = ((1, 1, 1, 1), (2, 1, 2, 1), (1, 2, 1, 2), (1, 2, 2, 1))
+
+
 def _gl22_patterns(alpha: SuperWeight) -> tuple[SuperWeight, ...]:
     """The four weights beta with J(beta) in J(alpha) across orbits, for
     doubly atypical gl(2|2): nonempty only for alpha = (c+1, c | c, c+1)."""
     c = alpha.left[1]
     if alpha.left != (c + 1, c) or alpha.right != (c, c + 1):
         return ()
-    return tuple(
-        SuperWeight((c + l0, c + l1), (c + r0, c + r1))
-        for (l0, l1), (r0, r1) in (
-            ((1, 1), (1, 1)),
-            ((2, 1), (2, 1)),
-            ((1, 2), (1, 2)),
-            ((1, 2), (2, 1)),
-        )
-    )
+    return tuple(_weight((c + a, c + b), (c + x, c + y)) for a, b, x, y in _GL22_OFFSETS)
 
 
 def _classify(alpha: SuperWeight, beta: SuperWeight) -> str:

@@ -21,6 +21,7 @@ between threads.
 from __future__ import annotations
 
 import re
+from functools import cache
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import WeightParseError
@@ -137,7 +138,13 @@ class SuperWeight(_Frozen):
         return cls(left, right)
 
     def __str__(self) -> str:
-        return ",".join(map(str, self.left)) + "|" + ",".join(map(str, self.right))
+        return _template(len(self.left), len(self.right)) % (self.left + self.right)
+
+
+@cache
+def _template(m: int, n: int) -> str:
+    """The text of a Z^(m|n) weight with `%d` for each label."""
+    return ",".join(["%d"] * m) + "|" + ",".join(["%d"] * n)
 
 
 # the slots' own setters: on the hottest constructor, faster than object.__setattr__

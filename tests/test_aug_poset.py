@@ -10,6 +10,7 @@ import pytest
 from primspec.aug_poset import (
     IdealPoset,
     _ladder_length,
+    _node,
     counts,
     enumerate_X,
     exceptional_coverings,
@@ -236,7 +237,7 @@ class TestStrataChecks:
         with pytest.raises(NotSinglyAtypicalError):
             _ladder_length(W("2,1,0|5"))
 
-    def test_frame_disagreeing_with_the_label_read_is_refused(self, posets, monkeypatch):
+    def test_frame_disagreeing_with_the_label_read_is_refused(self, monkeypatch):
         import primspec.aug_poset as aug_poset
 
         real = aug_poset.frame
@@ -244,7 +245,26 @@ class TestStrataChecks:
             aug_poset, "frame", lambda w: real(w)._replace(p_value=real(w).p_value + 1)
         )
         with pytest.raises(InvariantError, match="frame gives"):
-            strata(posets[3])
+            enumerate_X(3)
+
+    def test_frame_runs_once_per_class(self, monkeypatch):
+        import primspec.aug_poset as aug_poset
+        import primspec.super_inclusion as super_inclusion
+
+        calls = []
+        real = super_inclusion.frame
+
+        def counted(w):
+            calls.append(w)
+            return real(w)
+
+        for module in (aug_poset, super_inclusion):
+            monkeypatch.setattr(module, "frame", counted)
+        poset = enumerate_X(5)
+        assignments = strata(poset)
+        irreducible_components(poset, assignments)
+        to_json_dict(poset, assignments)
+        assert calls == [c.representative for c in poset.classes]
 
 
 class TestClassKeys:
@@ -261,6 +281,33 @@ class TestClassKeys:
                     groups.setdefault(key, []).append(SuperWeight(left, (i,)))
                 expected.extend(tuple(g) for g in groups.values())
             assert [c.members for c in posets[m].classes] == expected
+
+    @pytest.mark.parametrize("m", range(2, 8))
+    def test_left_descent_picks_the_stratum_words(self, m):
+        # stratum i keeps the words with rank m-i+1 left of rank m-i
+        order = left_preorder(m)
+        for i in range(1, m):
+            for word, dl in zip(order.perms, order.left_descents):
+                tied = word.index(m - i + 1) < word.index(m - i)
+                assert bool(dl >> m - i - 1 & 1) == tied, (i, word)
+
+    def test_own_nodes_are_the_members_nodes(self, monkeypatch):
+        import primspec.aug_poset as aug_poset
+
+        seen = []
+        real = aug_poset._down_rows
+
+        def spy(classes, keys, order):
+            seen.append((classes, [node for _, node in keys], order))
+            return real(classes, keys, order)
+
+        monkeypatch.setattr(aug_poset, "_down_rows", spy)
+        for m in range(2, 8):
+            enumerate_X(m)
+            classes, own, order = seen.pop()
+            assert len(own) == len(classes)
+            for c, node in zip(classes, own):
+                assert all(_node(order, w) == node for w in c.members), c
 
     def test_rank_one_fetches_no_order(self, tmp_path):
         poset = enumerate_X(1, cache_dir=tmp_path)

@@ -12,6 +12,7 @@ from primspec.errors import (
     UnsupportedRegimeError,
 )
 from primspec.super_inclusion import (
+    _gl22_patterns,
     covers,
     decide,
     equal_ideal,
@@ -370,6 +371,19 @@ def _gl22_doubly_atypical_weights(lo, hi):
         for b in labels
         for right in {(a, b), (b, a)}
     ]
+
+
+def test_gl22_patterns_on_labels_0_to_4():
+    weights = _gl22_doubly_atypical_weights(0, 4)
+    hits = 0
+    for alpha in weights:
+        patterns = _gl22_patterns(alpha)
+        assert len(patterns) in (0, 4)
+        for beta in patterns:  # built unchecked: each equals its checked construction
+            assert beta == SuperWeight(beta.left, beta.right)
+        hits += sum(beta in patterns for beta in weights)
+    # alpha = (c+1, c | c, c+1) for c = 0..3; only c = 3 loses patterns (3 of 4)
+    assert hits == 4 * 4 - 3
 
 
 class TestGl22Covers:

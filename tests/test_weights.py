@@ -45,9 +45,11 @@ class TestParsing:
         assert W("(1,2|3)") == W(" ( 1, 2 | 3 ) ") == SuperWeight((1, 2), (3,))
         assert W("(1|)") == SuperWeight((1,), ())
 
-    @given(small_weights())
+    @given(small_weights(max_rank=8, lo=-10**6, hi=10**6))
     def test_parse_inverts_str(self, w):
-        assert W(str(w)) == w
+        text = str(w)
+        assert text == ",".join(map(str, w.left)) + "|" + ",".join(map(str, w.right))
+        assert W(text) == w
 
 
 class TestFromRhoShifted:
