@@ -11,8 +11,8 @@ dual stratum j read off the antidistinguished side through odd
 reflections, and the ladder length p of any member weight.  They satisfy
 i + j + p = m - 1; the i <= k <= i+p window records exactly which
 irreducible components Z_k (up-sets of the minimal ideals Q_k) the ideal
-lies on, and every Z_k is order-isomorphic to the classical poset of the
-regular stratum through an explicit chain of crystal raising maps.
+lies on, and every Z_k is order-isomorphic, through an explicit chain of
+crystal raising maps, to the left-cell poset of one regular orbit.
 
 Enumeration is exact: equality classes are keyed by the stratum and the
 left-cell id of the members' rank words, which are generated, not read off
@@ -26,6 +26,7 @@ labels; `strata` checks that the label read gives one value per class.
 
 from __future__ import annotations
 
+from itertools import groupby
 from typing import NamedTuple
 
 from . import crystal
@@ -69,16 +70,17 @@ class IdealClass(NamedTuple):
 
 
 class IdealPoset(_Frozen):
-    """Equality classes, their strict inclusions as bitset rows (bit a of
-    down[b]: class a lies strictly inside class b) and the Hasse diagram."""
+    """Equality classes, numbered stratum by stratum, their strict inclusions
+    as bitset rows (bit a of down[b]: class a lies strictly inside class b),
+    the sorted Hasse diagram, and the rank-m left order."""
 
-    _compared = ("m", "classes", "down", "hasse")  # not order (None at m = 1)
+    _compared = ("m", "classes", "down", "hasse")  # the order follows from m
     __slots__ = _compared + ("order",)
     m: int
     classes: tuple[IdealClass, ...]
     down: tuple[int, ...]
     hasse: tuple[tuple[int, int], ...]
-    order: LeftOrder | None
+    order: LeftOrder
 
     def __init__(self, m, classes, down, hasse, order):
         for name, value in zip(self.__slots__, (m, classes, down, hasse, order)):
@@ -97,25 +99,24 @@ def enumerate_X(m: int, *, bound: int = DEFAULT_KL_BOUND, **kw) -> IdealPoset:
     """All primitive ideals below the augmentation ideal, fully ordered.
 
     Classes are keyed, within each stratum, by the left-cell id of the
-    members' rank words (m = 1 has one weight and needs no order).  No rank
-    word is computed: stratum i's are the words in which rank m-i+1 stands
-    left of rank m-i (its two labels i, ranked right to left), the words with
-    left descent m-i-1, read in the order's lexicographic node order.  That
-    lists the members from the largest left labels down, so each class is
-    labeled by its first member, the lexicographically largest.  Asserted:
-    the total count is (m+1)/2 times the involution number, and `frame`
-    and the labels give each representative one ladder length.  The strict
-    order is held as rows, `down`, and the Hasse diagram is read off them.
+    members' rank words (m = 1 too: its order has one cell), and numbered
+    stratum by stratum.  No rank word is computed: stratum i's are the words
+    in which rank m-i+1 stands left of rank m-i (its two labels i, ranked
+    right to left), the words with left descent m-i-1, read in the order's
+    lexicographic node order.  That lists the members from the largest left
+    labels down, so each class is labeled by its first member, the
+    lexicographically largest.  Asserted: the total count is (m+1)/2 times
+    the involution number, and `frame` and the labels give each
+    representative one ladder length.  The strict order is held as rows,
+    `down`, and the Hasse diagram is read off them.
     """
     _check_keywords(kw)
     if m < 1:
         raise PreconditionError(f"the augmentation poset needs m >= 1, got {m}")
     if m > bound:
         raise BoundExceededError("augmentation poset rank", m, bound)
-    order = left_preorder(m, bound=bound, **kw) if m > 1 else None
-    words = order.perms if order else [(1,)]
-    cells = list(map(order.preorder.class_id, range(len(words)))) if order else [0]
-    descents = order.left_descents if order else [0]
+    order = left_preorder(m, bound=bound, **kw)
+    cells = list(map(order.preorder.class_id, range(len(order.perms))))
     classes: list[IdealClass] = []
     keys: list[tuple[AtypicalityFrame, tuple]] = []  # frame and `_node` of each class
     for i in range(m):
@@ -125,7 +126,7 @@ def enumerate_X(m: int, *, bound: int = DEFAULT_KL_BOUND, **kw) -> IdealPoset:
         orbit = _orbit_key(label[1 : m + 1], right)
         tie = 1 << m - i - 1 if i else 0
         groups: dict[int, list[SuperWeight]] = {}  # first members in descending order
-        for cell, word, dl in zip(cells, words, descents):
+        for cell, word, dl in zip(cells, order.perms, order.left_descents):
             if tie & ~dl:
                 continue
             left = tuple(map(label.__getitem__, word))
@@ -156,7 +157,7 @@ def _node(order: LeftOrder, weight: SuperWeight) -> tuple[tuple, int]:
     return _orbit_key(weight.left, weight.right), order.class_id(rank_word(weight.left))
 
 
-def _down_rows(classes: list[IdealClass], keys: list[tuple], order: LeftOrder | None) -> list[int]:
+def _down_rows(classes: list[IdealClass], keys: list[tuple], order: LeftOrder) -> list[int]:
     """One row per class upper: bit lower is set when J(lower) lies strictly
     inside J(upper), as `inclusion` decides it, from `keys`: each class's
     frame and own node (`_node` of its representative), computed once.
@@ -171,8 +172,6 @@ def _down_rows(classes: list[IdealClass], keys: list[tuple], order: LeftOrder | 
     class id keeps a bitset of its classes.  Each (upper, p) masks its top
     node's closure row with the group's ids and ORs in the classes of the hits.
     """
-    if order is None:
-        return [0]
     cells: dict[tuple, dict[int, int]] = {}  # group -> class id -> bitset of classes
     for c, (f, node) in zip(classes, keys):
         delta = _node(order, _delta(c.representative, f))
@@ -281,15 +280,16 @@ def irreducible_components(
     poset: IdealPoset, assignments: dict[int, StratumAssignment]
 ) -> list[ComponentReport]:
     """The up-sets Z_k of the minimal ideals, with both membership routes
-    checked and the crystal order-isomorphism onto the regular stratum
-    verified explicitly.  `assignments` is `strata(poset)`, computed once by
-    the caller and shared with the other readers.
+    checked and the crystal order-isomorphism onto the left-cell poset of one
+    regular orbit verified explicitly.  `assignments` is `strata(poset)`,
+    computed once by the caller and shared with the other readers.
 
-    The isomorphism check compares rows: each member's strict down-row inside
-    Z_k must equal the closure row of its image node, read back through the
-    map from (orbit, class id) to member, which is injective once the image
-    nodes are distinct."""
-    m, down = poset.m, poset.down
+    Z_k is order-isomorphic when the raised images of its members lie in one
+    orbit, exactly one on each of the order's cells, and each member's strict
+    down-row inside Z_k equals the strict closure row of its image's cell,
+    read back through the cell id -> member map."""
+    m, down, order = poset.m, poset.down, poset.order
+    below, cell_count = order.preorder.below, order.class_count()
     reports = []
     minimal = {c.i_index: c for c in minimal_elements(poset)}
     # e_{k-1} ... e_0 maps Z_k onto the regular-stratum model; a class lies on
@@ -314,20 +314,14 @@ def irreducible_components(
                     raise InvariantError(f"raising chain broke at color {color} on {w}")
                 w = nxt
             raised[ci] = k, w
-        order = poset.order  # None at m = 1, where Z_0 is one class
-        nodes = {ci: _node(order, raised[ci][1]) for ci in members} if order else {}
-        member_at = {node: ci for ci, node in nodes.items()}
-        image_ids: dict[tuple, int] = {}  # orbit -> bitset of the image class ids
-        for orbit, cid in member_at:
-            image_ids[orbit] = image_ids.get(orbit, 0) | 1 << cid
+        images = [_node(order, raised[ci][1]) for ci in members]
+        at = {cid: ci for ci, (_, cid) in zip(members, images)}  # cell id -> member
         inside = sum(1 << ci for ci in members)
-        iso = len(member_at) == len(nodes)
-        for b, (orbit, cid) in nodes.items():
-            if not iso:
-                break
-            reach = order.preorder.below(cid) & image_ids[orbit] & ~(1 << cid)
-            image = sum(1 << member_at[orbit, c] for c in bits(reach))
-            iso = down[b] & inside == image
+        one_orbit = len({orbit for orbit, _ in images}) == 1
+        iso = one_orbit and len(at) == len(members) == cell_count and all(
+            down[ci] & inside == sum(1 << at[c] for c in bits(below(cid) & ~(1 << cid)))
+            for ci, (_, cid) in zip(members, images)
+        )
         reports.append(ComponentReport(k, tuple(members), iso))
     return reports
 
@@ -433,29 +427,24 @@ def to_json_dict(poset: IdealPoset, assignments: dict[int, StratumAssignment]) -
 
 
 def to_dot(poset: IdealPoset, cluster: str | None = None) -> str:
-    """Graphviz source; node and edge emission is sorted for byte stability.
+    """Graphviz source, byte-stable: nodes in class order, then the Hasse
+    edges as `poset.hasse` holds them (sorted).
 
-    cluster may be "x" (group by stratum i, which each class carries).
+    cluster may be "x": one subgraph per stratum i.  `enumerate_X` numbers
+    the classes stratum by stratum, so each stratum is one run of classes.
     """
     if cluster not in (None, "x"):
         raise PreconditionError(f"cluster must be 'x' or None, got {cluster!r}")
+
+    def nodes(classes, pad):
+        return (f'{pad}n{c.index} [label="{" = ".join(map(str, c.members))}"];' for c in classes)
+
     lines = ["graph ideals {", '  rankdir="BT";']
-    node_lines = {}
-    for c in poset.classes:
-        label = " = ".join(str(w) for w in c.members)
-        node_lines[c.index] = f'  n{c.index} [label="{label}"];'
     if cluster is None:
-        lines.extend(node_lines[ci] for ci in sorted(node_lines))
+        lines.extend(nodes(poset.classes, "  "))
     else:
-        groups: dict[int, list[int]] = {}
-        for c in poset.classes:
-            groups.setdefault(c.i_index, []).append(c.index)
-        for g in sorted(groups):
-            lines.append(f"  subgraph cluster_x{g} {{")
-            lines.append(f'    label="X_{g}";')
-            lines.extend("  " + node_lines[ci] for ci in sorted(groups[g]))
-            lines.append("  }")
-    for lower, upper in sorted(poset.hasse):
-        lines.append(f"  n{lower} -- n{upper};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        for i, run in groupby(poset.classes, lambda c: c.i_index):
+            lines += [f"  subgraph cluster_x{i} {{", f'    label="X_{i}";']
+            lines += [*nodes(run, "    "), "  }"]
+    lines.extend(f"  n{lower} -- n{upper};" for lower, upper in poset.hasse)
+    return "\n".join(lines) + "\n}\n"

@@ -55,9 +55,6 @@ class Signature(NamedTuple):
         s = "".join(self.symbols)
         return s[: self.separator_index] + "|" + s[self.separator_index:]
 
-    def count(self, symbol: str) -> int:
-        return self.symbols.count(symbol)
-
 
 def _symbols(weight: SuperWeight, i: int) -> Iterator[str]:
     """The raw i-signature's symbols, left labels first."""

@@ -155,17 +155,40 @@ class TestCounts:
 
 
 class TestRankSeven:
-    # digests of the CLI output, recorded from the pairwise node comparison
-    # that the closure-row reading replaced
+    # digests of the CLI output; a command without --m runs at m = 7.  The
+    # first two were recorded from the pairwise node comparison that the
+    # closure-row reading replaced, the rest from the code that sorted the
+    # DOT lines and kept no left order at m = 1
     @pytest.mark.parametrize(
         "command, digest",
         [
             ("aug-poset", "9be0f9f327d650745cf66efb29aab54151b58db2319a9f18fd29519ca30f922b"),
             ("components", "a60e411b4f1bd5183573ad3648c9832154e42d5748777a3dba5d19df80bba541"),
+            (
+                "aug-poset --format dot",
+                "cc8773c7913cc13d51cf100268aebda4e181764bce24c7abb3bd23085c522b79",
+            ),
+            (
+                "aug-poset --format dot --cluster x",
+                "7677abfc0ce37ccf1e60a52c26959aaf73dfc2b7e3a174cc645dd5057b7ba2b2",
+            ),
+            (
+                "aug-poset --m 1",
+                "9234004a477f978dfae37c077a1c475daa40953268a6de8d804aec1e39681d7d",
+            ),
+            (
+                "aug-poset --m 1 --format dot --cluster x",
+                "1a39ef2b88a412d45eda53f02f8fe0aec9b18412137828ef6d85754b7b6a2e3d",
+            ),
+            (
+                "components --m 1",
+                "e65aee684ce5e43f0fe4a1b4c9975ad4cf85f3eb09085a22f006ea67bcfc7ac0",
+            ),
         ],
     )
     def test_output_matches_the_recorded_digest(self, capsys, command, digest):
-        assert main([command, "--m", "7"]) == 0
+        argv = command.split()
+        assert main(argv if "--m" in argv else [*argv, "--m", "7"]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -309,10 +332,23 @@ class TestClassKeys:
             for c, node in zip(classes, own):
                 assert all(_node(order, w) == node for w in c.members), c
 
-    def test_rank_one_fetches_no_order(self, tmp_path):
-        poset = enumerate_X(1, cache_dir=tmp_path)
-        assert poset.order is None and len(poset.classes) == 1
-        assert list(tmp_path.iterdir()) == []
+    def test_rank_one_takes_the_general_path(self, monkeypatch):
+        import primspec.aug_poset as aug_poset
+
+        poset = enumerate_X(1)
+        assert len(poset.classes) == 1 and poset.down == (0,)
+        assert poset.order.class_count() == 1
+
+        calls = []
+        real = aug_poset.left_preorder
+        monkeypatch.setattr(
+            aug_poset, "left_preorder", lambda *a, **kw: calls.append(a) or real(*a, **kw)
+        )
+        with pytest.raises(BoundExceededError):
+            enumerate_X(1, bound=0)
+        assert calls == []  # the bound is refused before the order is fetched
+        enumerate_X(1)
+        assert calls == [(1,)]
 
 
 class TestMinimalAndComponents:
@@ -392,6 +428,41 @@ class TestMinimalAndComponents:
         broken = IdealPoset(poset.m, poset.classes, tuple(down), poset.hasse, poset.order)
         outcome = [r.order_isomorphic for r in irreducible_components(broken, assign)]
         assert outcome == [not {a, b} <= set(r.class_indices) for r in reports]
+        assert False in outcome and True in outcome
+
+    @pytest.mark.parametrize("onto", ["another orbit", "a taken cell"])
+    def test_a_misplaced_image_breaks_only_its_components(
+        self, posets, assignments, monkeypatch, onto
+    ):
+        # one class's raised image is moved: its labels shifted by one (same
+        # cell, another orbit), or onto another member's image (two classes
+        # on one cell); `down` is untouched, so only the image check can see it
+        from primspec import crystal
+
+        poset, assign = posets[4], assignments[4]
+        reports = irreducible_components(poset, assign)
+        # stratum i >= 1 and p = 0: raised through colors 0..i-1, on Z_i alone
+        c = next(c for c in poset.classes if c.i_index and not assign[c.index].p_value)
+        z = next(r.class_indices for r in reports if r.k == c.i_index)
+        other = poset.classes[next(ci for ci in z if ci != c.index)]
+
+        def image(cls):
+            w = cls.representative
+            for color in range(c.i_index):
+                w = crystal.e_tilde(w, color)
+            return w
+
+        target = image(c)
+        if onto == "another orbit":
+            moved = SuperWeight(tuple(x + 1 for x in target.left), (target.right[0] + 1,))
+        else:
+            moved = image(other)
+        real = crystal.e_tilde
+        monkeypatch.setattr(
+            crystal, "e_tilde", lambda w, i: moved if real(w, i) == target else real(w, i)
+        )
+        outcome = [r.order_isomorphic for r in irreducible_components(poset, assign)]
+        assert outcome == [c.index not in r.class_indices for r in reports]
         assert False in outcome and True in outcome
 
     def test_union_identity(self, posets, assignments):

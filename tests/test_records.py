@@ -17,6 +17,7 @@ import primspec.cli
 from primspec.aug_poset import IdealPoset, enumerate_X
 from primspec.brundan_kl import TensorWindow
 from primspec.errors import WeightParseError
+from primspec.kl_classical import left_preorder
 from primspec.super_inclusion import decide
 from primspec.weights import SuperWeight
 
@@ -93,8 +94,11 @@ class TestIdealPoset:
 
     def test_equality_ignores_the_order(self):
         poset = enumerate_X(3)
-        other = IdealPoset(poset.m, poset.classes, poset.down, poset.hasse, None)
-        assert poset.order is not None
+        # a second order object for the same rank: kept apart by use_disk
+        other = IdealPoset(
+            poset.m, poset.classes, poset.down, poset.hasse, left_preorder(3, use_disk=False)
+        )
+        assert other.order is not poset.order
         assert poset == other and hash(poset) == hash(other)
         empty = (0,) * len(poset.classes)
         assert poset != IdealPoset(poset.m, poset.classes, empty, poset.hasse, poset.order)
