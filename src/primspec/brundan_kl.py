@@ -462,12 +462,11 @@ class SuperOrder:
         for w in self.weights:
             table._key(w)
         masks = [_wall_mask(w) for w in self.weights]
-        pairs = [
-            (self._index[alpha], self._index[beta])
-            for alpha, beta, _ in table.mu_pairs()
-            if alpha in self._index and beta in self._index
-        ]
-        self.preorder = Preorder(len(self.weights), wall_edges(masks, pairs))
+        partners: list[list[int]] = [[] for _ in self.weights]
+        for alpha, beta, _ in table.mu_pairs():
+            if alpha in self._index and beta in self._index:
+                partners[self._index[alpha]].append(self._index[beta])
+        self.preorder = Preorder(len(self.weights), wall_edges(masks, enumerate(partners)))
 
     def leq(self, beta: SuperWeight, alpha: SuperWeight) -> bool:
         """beta below-or-equivalent-to alpha in the left order."""

@@ -37,11 +37,13 @@ which v give a K-top does not depend on u.  So the build walks, for each
 (J', K), one spanning tree of W_J' cut down to those v and their
 ancestors, and applies it to every stored u.  The build reads h through
 one local function over the table's lists (raise, column lookup, shift);
-the public reads go through `KLTable._h`, and `kl_polynomial` returns the
-one LaurentPolynomial kept per distinct stored P.  A read whose answer the
-lengths fix skips the raise: P_{x,y} = 0 when x follows y in the index
-order (x not shorter, x != y), and mu(x, y) = 0 when l(y) - l(x) is even, as
-h_{x,y} has only powers of v of that parity (Kazhdan-Lusztig 1979).
+`kl_polynomial` raises x and returns the one LaurentPolynomial kept per
+distinct stored P.  A read whose answer the lengths fix skips the raise:
+P_{x,y} = 0 when x follows y in the index order (x not shorter, x != y),
+and mu(x, y) = 0 when l(y) - l(x) is even, as h_{x,y} has only powers of v
+of that parity (Kazhdan-Lusztig 1979).  `mu` never raises: the raise of a
+non-extremal x multiplies h by v at least once, so only x = sy or ys, one
+step below y, keeps a v term, and it is v itself.
 
 Only the first column of each orbit of {id, x -> x^-1, x -> w0 x w0, both}
 runs that recursion (230 of 720 at rank 6).  P_{x,y} = P_{x^-1,y^-1}
@@ -82,7 +84,7 @@ import shutil
 import tempfile
 import zlib
 from functools import cache, lru_cache
-from itertools import chain, repeat
+from itertools import chain, compress, filterfalse, repeat
 from math import factorial
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -238,8 +240,9 @@ class KLTable:
         # w s_p swaps positions p, p+1 and s_t w values t+1, t+2; descents are bitmasks
         self._right, self._left = by_index(right), by_index(left)
         self._dr = list(map(dr.__getitem__, order))
-        # the lowest bit of each mask
+        # the lowest bit of each mask, and all of its bits
         self._low = low = [(k & -k).bit_length() - 1 for k in range(1 << max(m - 1, 0))]
+        self._bits = [tuple(bits(k)) for k in range(1 << max(m - 1, 0))]
         inv = [0] * n  # (w s)^-1 = s w^-1 for the first right descent s of w
         for yi in range(1, n):
             p = low[self._dr[yi]]
@@ -268,20 +271,13 @@ class KLTable:
 
     def _raise(self, xi: int, yi: int) -> int:
         """x raised along the descents of y it lacks: the top of W_I x W_J."""
-        dl, dr, low = self._dl, self._dr, self._low
+        dl, dr, low, left, right = self._dl, self._dr, self._low, self._left, self._right
         dly, dry = dl[yi], dr[yi]
         while miss := dly & ~dl[xi]:
-            xi = self._left[xi][low[miss]]
+            xi = left[xi][low[miss]]
         while miss := dry & ~dr[xi]:
-            xi = self._right[xi][low[miss]]
+            xi = right[xi][low[miss]]
         return xi
-
-    def _h(self, xi: int, yi: int) -> int:
-        """Packed h_{x,y} = v^k h_{x*,y}, x* x raised k steps (0 unless x <= y)."""
-        top = self._raise(xi, yi)
-        pid = self._cols[yi].get(top)
-        k = self.lengths[top] - self.lengths[xi]
-        return 0 if pid is None else self._packed[pid] << _SLOT * k
 
     def __len__(self) -> int:
         """Stored x, the top of W_I x W_J for I and J the left and right descents
@@ -329,31 +325,43 @@ class KLTable:
         return ZERO if pid is None else self._polys[pid]
 
     def mu(self, x: Permutation, y: Permutation) -> int:
-        """Symmetrized mu: the coefficient of v in h_{x,y}, x the shorter; off the
-        extremal pairs the raise makes it 1 at y = sx or xs and 0 otherwise.
+        """Symmetrized mu: the coefficient of v in h_{x,y}, x the shorter.
         h_{x,y} has only powers of v of the parity of l(y) - l(x), so an even
-        gap gives 0 without the raise."""
+        gap gives 0.  Off the extremal pairs, where x lacks a descent of y,
+        the raise would make it 1 at y = sx or xs and 0 otherwise; so no
+        read raises x."""
         xi, yi = self.index[tuple(x)], self.index[tuple(y)]
         if xi > yi:  # indices follow length
             xi, yi = yi, xi
         if (self.lengths[yi] - self.lengths[xi]) & 1 == 0:
             return 0
-        return self._h(xi, yi) >> _SLOT & _SLOT_MASK
+        if self._dl[yi] & ~self._dl[xi] or self._dr[yi] & ~self._dr[xi]:
+            return int(xi in self._left[yi] or xi in self._right[yi])
+        return self._slot_one[self._cols[yi].get(xi, 0)]  # id 0, the diagonal, has no v term
 
-    def _mu_below(self, yi: int) -> Iterator[tuple[int, int]]:
-        """(x, mu(x, y)) for each x < y with mu != 0: one step below y, or
-        stored with a v term (a stored x one step below has h = v)."""
-        lengths, slot_one, column = self.lengths, self._slot_one, self._cols[yi]
-        ly = lengths[yi]
-        yield from ((x, 1) for x in {*self._left[yi], *self._right[yi]}
-                    if lengths[x] < ly and x not in column)
-        yield from ((x, slot_one[pid]) for x, pid in column.items() if slot_one[pid])
+    def _mu_below(self, yi: int) -> Iterator[int]:
+        """Each x < y with mu(x, y) != 0, once: first the x one step below y,
+        then the stored x with a v term (`_mu_at` reads mu off either).  A
+        one-step x lacks a descent of y, so it is never stored, and an x that
+        is both s y and y s' is taken as s y only."""
+        left, right, column, positions = self._left[yi], self._right[yi], self._cols[yi], self._bits
+        return chain(
+            map(left.__getitem__, positions[self._dl[yi]]),
+            filterfalse(left.__contains__, map(right.__getitem__, positions[self._dr[yi]])),
+            compress(column, map(self._slot_one.__getitem__, column.values())),
+        )
+
+    def _mu_at(self, xi: int, yi: int) -> int:
+        """mu(x, y) for an x that `_mu_below(y)` yields: 1 one step below y,
+        else the v term of the stored h."""
+        pid = self._cols[yi].get(xi)
+        return 1 if pid is None else self._slot_one[pid]
 
     def mu_pairs(self) -> Iterable[tuple[Permutation, Permutation, int]]:
         """All (x, y, mu) with x shorter than y and mu(x, y) != 0, by y then x."""
         perms = self.perms
         for yi, y in enumerate(perms):
-            yield from ((perms[xi], y, mu_xy) for xi, mu_xy in sorted(self._mu_below(yi)))
+            yield from ((perms[xi], y, self._mu_at(xi, yi)) for xi in sorted(self._mu_below(yi)))
 
     # -- persistence ---------------------------------------------------------
 
@@ -472,7 +480,7 @@ def _build_kl_table(m: int) -> KLTable:
     lengths, cols, packed, raise_ = table.lengths, table._cols, table._packed, table._raise
     left, right, dl, dr, low = table._left, table._right, table._dl, table._dr, table._low
 
-    def read(xi: int, yi: int) -> int:  # KLTable._h over the locals
+    def read(xi: int, yi: int) -> int:  # packed h_{x,y} = v^k h_{x*,y}, x* x raised k steps
         top, dly, dry = xi, dl[yi], dr[yi]
         while miss := dly & ~dl[top]:
             top = left[top][low[miss]]
@@ -497,7 +505,8 @@ def _build_kl_table(m: int) -> KLTable:
         tops = {raise_(g, yi) for u in cols[y1] for g in walk(u)}
         # B_y = B_{y'} B_s - sum mu(z, y') B_z over z s < z, with H_x B_s =
         # H_{xs} + v^{-1} H_x for x s < x
-        terms = [(z, lengths[z], mu_z) for z, mu_z in table._mu_below(y1) if dr[z] >> p & 1]
+        terms = [(z, lengths[z], table._mu_at(z, y1))
+                 for z in table._mu_below(y1) if dr[z] >> p & 1]
         column = {}
         for xi in tops:
             lx = lengths[xi]
@@ -579,9 +588,12 @@ class LeftOrder:
     their ranks.  The rank word of u is inverse(u w0) = w0 u^-1, whose index
     is n - 1 - that of u^-1 (`w0 w` reverses the index order), and a word's
     ascents are the complement of its right descent mask (`left_descents`
-    keeps the left one: bit t, rank t+2 stands left of rank t+1).  The
-    generating edges still go into the set `wall_edges` builds: the class
-    ids follow that set's iteration order, and callers and digests read them.
+    keeps the left one: bit t, rank t+2 stands left of rank t+1).  Each
+    column's mu pairs, mapped to nodes, go straight into one adjacency list
+    per node (`wall_edges`); each unordered pair comes once, so no edge
+    repeats and no edge set is built.  The class ids follow the preorder
+    alone: a topological order of the cells, sources first, each tie going
+    to the cell whose lexicographically least rank word comes first.
     """
 
     def __init__(self, table: KLTable):
@@ -597,8 +609,8 @@ class LeftOrder:
             perms[r], ascent_mask[r], dl[r] = w, full & ~dr, d
         # u, antidominant-based, has rank word w0 u^-1
         node = [rank[n - 1 - j] for j in table._mirrors[0]]
-        pairs = ((node[xi], node[yi]) for yi in range(n) for xi, _ in table._mu_below(yi))
-        self.preorder = Preorder(n, wall_edges(ascent_mask, pairs))
+        partners = ((node[yi], map(node.__getitem__, table._mu_below(yi))) for yi in range(n))
+        self.preorder = Preorder(n, wall_edges(ascent_mask, partners))
 
     def node(self, r: Permutation) -> int:
         return self._lex_rank[self._index[tuple(r)]]

@@ -591,7 +591,11 @@ def gl22_component_classes(
     hasse = transitive_reduction(down)
     # the seed's connected component (a finite order is connected through its
     # covers, symmetrized); its covers are the edges that start in it, renumbered
-    comp = strongly_connected_components(n, hasse + [(j, i) for i, j in hasse])
+    linked: list[list[int]] = [[] for _ in range(n)]
+    for i, j in hasse:
+        linked[i].append(j)
+        linked[j].append(i)
+    comp = strongly_connected_components(n, linked)
     kept = [i for i in range(n) if comp[i] == comp[seed_class]]
     remap = {old: new for new, old in enumerate(kept)}
     return [classes[old] for old in kept], [(remap[i], remap[j]) for i, j in hasse if i in remap]

@@ -134,6 +134,20 @@ class TestPacking:
         with pytest.raises(InvariantError, match="headroom"):
             bar._stored({(0, 1): 256 * bar.one})
 
+    def test_a_bar_image_off_the_diagonal_is_refused(self, monkeypatch):
+        # psi(v_k) is v_k plus lower terms; a bar whose images lose their
+        # diagonal is refused before any column is solved.  The doctored bar
+        # is a fresh one, so no image of it reaches the cached bar.
+        def doctored(window):
+            bar = BarInvolution(window)
+            psi = bar.psi
+            bar.psi = lambda mono: {i: c for i, c in psi(mono).items() if i != mono}
+            return bar
+
+        monkeypatch.setattr(brundan_kl, "bar_involution", doctored)
+        with pytest.raises(InvariantError, match="^bar involution must be unitriangular$"):
+            canonical_basis([W("1,0|1")], interval=(-1, 3))
+
     def test_a_chain_sum_that_could_overflow_raises(self, monkeypatch):
         # psi bounds a chain coefficient's L1 norm by its (offset + _SPAN)
         # stored digits of magnitude _CAP; one inner term, offset 1, so the

@@ -4,9 +4,12 @@ import logging
 import re
 import sys
 import threading
+import tracemalloc
 import zlib
+from collections import Counter
 from itertools import combinations_with_replacement as multisets
 from itertools import permutations as iperm
+from itertools import zip_longest
 
 import pytest
 
@@ -29,7 +32,7 @@ from primspec.kl_classical import (
     mu,
 )
 from primspec.laurent import ONE, ZERO, LaurentPolynomial
-from primspec.posets import Preorder, wall_edges
+from primspec.posets import Preorder, bits, wall_edges
 from primspec.super_inclusion import inclusion
 from primspec.tableaux import (
     all_permutations,
@@ -228,27 +231,36 @@ class TestKLTable:
 
     @staticmethod
     def _digest(m):
-        """Each column's packed h by x and the left cell of every rank word."""
+        """Each column's packed h by x, then the left order with no class
+        ids in it: the cells as word lists, and the closure as each cell's
+        least word with the least words of the cells below it."""
         table = kl_classical._build_kl_table(m)
         order = LeftOrder(table)
         digest = hashlib.sha256()
         for column in TestCache._stored(table):
             digest.update(repr(sorted(column.items())).encode())
-        digest.update(repr([order.class_id(r) for r in order.perms]).encode())
+        cells = {}
+        for r in order.perms:
+            cells.setdefault(order.class_id(r), []).append(r)
+        least = {c: words[0] for c, words in cells.items()}
+        closure = ((least[c], sorted(least[d] for d in bits(order.preorder.below(c))))
+                   for c in cells)
+        digest.update(repr(sorted(cells.values())).encode())
+        digest.update(repr(sorted(closure)).encode())
         return digest.hexdigest()
 
     @pytest.mark.slow
     def test_rank_seven_digest(self):
         # digested from the build with the full coset walk
         assert self._digest(7) == (
-            "887e8d21fe2943a541b856456aec8b99d29bbaeaa9029257a1094488e12b74e8"
+            "696692a4245204d540865228401116b5d1c24d0e00ba2d58e35980d5af42c09a"
         )
 
     @pytest.mark.slow
     def test_rank_eight_digest(self):
         # digested from the build that ran the recursion for every column
         assert self._digest(8) == (
-            "5cdc3c092b942a3ac18ad38aba339cfea97db761f700da32fd9055ca81703524"
+            "67a825b2c8b972744a3dad12b79163dc7f3d85c259d443b0e79d5809a9d4eedc"
         )
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
@@ -295,6 +307,19 @@ class TestKLTable:
                 assert len(walked) == len(set(walked))
                 assert set(walked) == {g for g in coset if dr[g] & keep == keep}
 
+    def test_a_diagonal_off_one_is_refused(self, monkeypatch):
+        # B_y = B_{y'} B_s - ... has H_y with coefficient h_{y',y'} = 1; a
+        # table whose diagonal reads 2 breaks that at the first column built
+        init = KLTable.__init__
+
+        def doctored(self, m):
+            init(self, m)
+            self._packed[0] = 2
+
+        monkeypatch.setattr(KLTable, "__init__", doctored)
+        with pytest.raises(InvariantError, match="^new-basis element is not unitriangular$"):
+            kl_classical._build_kl_table(3)
+
     def test_bound_refusal_names_bound(self):
         with pytest.raises(BoundExceededError) as err:
             kl_table(9, bound=7, **NO_DISK)
@@ -325,17 +350,35 @@ class TestMu:
 
     @pytest.mark.parametrize("m", range(1, 6))
     def test_reads_match_the_raised_read(self, m):
-        # the length shortcuts of `kl_polynomial` and `mu` against the read
-        # through `_raise` and `_h` on every pair
+        # the shortcuts of `kl_polynomial` and `mu` against the read through
+        # `_raise` on every pair: h_{x,y} = v^k h_{x*,y}, x* x raised k steps
         table = kl_table(m, **NO_DISK)
+
+        def h(xi, yi):
+            top = table._raise(xi, yi)
+            pid = table._cols[yi].get(top)
+            k = table.lengths[top] - table.lengths[xi]
+            return 0 if pid is None else table._packed[pid] << 16 * k
+
         for xi, x in enumerate(table.perms):
             for yi, y in enumerate(table.perms):
                 pid = table._cols[yi].get(table._raise(xi, yi))
                 assert table.kl_polynomial(x, y) == (ZERO if pid is None else table._polys[pid])
                 lo, hi = min(xi, yi), max(xi, yi)
-                assert table.mu(x, y) == table._h(lo, hi) >> 16 & 0xFFFF, (x, y)
+                assert table.mu(x, y) == h(lo, hi) >> 16 & 0xFFFF, (x, y)
                 if (table.lengths[hi] - table.lengths[lo]) % 2 == 0:
                     assert table.mu(x, y) == 0
+
+    def test_mu_reads_never_raise(self, monkeypatch):
+        table = kl_table(5, **NO_DISK)
+        expected = [table.mu(x, y) for x in table.perms for y in table.perms]
+
+        def refuse(*args):
+            raise AssertionError("mu raised x")
+
+        monkeypatch.setattr(kl_classical.KLTable, "_raise", refuse)
+        assert [table.mu(x, y) for x in table.perms for y in table.perms] == expected
+        assert sum(expected) == 2 * sum(1 for _ in table.mu_pairs())
 
     def test_same_length_reads_skip_the_raise(self, monkeypatch):
         # distinct x, y of one length are never comparable: P is 0 by lengths alone
@@ -574,9 +617,9 @@ class TestLeftPreorder:
         index = {w: i for i, w in enumerate(perms)}
         masks = [sum(1 << p for p in range(m - 1) if r[p] < r[p + 1]) for r in perms]
         node = [index[inverse(u[::-1])] for u in table.perms]
-        pairs = ((node[xi], node[yi]) for yi in range(len(node))
-                 for xi, _ in sorted(table._mu_below(yi)))
-        return perms, Preorder(len(perms), wall_edges(masks, pairs))
+        partners = ((node[yi], [node[xi] for xi in sorted(table._mu_below(yi))])
+                    for yi in range(len(node)))
+        return perms, Preorder(len(perms), wall_edges(masks, partners))
 
     def _check_index_arithmetic(self, m):
         table = kl_classical._build_kl_table(m)
@@ -595,6 +638,20 @@ class TestLeftPreorder:
     @pytest.mark.slow
     def test_rank_eight_index_arithmetic(self):
         self._check_index_arithmetic(8)
+
+    @pytest.mark.slow
+    def test_rank_eight_order_memory(self):
+        # built through the set of its 324,854 generating edges, the order
+        # took the traced peak to 46.9 MiB; from adjacency lists it is about 9
+        table = kl_classical._build_kl_table(8)  # the table is built outside the measure
+        tracemalloc.start()
+        try:
+            order = LeftOrder(table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert order.class_count() == 764
+        assert peak < 23.4 * 2**20, peak
 
     def test_cached_order_still_honours_bound(self):
         # a cached rank-5 order must not answer for a caller bounded at 3
@@ -640,6 +697,88 @@ class TestLeftPreorder:
         assert not kl_classical.cache_file(3, tmp_path).exists()
         assert left_preorder(3, cache_dir=tmp_path) is not kept
         assert kl_classical.cache_file(3, tmp_path).exists()
+
+
+def _shape(word):
+    return tuple(map(len, robinson_schensted(word)[0]))
+
+
+def _strictly_dominates(big, small):
+    """Is partition `big` above `small` in the dominance order, and not equal?"""
+    above = below = 0
+    for b, s in zip_longest(big, small, fillvalue=0):
+        above, below = above + b, below + s
+        if above < below:
+            return False
+    return big != small
+
+
+def _dominance_failures(order):
+    """The number of strict class pairs (upper, lower) of `order`, and those
+    whose upper cell's RS shape does not strictly dominate the lower's; a
+    cell holding two shapes fails as (c, c)."""
+    shapes = {}
+    for r in order.perms:
+        shapes.setdefault(order.class_id(r), set()).add(_shape(r))
+    failures = [(c, c) for c, found in shapes.items() if len(found) != 1]
+    shape = {c: min(found) for c, found in shapes.items()}
+    below = order.preorder.below
+    strict = [(c, d) for c in shape for d in bits(below(c) & ~(1 << c))]
+    failures += [(c, d) for c, d in strict if not _strictly_dominates(shape[c], shape[d])]
+    return len(strict), failures
+
+
+def _mu_values(table):
+    """How often each mu value occurs over the table's pairs with mu != 0."""
+    return Counter(value for _, _, value in table.mu_pairs())
+
+
+class TestTableFreeChecks:
+    """Necessary conditions on the left order and on mu whose statement
+    needs no KL polynomial.
+
+    J(x) strictly inside J(y) makes the associated variety of J(y) a proper
+    subvariety of that of J(x) (Borho-Brylinski 1982, Joseph 1984); in type
+    A these are nilpotent orbit closures, fixed by the RS shape and ordered
+    by dominance, and comparable cells of one shape coincide (Lusztig's P9).
+    So a strict class pair climbs strictly in dominance from the lower cell
+    to the upper.  And mu is 0 or 1 in S_n for n <= 9 (McLarnan-Warrington
+    2003)."""
+
+    # strict class pairs and mu pairs, counted at the ranks they are known for
+    STRICT_PAIRS = {7: 5679, 8: 39623}
+    MU_PAIRS = {6: 4268, 7: 41934, 8: 457782}
+
+    def _check(self, m, **kw):
+        table = kl_table(m, **kw, **NO_DISK)
+        strict, failures = _dominance_failures(LeftOrder(table))
+        assert failures == []
+        assert strict == self.STRICT_PAIRS.get(m, strict)
+        mus = _mu_values(table)
+        assert set(mus) == {1}
+        assert mus[1] == self.MU_PAIRS.get(m, mus[1])
+
+    @pytest.mark.parametrize("m", range(2, 8))
+    def test_strict_pairs_climb_in_dominance_and_mu_is_one(self, m):
+        self._check(m)
+
+    @pytest.mark.slow
+    def test_rank_eight(self):
+        self._check(8, bound=8)
+
+    def test_a_doctored_closure_row_fails(self):
+        order = LeftOrder(kl_table(4, **NO_DISK))
+        assert _dominance_failures(order)[1] == []
+        upper, lower = next((c, d) for c in range(order.class_count())
+                            for d in bits(order.preorder.below(c) & ~(1 << c)))
+        order.preorder._closure[lower] |= 1 << upper  # the upper cell put below the lower one
+        assert _dominance_failures(order)[1] == [(lower, upper)]
+
+    def test_a_doctored_mu_fails(self, monkeypatch):
+        # a stored pair's v term read as 2; the one-step pairs keep mu 1
+        table = kl_table(5, **NO_DISK)
+        monkeypatch.setattr(table, "_slot_one", [2 if v else 0 for v in table._slot_one])
+        assert set(_mu_values(table)) == {1, 2}
 
 
 class TestClassicalInclusion:

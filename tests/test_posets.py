@@ -21,6 +21,14 @@ def _reduction_by_definition(n, strict):
     )
 
 
+def _adjacency(n, edges):
+    """The edges (a, b) as adjacency lists: b in adj[a], in sorted order."""
+    adj = [[] for _ in range(n)]
+    for a, b in sorted(edges):
+        adj[a].append(b)
+    return adj
+
+
 def _rows(n, strict):
     """The pairs (a, b) as rows: bit a of rows[b]."""
     rows = [0] * n
@@ -39,7 +47,7 @@ def _random_strict_order(rng, n, density):
         for b in range(n)
         if rank[a] < rank[b] and rng.random() < density
     }
-    reach = transitive_closure(n, edges)
+    reach = transitive_closure(n, _adjacency(n, edges))
     return {(a, b) for a in range(n) for b in range(n) if a != b and reach[a] >> b & 1}
 
 
@@ -88,7 +96,7 @@ def _random_digraphs(seed):
 def test_components_are_mutual_reachability_classes(seed):
     for n, edges in _random_digraphs(seed):
         reach = _reachability_by_warshall(n, edges)
-        comp = strongly_connected_components(n, edges)
+        comp = strongly_connected_components(n, _adjacency(n, edges))
         assert sorted(set(comp)) == list(range(len(set(comp))))
         for a in range(n):
             for b in range(n):
@@ -97,11 +105,39 @@ def test_components_are_mutual_reachability_classes(seed):
         assert all(comp[a] <= comp[b] for a, b in edges)
 
 
+def _kahn_by_least_node(n, edges):
+    """Component ids by brute force: the components read off mutual
+    reachability, then numbered by always taking, of those that no
+    unnumbered component has an edge into, the one with the least node."""
+    reach = _reachability_by_warshall(n, edges)
+    least = [min(b for b in range(n) if reach[a][b] and reach[b][a]) for a in range(n)]
+    left, ids = set(least), {}
+    while left:  # each component is named by its least node
+        entered = {least[b] for a, b in edges if least[a] in left and least[a] != least[b]}
+        first = min(left - entered)
+        ids[first] = len(ids)
+        left.remove(first)
+    return [ids[c] for c in least]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_component_ids_follow_the_preorder_alone(seed):
+    rng = random.Random(seed)
+    for n, edges in _random_digraphs(seed):
+        adj = _adjacency(n, edges)
+        comp = strongly_connected_components(n, adj)
+        assert comp == _kahn_by_least_node(n, edges)
+        for row in adj:
+            rng.shuffle(row)
+        assert strongly_connected_components(n, adj) == comp
+        assert list(map(Preorder(n, adj).class_id, range(n))) == comp
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_preorder_leq_is_reachability(seed):
     for n, edges in _random_digraphs(seed):
         reach = _reachability_by_warshall(n, edges)
-        order = Preorder(n, edges)
+        order = Preorder(n, _adjacency(n, edges))
         assert order.class_count() == len({order.class_id(a) for a in range(n)})
         for upper in range(n):
             for lower in range(n):
@@ -111,7 +147,7 @@ def test_preorder_leq_is_reachability(seed):
 @pytest.mark.parametrize("seed", range(4))
 def test_below_is_the_class_row(seed):
     for n, edges in _random_digraphs(seed):
-        order = Preorder(n, edges)
+        order = Preorder(n, _adjacency(n, edges))
         classes = range(order.class_count())
         for c in classes:
             assert order.below(c) >> order.class_count() == 0
@@ -122,7 +158,7 @@ def test_below_is_the_class_row(seed):
 @pytest.mark.parametrize("seed", range(4))
 def test_strict_pairs_are_below_and_not_equivalent(seed):
     for n, edges in _random_digraphs(seed):
-        order = Preorder(n, edges)
+        order = Preorder(n, _adjacency(n, edges))
         pairs = list(order.strict_pairs())
         assert len(pairs) == len(set(pairs))
         assert set(pairs) == {
