@@ -7,17 +7,28 @@ E_i v_{i+1} = v_i, and W is its dual with E_i w_i = w_{i+1}.  Monomials
 v_alpha are indexed by label tuples, and a weight space consists of all
 tuples with one central-character invariant.
 
-The bar involution is built one tensor factor at a time.  Appending a
-factor composes the bar of the prefix with a triangular correction whose
-coefficients are iterated q-commutators of Chevalley lowering operators:
+The bar involution is built one tensor factor at a time on the orbit
+representatives of S_m x S_n, the monomials whose V labels weakly decrease
+and whose W labels weakly increase; every prefix of one is one too.
+Appending a factor composes the bar of the prefix with a triangular
+correction whose coefficients are iterated q-commutators of Chevalley
+lowering operators:
 
     psi(x (x) v_b) = psi(x) (x) v_b + (q^{-1}-q) * sum_{a<b} G_{a,b}(psi(x)) (x) v_a
     psi(x (x) w_b) = psi(x) (x) w_b + (q^{-1}-q) * sum_{c>b} G'_{c,b}(psi(x)) (x) w_c
 
 with G_{b-1,b} = F_{b-1}, G_{a,b} = G_{a+1,b} F_a - q F_a G_{a+1,b}, and
-mirrored chains for the dual factor.  The involution and its compatibility
-with the quantum group action are verified in the test suite rather than
-assumed.
+mirrored chains for the dual factor.  Every other monomial is one Hecke
+step from a monomial nearer its representative.  The Hecke generator H_p
+acts on two adjacent factors of one type, and psi(x H_p) = psi(x) H_p^-1
+(Frenkel, Khovanov and Kirillov, Transform. Groups 3 (1998); Brundan,
+J. Amer. Math. Soc. 16 (2003)).  H_p^-1 takes a monomial u with labels
+(x, y) at slots (p, p+1) to q^-1 u if x = y, to swap(u) + (q^-1 - q) u if
+x > y in V or x < y in W, and to swap(u) otherwise.  So a monomial with a
+V ascent or a W descent at p is swapped H_p, and its image is psi(swapped)
+H_p^-1.  The involution, its compatibility with the quantum group and
+Hecke actions, and the agreement of the two routes are verified in the
+test suite rather than assumed.
 
 The canonical basis b_beta = sum_alpha d_{alpha,beta}(q) v_alpha is the
 unique bar-invariant unitriangular family with off-diagonal entries in
@@ -235,6 +246,38 @@ class BarInvolution:
         hit = self._psi.get(mono)
         if hit is not None:
             return hit
+        dual = self._dual
+        for p in range(len(mono) - 1):
+            x, y = mono[p], mono[p + 1]
+            # a V ascent or a W descent, on two slots of one type
+            if x != y and dual[p] == dual[p + 1] and (x < y) != dual[p]:
+                result = self._hecke_step(mono, p)
+                break
+        else:
+            result = self._appended(mono)
+        self._psi[mono] = self._stored(result)
+        return result
+
+    def _hecke_step(self, mono: Mono, p: int) -> Vector:
+        """psi(mono) as psi(swapped) H_p^-1 (module docstring), swapped being
+        mono with slots p and p+1 exchanged.  The terms are summed one digit
+        up, so q^-1 drops no digit unseen."""
+        dual = self._dual[p]
+        out: Vector = {}
+        for u, c in self.psi(mono[:p] + (mono[p + 1], mono[p]) + mono[p + 2:]).items():
+            x, y = u[p], u[p + 1]
+            if x == y:
+                out[u] = out.get(u, 0) + c
+                continue
+            swapped = u[:p] + (y, x) + u[p + 2:]
+            out[swapped] = out.get(swapped, 0) + (c << BITS)
+            if (x > y) != dual:  # a V descent or a W ascent
+                out[u] = out.get(u, 0) + c - (c << (2 * BITS))
+        return {u: _down(x, 1) for u, x in out.items() if x}
+
+    def _appended(self, mono: Mono) -> Vector:
+        """psi(mono) from psi of its prefix and the q-commutator chains of
+        its last label (mono is a representative, and so is its prefix)."""
         k = len(mono)
         if k == 1:
             result: Vector = {mono: self.one}
@@ -264,7 +307,6 @@ class BarInvolution:
                         if x & low:
                             raise InvariantError("exponent below the packing offset")
                         result[pm + (t,)] = (x >> up) - (x >> (up - 2 * BITS))
-        self._psi[mono] = self._stored(result)
         return result
 
 

@@ -52,8 +52,93 @@ def _psi_vector(bar, vec):
     return {t: c for t, c in out.items() if c}
 
 
+def _chain_psi(bar, mono, memo):
+    """psi by the prefix recursion of the module docstring alone, packed as
+    `bar` packs: every monomial and every prefix through q-commutator
+    chains, with no Hecke step."""
+    hit = memo.get(mono)
+    if hit is not None:
+        return hit
+    if len(mono) == 1:
+        out = {mono: bar.one}
+    else:
+        inner, b, window = _chain_psi(bar, mono[:-1], memo), mono[-1], bar.window
+        out = {pm + (b,): c for pm, c in inner.items()}
+        # x below is packed at twice the offset: (q^-1 - q) x q^-offset
+        scale = 1 << (BITS * (bar.offset + 1))
+        dual = len(mono) > window.m
+        for t in range(b + 1, window.hi + 1) if dual else range(window.lo, b):
+            key = (1, b, t) if dual else (0, t, b)
+            terms = {}
+            for pm, c in inner.items():
+                for tgt, g in bar._chain_mono(*key, pm).items():
+                    terms[tgt] = terms.get(tgt, 0) + c * g
+            for tgt, x in terms.items():
+                assert x % scale == 0  # no exponent below the offset
+                if x:
+                    out[tgt + (t,)] = x // scale - (x // scale << (2 * BITS))
+    memo[mono] = out
+    return out
+
+
+_Q, _Q_INV = LaurentPolynomial({1: 1}), LaurentPolynomial({-1: 1})
+_Q_GAP = LaurentPolynomial({-1: 1, 1: -1})  # q^-1 - q
+
+
+def _hecke(vec, p, m, inverse):
+    """vec H_p, or vec H_p^-1 if `inverse`, for slots p, p+1 of one type
+    (unpacked).  H_p^-1 takes u to q^-1 u on equal labels, to swap(u) +
+    (q^-1 - q) u on a V descent or W ascent, else to swap(u); H_p is
+    H_p^-1 + (q - q^-1)."""
+    out = {}
+    for u, c in vec.items():
+        x, y = u[p], u[p + 1]
+        if x == y:
+            terms = [(u, c * (_Q_INV if inverse else _Q))]
+        else:
+            terms = [(u[:p] + (y, x) + u[p + 2:], c)]
+            if ((x > y) == (p < m)) == inverse:
+                terms.append((u, c * _Q_GAP * (1 if inverse else -1)))
+        for t, c in terms:
+            out[t] = _add(out[t], c) if t in out else c
+    return {t: c for t, c in out.items() if c}
+
+
+def _entries(chains):
+    return sum(len(cache) for cache in chains.values())
+
+
+def _psi_matches_the_chain_route(window, monos):
+    bar, memo = BarInvolution(window), {}
+    oracle = BarInvolution(window)  # its own chain caches
+    for mono in monos:
+        assert bar.psi(mono) == _chain_psi(oracle, mono, memo), mono
+    return bar, oracle
+
+
 class TestBarInvolution:
     WINDOWS = [(2, 0, 1, 3), (1, 1, 0, 2), (2, 1, 0, 2), (1, 2, -1, 1), (2, 2, 0, 1)]
+    # with a third V slot, psi steps at two adjacent V pairs
+    HECKE_WINDOWS = WINDOWS + [(3, 1, 0, 3), (3, 2, 0, 2)]
+
+    def test_hecke_steps_match_the_chain_route(self):
+        for m, n, lo, hi in self.HECKE_WINDOWS:
+            monos = list(iproduct(range(lo, hi + 1), repeat=m + n))
+            bar, oracle = _psi_matches_the_chain_route(TensorWindow(lo, hi, m, n), monos)
+            if max(m, n) > 1:  # a Hecke step saved some chains
+                assert _entries(bar._chain) < _entries(oracle._chain)
+
+    def test_psi_intertwines_the_hecke_action(self):
+        # psi(x H_p) = psi(x) H_p^-1 for every monomial x and every slot pair
+        # of one type (Frenkel-Khovanov-Kirillov 1998; Brundan 2003)
+        for m, n, lo, hi in self.HECKE_WINDOWS:
+            bar = BarInvolution(TensorWindow(lo, hi, m, n))
+            slots = [p for p in range(m + n - 1) if p != m - 1]
+            for mono in iproduct(range(lo, hi + 1), repeat=m + n):
+                image = _decoded(bar, bar.psi(mono))
+                for p in slots:
+                    lhs = _psi_vector(bar, _hecke({mono: ONE}, p, m, inverse=False))
+                    assert lhs == _hecke(image, p, m, inverse=True)
 
     def test_is_involution(self):
         for m, n, lo, hi in self.WINDOWS:
@@ -172,6 +257,18 @@ class TestPacking:
         bar._chain[1, 1, 2] = {(1,): {(0,): 1}}
         with pytest.raises(InvariantError, match="below the packing offset"):
             bar.psi((1, 1))
+
+    def test_a_hecke_term_below_the_offset_raises(self, monkeypatch):
+        # psi(0, 1) = psi(1, 0) H_0^-1, and H_0^-1 multiplies the equal
+        # labels (0, 0) by q^-1: a cached coefficient q^-1 (the lowest
+        # exponent offset 1 holds) would reach q^-2, one digit up would not
+        bar = BarInvolution(TensorWindow(0, 2, 2, 0))
+        monkeypatch.setitem(bar._psi, (1, 0), {(0, 0): 1 << BITS})
+        assert bar.psi((0, 1)) == {(0, 0): 1}
+        bar = BarInvolution(TensorWindow(0, 2, 2, 0))
+        monkeypatch.setitem(bar._psi, (1, 0), {(0, 0): 1})
+        with pytest.raises(InvariantError, match="^exponent below the packing offset$"):
+            bar.psi((0, 1))
 
     def test_a_twisted_chain_term_below_the_offset_raises(self):
         # -q F_0 on a chain term: the twist q^-1 of F_0 on (0, 0) is tested
@@ -571,6 +668,17 @@ class TestGoldenDigests:
         assert hashlib.sha256(self._text(table)).hexdigest() == (
             "ac4df0406efdf16dbdcb793118ad2dff859bc8082d62a807d1c2dbe40e3aeaa3"
         )
+
+
+@pytest.mark.slow
+def test_dimension_600_hecke_steps_match_the_chain_route():
+    # the weight space of the gl(5|1) block below: 600 monomials, whose
+    # chain route psi builds only for the orbit representatives
+    window = TensorWindow(-1, 5, 5, 1)
+    monos = _weight_space(window, central_character(W("4,3,2,1,0|0")))
+    assert len(monos) == 600
+    bar, oracle = _psi_matches_the_chain_route(window, monos)
+    assert _entries(bar._chain) < _entries(oracle._chain)
 
 
 @pytest.mark.slow

@@ -5,8 +5,9 @@ from itertools import product
 
 import pytest
 
-from primspec import crystal
+from primspec import crystal, super_inclusion
 from primspec.errors import (
+    InvariantError,
     NotSinglyAtypicalError,
     PreconditionError,
     UnsupportedRegimeError,
@@ -141,6 +142,21 @@ class TestReductionTrace:
         assert "7,6,1,2,6,0,4,0|3,3,4,5" in mids  # first ladder stage
         assert "7,6,1,2,6,0,5,0|3,3,4,5" in mids
         assert "7,5,1,2,6,0,5,0|3,3,4,6" in mids
+
+    def test_a_trace_one_step_short_raises(self, monkeypatch):
+        # the replayed chain must end at the closed formulas' (gamma, delta);
+        # here the last ladder stage of the shift by 4 (color 6) applies one
+        # operator fewer on both sides
+        beta = theta_representative(RUNNING, 4)
+        apply_power = super_inclusion._apply_power
+
+        def doctored(side, op, color, power, start, steps):
+            return apply_power(side, op, color, power - (color == 6), start, steps)
+
+        reduction_trace(RUNNING, beta)
+        monkeypatch.setattr(super_inclusion, "_apply_power", doctored)
+        with pytest.raises(InvariantError, match="^reduction mismatch: trace ended at "):
+            reduction_trace(RUNNING, beta)
 
     def test_zero_shift_has_single_ladder_step(self):
         beta = theta_representative(RUNNING, 0)
