@@ -170,43 +170,23 @@ class BarInvolution:
                 raise InvariantError("a bar coefficient outgrew the packing headroom")
         return vec
 
-    # -- Chevalley action on prefixes ----------------------------------------
-
-    def apply_f(self, i: int, vec: Vector, k: int) -> Vector:
-        """F_i on the first k slots (lowering; dual slots twist later factors)."""
-        return self._chevalley(i, vec, k, raising=False)
-
-    def apply_e(self, i: int, vec: Vector, k: int) -> Vector:
-        """E_i on the first k slots (raising; twists act on earlier factors)."""
-        return self._chevalley(i, vec, k, raising=True)
-
-    def _chevalley(self, i: int, vec: Vector, k: int, raising: bool) -> Vector:
-        out: Vector = {}
-        for mono, coeff in vec.items():
-            for target, twist in self._moves(i, mono[:k], raising):
-                moved = coeff << (BITS * twist) if twist >= 0 else _down(coeff, -twist)
-                target += mono[k:]
-                out[target] = out.get(target, 0) + moved
-        return {mono: x for mono, x in out.items() if x}
-
-    def _moves(self, i: int, mono: Mono, raising: bool = False) -> list[tuple[Mono, int]]:
-        """(target, q-power) of each term of F_i (E_i if raising) on a unit monomial."""
-        out = None if raising else self._lower.get((i, mono))
+    def _moves(self, i: int, mono: Mono) -> list[tuple[Mono, int]]:
+        """(target, q-power) of each term of F_i on a unit monomial."""
+        out = self._lower.get((i, mono))
         if out is not None:
             return out
         dual, k, out = self._dual, len(mono), []
         for j in range(k):
-            # label i moves up to i+1 in a V slot under F, in a W slot under E
-            up = dual[j] == raising
+            # label i moves up to i+1 in a V slot, i+1 down to i in a W slot
+            up = not dual[j]
             if mono[j] != (i if up else i + 1):
                 continue
             twist = 0
-            for l in range(j) if raising else range(j + 1, k):
+            for l in range(j + 1, k):
                 w = 1 if mono[l] == i else -1 if mono[l] == i + 1 else 0
-                twist += w if dual[l] != raising else -w
+                twist += w if dual[l] else -w
             out.append((mono[:j] + ((i + 1) if up else i,) + mono[j + 1:], twist))
-        if not raising:
-            self._lower[i, mono] = out
+        self._lower[i, mono] = out
         return out
 
     # -- q-commutator chains ---------------------------------------------------
@@ -513,10 +493,6 @@ class SuperOrder:
     def leq(self, beta: SuperWeight, alpha: SuperWeight) -> bool:
         """beta below-or-equivalent-to alpha in the left order."""
         return self.preorder.leq(self._index[beta], self._index[alpha])
-
-    def same_class(self, a: SuperWeight, b: SuperWeight) -> bool:
-        classes = self.preorder
-        return classes.class_id(self._index[a]) == classes.class_id(self._index[b])
 
     def relations(self) -> set[tuple[SuperWeight, SuperWeight]]:
         """All (beta, alpha) pairs with beta strictly below alpha."""

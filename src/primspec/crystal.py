@@ -41,7 +41,6 @@ __all__ = [
     "phi",
     "e_tilde_power",
     "f_tilde_power",
-    "active_colors",
 ]
 
 
@@ -157,12 +156,3 @@ def _power(op: str, weight: SuperWeight, i: int, power: int) -> SuperWeight:
         )
     return _moved(weight, movable[:power], -1 if op == "e" else 1)
 
-
-def active_colors(weight: SuperWeight) -> range:
-    """The colors i that can carry a nonzero statistic for this weight.
-
-    Only i with some label in {i, i+1} matter, so the range
-    [min label - 1, max label] is exhaustive.
-    """
-    labels = weight.labels
-    return range(min(labels) - 1, max(labels) + 1)

@@ -104,7 +104,6 @@ from .weights import SuperWeight, orbit_equal
 __all__ = [
     "KLTable",
     "LeftOrder",
-    "bruhat_leq",
     "kl_table",
     "cache_file",
     "mu",
@@ -121,27 +120,6 @@ INSERTION_MEMO_SIZE = 1024  # rank words whose insertion tableau `classical_equa
 
 _CACHE_FORMAT = "primspec-kl"
 _CACHE_VERSION = 2
-
-
-def bruhat_leq(x: Permutation, y: Permutation) -> bool:
-    """Bruhat order via prefix rank domination.
-
-    x <= y iff for every k the descending sort of x's first k values is
-    entrywise dominated by that of y's.
-
-    >>> bruhat_leq((2, 1, 4, 3), (3, 4, 1, 2))
-    True
-    >>> bruhat_leq((3, 4, 1, 2), (2, 1, 4, 3))
-    False
-    """
-    if len(x) != len(y):
-        raise ValueError("ranks differ")
-    for k in range(1, len(x)):
-        xs = sorted(x[:k], reverse=True)
-        ys = sorted(y[:k], reverse=True)
-        if any(a > b for a, b in zip(xs, ys)):
-            return False
-    return True
 
 
 _SLOT = 16  # bits per power of v in a packed h-polynomial

@@ -247,9 +247,6 @@ def _atypical(weight: SuperWeight) -> tuple[int, AtypicalityFrame | None]:
     return degree, frame(weight) if degree == 1 else None
 
 
-_MEMOS = (_invariants, _atypical)
-
-
 def _singly(weight: SuperWeight) -> AtypicalityFrame:
     """The frame of a weight that must be singly atypical."""
     degree, fw = _atypical(weight)

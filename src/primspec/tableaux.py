@@ -16,19 +16,16 @@ a label tuple).
 from __future__ import annotations
 
 from itertools import permutations as _itertools_permutations
-from typing import Iterator, Literal, Sequence
+from typing import Iterator, Sequence
 
 __all__ = [
     "Permutation",
     "Tableau",
-    "identity",
     "inverse",
-    "inversions",
     "all_permutations",
     "robinson_schensted",
     "tau",
     "tau_of_weight",
-    "strict_tau",
     "rank_word",
     "involution_count",
 ]
@@ -36,26 +33,11 @@ __all__ = [
 Permutation = tuple[int, ...]
 
 
-def identity(m: int) -> Permutation:
-    return tuple(range(1, m + 1))
-
-
 def inverse(w: Permutation) -> Permutation:
     out = [0] * len(w)
     for k, wk in enumerate(w):
         out[wk - 1] = k + 1
     return tuple(out)
-
-
-def inversions(w: Permutation) -> int:
-    """Coxeter length of w.
-
-    >>> inversions((3, 1, 2))
-    2
-    """
-    return sum(
-        1 for i in range(len(w)) for j in range(i + 1, len(w)) if w[i] > w[j]
-    )
 
 
 def all_permutations(m: int) -> Iterator[Permutation]:
@@ -133,28 +115,6 @@ def tau_of_weight(labels: Sequence[int]) -> frozenset[int]:
     [2]
     """
     return tau(inverse(rank_word(labels)))
-
-
-def strict_tau(
-    labels: Sequence[int], orientation: Literal["left", "right"] = "left"
-) -> frozenset[int]:
-    """Positions where the simple reflection acts finitely on the simple.
-
-    Strict comparisons only: a repeated adjacent label means the weight
-    sits on that wall and the reflection fixes it.  At singular weights
-    this is smaller than `tau_of_weight`, and it is the invariant actually
-    preserved by the translation maps on ideals.
-
-    >>> sorted(strict_tau((5, 4, 3, 4)))
-    [1, 2]
-    >>> sorted(strict_tau((4, 3, 4, 5), "right"))
-    [2, 3]
-    """
-    if orientation == "right":
-        return frozenset(
-            p for p in range(1, len(labels)) if labels[p - 1] < labels[p]
-        )
-    return frozenset(p for p in range(1, len(labels)) if labels[p - 1] > labels[p])
 
 
 def involution_count(m: int) -> int:

@@ -22,16 +22,12 @@ from __future__ import annotations
 
 import re
 from functools import cache
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable
 
 from .errors import WeightParseError
 
-if TYPE_CHECKING:
-    from fractions import Fraction
-
 __all__ = [
     "SuperWeight",
-    "from_rho_shifted",
     "central_character",
     "atypicality_degree",
     "orbit_equal",
@@ -158,38 +154,6 @@ def _weight(left: tuple[int, ...], right: tuple[int, ...]) -> SuperWeight:
     _set_left(weight, left)
     _set_right(weight, right)
     return weight
-
-
-def from_rho_shifted(
-    coeffs: Sequence[int | Fraction | str], m: int, n: int
-) -> SuperWeight:
-    """Labels of a weight given by its m+n coordinates in the epsilon/delta basis.
-
-    The shift added before reading off labels is the integral shift with
-    left coordinates ``m-i`` and right coordinates ``1-j``; the bilinear
-    form gives the epsilon directions square +1 and the delta directions
-    square -1, so right labels are the *negated* shifted delta coordinates.
-
-    >>> from_rho_shifted([0, 0, 0, 0], 3, 1)
-    SuperWeight(left=(2, 1, 0), right=(0,))
-    >>> from_rho_shifted([0, 0, 1, -1], 3, 1)
-    SuperWeight(left=(2, 1, 1), right=(1,))
-    """
-    if len(coeffs) != m + n:
-        raise WeightParseError(f"expected {m + n} coordinates, got {len(coeffs)}")
-    from fractions import Fraction  # here, not at import: nothing else needs it
-
-    values = [Fraction(c) for c in coeffs]
-    left_shifted = [values[i] + (m - 1 - i) for i in range(m)]
-    right_shifted = [-(values[m + j] + (1 - (j + 1))) for j in range(n)]
-    for v in left_shifted + right_shifted:
-        if v.denominator != 1:
-            raise WeightParseError(
-                f"non-integral weight: shifted coordinate {v} is not an integer"
-            )
-    return SuperWeight(
-        tuple(int(v) for v in left_shifted), tuple(int(v) for v in right_shifted)
-    )
 
 
 def central_character(weight: SuperWeight) -> tuple[tuple[int, int], ...]:

@@ -1,0 +1,118 @@
+"""Reference routes that only the tests call.
+
+Each computes, independently of the package, a quantity some test checks
+the package against: the Bruhat order by prefix sorting, Coxeter length by
+counting inversions, the strict descent sets of a label tuple, the colors
+on which a crystal statistic can be nonzero, and the Chevalley generators
+E_i and F_i on packed vectors of a bar involution.
+"""
+
+from __future__ import annotations
+
+from typing import Literal, Sequence
+
+from primspec.brundan_kl import BITS, BarInvolution, _down
+from primspec.tableaux import Permutation
+from primspec.weights import SuperWeight
+
+
+def bruhat_leq(x: Permutation, y: Permutation) -> bool:
+    """Bruhat order via prefix rank domination.
+
+    x <= y iff for every k the descending sort of x's first k values is
+    entrywise dominated by that of y's.
+
+    >>> bruhat_leq((2, 1, 4, 3), (3, 4, 1, 2))
+    True
+    >>> bruhat_leq((3, 4, 1, 2), (2, 1, 4, 3))
+    False
+    """
+    if len(x) != len(y):
+        raise ValueError("ranks differ")
+    for k in range(1, len(x)):
+        xs = sorted(x[:k], reverse=True)
+        ys = sorted(y[:k], reverse=True)
+        if any(a > b for a, b in zip(xs, ys)):
+            return False
+    return True
+
+
+def inversions(w: Permutation) -> int:
+    """Coxeter length of w.
+
+    >>> inversions((3, 1, 2))
+    2
+    """
+    return sum(
+        1 for i in range(len(w)) for j in range(i + 1, len(w)) if w[i] > w[j]
+    )
+
+
+def strict_tau(
+    labels: Sequence[int], orientation: Literal["left", "right"] = "left"
+) -> frozenset[int]:
+    """Positions where the simple reflection acts finitely on the simple.
+
+    Strict comparisons only: a repeated adjacent label means the weight
+    sits on that wall and the reflection fixes it.  At singular weights
+    this is smaller than `tau_of_weight`, and it is the invariant actually
+    preserved by the translation maps on ideals.
+
+    >>> sorted(strict_tau((5, 4, 3, 4)))
+    [1, 2]
+    >>> sorted(strict_tau((4, 3, 4, 5), "right"))
+    [2, 3]
+    """
+    if orientation == "right":
+        return frozenset(
+            p for p in range(1, len(labels)) if labels[p - 1] < labels[p]
+        )
+    return frozenset(p for p in range(1, len(labels)) if labels[p - 1] > labels[p])
+
+
+def active_colors(weight: SuperWeight) -> range:
+    """The colors i that can carry a nonzero statistic for this weight.
+
+    Only i with some label in {i, i+1} matter, so the range
+    [min label - 1, max label] is exhaustive.
+    """
+    labels = weight.labels
+    return range(min(labels) - 1, max(labels) + 1)
+
+
+def apply_f(bar: BarInvolution, i: int, vec: dict, k: int) -> dict:
+    """F_i on the first k slots of a packed vector (lowering; dual slots
+    twist later factors), through the bar's own moves."""
+    return _chevalley(vec, k, lambda mono: bar._moves(i, mono))
+
+
+def apply_e(bar: BarInvolution, i: int, vec: dict, k: int) -> dict:
+    """E_i on the first k slots of a packed vector (raising; twists act on
+    earlier factors)."""
+    return _chevalley(vec, k, lambda mono: _raising_moves(bar._dual, i, mono))
+
+
+def _chevalley(vec: dict, k: int, moves) -> dict:
+    out = {}
+    for mono, coeff in vec.items():
+        for target, twist in moves(mono[:k]):
+            moved = coeff << (BITS * twist) if twist >= 0 else _down(coeff, -twist)
+            target += mono[k:]
+            out[target] = out.get(target, 0) + moved
+    return {mono: x for mono, x in out.items() if x}
+
+
+def _raising_moves(dual: Sequence[bool], i: int, mono: tuple) -> list[tuple[tuple, int]]:
+    """(target, q-power) of each term of E_i on a unit monomial: label i+1
+    moves down to i in a V slot, i up to i+1 in a W slot."""
+    out = []
+    for j in range(len(mono)):
+        up = dual[j]
+        if mono[j] != (i if up else i + 1):
+            continue
+        twist = 0
+        for l in range(j):
+            w = 1 if mono[l] == i else -1 if mono[l] == i + 1 else 0
+            twist += -w if dual[l] else w
+        out.append((mono[:j] + ((i + 1) if up else i,) + mono[j + 1:], twist))
+    return out

@@ -290,6 +290,50 @@ class TestStrataChecks:
         assert calls == [c.representative for c in poset.classes]
 
 
+class TestInvariantGuards:
+    """Each `InvariantError` of the poset pipeline fires on one doctored input."""
+
+    def test_a_count_off_the_involution_identity_is_refused(self, monkeypatch):
+        import primspec.aug_poset as aug_poset
+
+        monkeypatch.setattr(aug_poset, "involution_count", lambda m: involution_count(m) + 2)
+        with pytest.raises(InvariantError, match="enumerated 8 classes, counting identity gives 12"):
+            enumerate_X(3)
+
+    def test_a_descent_route_off_the_ladder_route_is_refused(self, posets, monkeypatch):
+        import primspec.aug_poset as aug_poset
+
+        monkeypatch.setattr(aug_poset, "tau_of_weight", lambda labels: frozenset())
+        with pytest.raises(InvariantError, match="stratum disagreement on .*descent route gives 0, "
+                                                 "ladder route gives [1-9]"):
+            strata(posets[3])
+
+    def test_a_stratum_window_off_the_up_set_is_refused(self, posets, assignments):
+        poset, assign = posets[4], dict(assignments[4])
+        c = next(c for c in poset.classes if assign[c.index].p_value)
+        assign[c.index] = assign[c.index]._replace(z_set=(c.i_index,))  # off Z_{i+1}
+        k = c.i_index + 1
+        with pytest.raises(InvariantError, match=rf"component {k}: stratum window .* differs from up-set"):
+            irreducible_components(poset, assign)
+
+    def test_a_broken_raising_chain_is_refused(self, posets, assignments, monkeypatch):
+        from primspec import crystal
+
+        monkeypatch.setattr(crystal, "e_tilde", lambda w, i: None)
+        with pytest.raises(InvariantError, match="raising chain broke at color 0 on "):
+            irreducible_components(posets[3], assignments[3])
+
+    def test_stratum_sizes_off_the_involution_number_are_refused(self, posets):
+        poset = posets[3]
+        moved = poset.classes[0]._replace(i_index=1)  # a stratum-0 class put in stratum 1
+        classes = (moved, *poset.classes[1:])
+        doctored = IdealPoset(poset.m, classes, poset.down, poset.hasse, poset.order)
+        with pytest.raises(InvariantError, match=re.escape(
+            "8 classes in strata {1: 3, 0: 3, 2: 2}, expected {0: 4, 1: 2, 2: 2}"
+        )):
+            counts(doctored)
+
+
 class TestClassKeys:
     def test_cells_group_as_insertion_tableaux(self, posets):
         # reference grouping: each stratum's orbit, largest weight first,
@@ -521,7 +565,7 @@ class TestOrderProperties:
             assert poset.strict == pairs
             for a in range(n):
                 for b in range(n):
-                    assert poset.leq(a, b) == (a == b or (a, b) in pairs)
+                    assert (a == b or bool(poset.down[b] >> a & 1)) == (a == b or (a, b) in pairs)
             assert set(poset.hasse) == {
                 (a, b)
                 for a, b in pairs

@@ -5,7 +5,6 @@ import pytest
 
 from primspec.crystal import (
     Signature,
-    active_colors,
     e_tilde,
     e_tilde_power,
     epsilon,
@@ -17,6 +16,7 @@ from primspec.crystal import (
 )
 from primspec.errors import PreconditionError
 from primspec.weights import SuperWeight, central_character
+from oracles import active_colors
 
 W = SuperWeight.parse
 

@@ -218,4 +218,4 @@ def test_super_order_classes_match_equal_ideal():
     order = kl_left_order(block, canonical_basis(block, interval_bound=10))
     for a in block:
         for b in block:
-            assert order.same_class(a, b) == equal_ideal(a, b)
+            assert (order.leq(a, b) and order.leq(b, a)) == equal_ideal(a, b)

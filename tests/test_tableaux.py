@@ -4,15 +4,14 @@ from itertools import permutations, product
 
 from primspec.tableaux import (
     all_permutations,
-    identity,
     inverse,
-    inversions,
     involution_count,
     rank_word,
     robinson_schensted,
     tau,
     tau_of_weight,
 )
+from oracles import inversions
 
 
 def row_of(tableau, entry):
@@ -34,7 +33,7 @@ def is_standard(tableau, m):
 
 class TestRobinsonSchensted:
     def test_identity_gives_single_row(self):
-        a, b = robinson_schensted(identity(4))
+        a, b = robinson_schensted((1, 2, 3, 4))
         assert a == b == ((1, 2, 3, 4),)
 
     def test_longest_gives_single_column(self):
@@ -57,7 +56,7 @@ class TestRobinsonSchensted:
 
 class TestTau:
     def test_extremes(self):
-        assert tau(identity(5)) == frozenset()
+        assert tau((1, 2, 3, 4, 5)) == frozenset()
         assert tau((5, 4, 3, 2, 1)) == frozenset({1, 2, 3, 4})
 
     def test_descents_vs_row_criterion(self):

@@ -1,5 +1,4 @@
 import re
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,7 +9,6 @@ from primspec.weights import (
     _weight,
     atypicality_degree,
     central_character,
-    from_rho_shifted,
     orbit_equal,
 )
 
@@ -50,22 +48,6 @@ class TestParsing:
         text = str(w)
         assert text == ",".join(map(str, w.left)) + "|" + ",".join(map(str, w.right))
         assert W(text) == w
-
-
-class TestFromRhoShifted:
-    def test_trivial_weight_gl31(self):
-        assert from_rho_shifted([0, 0, 0, 0], 3, 1) == W("2,1,0|0")
-
-    def test_trivial_weight_gl22(self):
-        assert from_rho_shifted([0, 0, 0, 0], 2, 2) == W("1,0|0,1")
-
-    def test_shifted_orbit_base_gl31(self):
-        # coordinates of eps_m - delta
-        assert from_rho_shifted([0, 0, 1, -1], 3, 1) == W("2,1,1|1")
-
-    def test_rejects_non_integral(self):
-        with pytest.raises(WeightParseError):
-            from_rho_shifted([Fraction(1, 2), 0, 0, 0], 3, 1)
 
 
 class TestCentralCharacter:
