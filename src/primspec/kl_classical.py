@@ -26,8 +26,8 @@ lacks (Kazhdan-Lusztig 1979, 2.3), any x is read raised to the top of
 W_I x W_J, h shifting a slot per step; a top missing from the column is not
 below y.  Off the extremal pairs mu is nonzero only one step below y, where
 it is 1.  The disk cache holds what the table holds: one line per stored
-pair x < y, by y then x, under a header with the line count and a CRC-32
-of the lines.
+pair x < y, by y then x, each in (length, lex) order, under a header with
+the line count and a CRC-32 of the lines.
 
 Column y = y's, J' = DR(y') and K = J & J', comes from the column of y':
 each extremal x of y is the raise of a K-top u v (DR(u v) containing K),
@@ -39,7 +39,7 @@ ancestors, and applies it to every stored u.  The build reads h through
 one local function over the table's lists (raise, column lookup, shift);
 `kl_polynomial` raises x and returns the one LaurentPolynomial kept per
 distinct stored P.  A read whose answer the lengths fix skips the raise:
-P_{x,y} = 0 when x follows y in the index order (x not shorter, x != y),
+P_{x,y} = 0 when x is not shorter than y and x != y,
 and mu(x, y) = 0 when l(y) - l(x) is even, as h_{x,y} has only powers of v
 of that parity (Kazhdan-Lusztig 1979).  `mu` never raises: the raise of a
 non-extremal x multiplies h by v at least once, so only x = sy or ys, one
@@ -50,8 +50,11 @@ runs that recursion (230 of 720 at rank 6).  P_{x,y} = P_{x^-1,y^-1}
 (Kazhdan-Lusztig 1979) and P_{x,y} = P_{w0 x w0,w0 y w0} (the diagram
 automorphism), and both maps keep lengths and send extremal pairs to
 extremal pairs: inversion swaps DL and DR, conjugation by w0 reverses the
-descent positions.  An orbit's members share a length, so its first column,
-the least index, is built before the others, which copy it relabelled.
+descent positions.  Columns are built by index, the lex rank of y, a linear
+extension of the Bruhat order (Bjorner-Brenti, Combinatorics of Coxeter
+Groups, ch. 2): y s and every z the recursion reads, all below y, come
+first, and an orbit's first column, its least index, before the others,
+which copy it relabelled.
 Every column is held in full, so no reader knows which were mirrored; only
 the polynomial ids and the order of x inside a column differ from running
 the recursion everywhere, and every reader looks x up or sorts.
@@ -67,8 +70,8 @@ representative: inclusion and covers are read off its left cell, equality
 off its Robinson-Schensted insertion tableau (no KL table, no bound; the
 tableau is kept per rank word in a memo of INSERTION_MEMO_SIZE entries).
 `classical_relation` reads each factor's rank words once for all three
-questions.  `LeftOrder` numbers its nodes by lex rank and reads everything
-else off the table's own lists (see there).
+questions.  `LeftOrder` takes the table's index, the lex rank, as its node
+number and reads everything else off the table's own lists (see there).
 
 Tables are immutable once built.  On disk there is one versioned file per
 rank, which `kl_table` reads when it exists and writes when it builds; in
@@ -145,8 +148,8 @@ def _unpack(h: int, gap: int) -> tuple[tuple[int, int], ...]:
 
 
 def _lex_tables(m: int, ids: list[int]) -> tuple[list, list, list[list[int]], list[list[int]]]:
-    """By lex rank over S_m: each w's length and right descent mask, and for
-    each p the lex ranks of all w s_p, then of all s_p w.
+    """By lex rank, the index of `KLTable`: each w's length and right descent
+    mask, and for each p the lex ranks of all w s_p, then of all s_p w.
 
     The digits of w's lex rank in the factorial base are its Lehmer code c
     (c_p counts the later values below w[p]), so l(w) is their sum and p is
@@ -196,28 +199,20 @@ def _parabolic_order(mask: int) -> int:
 
 class KLTable:
     """Immutable table of KL polynomials and mu values for one rank, once
-    `_build_kl_table` or `load` has filled its columns."""
+    `_build_kl_table` or `load` has filled its columns.  Index i is
+    `perms[i]`, the word of lex rank i, a Bruhat linear extension (so
+    `lengths`, not i, says which word is shorter); the cache file alone
+    keeps (length, lex) order."""
 
     def __init__(self, m: int):
         self.m = m
         n = factorial(m)
         ids = list(range(n))  # the one int object of each index, shared by every list below
-        lengths, dr, right, left = _lex_tables(m, ids)
-        order = sorted(ids, key=lengths.__getitem__)  # stable: by (length, w)
-        place = sorted(ids, key=order.__getitem__)  # lex rank -> index
-
-        def by_index(cols: list[list[int]]) -> list[tuple[int, ...]]:
-            rows = zip(*(list(map(place.__getitem__, map(col.__getitem__, order))) for col in cols))
-            return list(rows) or [()]
-
-        lex = list(all_permutations(m))
-        self._lex_rank = order  # index -> lex rank, which `LeftOrder` numbers its nodes by
-        self.perms = perms = list(map(lex.__getitem__, order))
-        self.lengths = list(map(lengths.__getitem__, order))
+        self.lengths, self._dr, right, left = _lex_tables(m, ids)
+        self.perms = perms = list(all_permutations(m))
         self.index = dict(zip(perms, ids))
         # w s_p swaps positions p, p+1 and s_t w values t+1, t+2; descents are bitmasks
-        self._right, self._left = by_index(right), by_index(left)
-        self._dr = list(map(dr.__getitem__, order))
+        self._right, self._left = list(zip(*right)) or [()], list(zip(*left)) or [()]
         # the lowest bit of each mask, and all of its bits
         self._low = low = [(k & -k).bit_length() - 1 for k in range(1 << max(m - 1, 0))]
         self._bits = [tuple(bits(k)) for k in range(1 << max(m - 1, 0))]
@@ -226,7 +221,7 @@ class KLTable:
             p = low[self._dr[yi]]
             inv[yi] = self._left[inv[self._right[yi][p]]][p]
         self._dl = list(map(self._dr.__getitem__, inv))
-        # w0 w reverses both keys of the order, so its index is n - 1 - i;
+        # w0 w complements every value, so its lex rank is n - 1 - that of w;
         # w0 w w0 = w0 (w0 w^-1)^-1
         sigma = [ids[n - 1 - inv[n - 1 - j]] for j in inv]
         self._mirrors = (inv, sigma, list(map(inv.__getitem__, sigma)))  # x^-1, w0 x w0, both
@@ -309,7 +304,7 @@ class KLTable:
         the raise would make it 1 at y = sx or xs and 0 otherwise; so no
         read raises x."""
         xi, yi = self.index[tuple(x)], self.index[tuple(y)]
-        if xi > yi:  # indices follow length
+        if self.lengths[xi] > self.lengths[yi]:
             xi, yi = yi, xi
         if (self.lengths[yi] - self.lengths[xi]) & 1 == 0:
             return 0
@@ -345,17 +340,21 @@ class KLTable:
 
     def save(self, path: Path) -> None:
         """Atomically write the table: one line per stored pair x < y, by y
-        then x, under a header with their count and CRC-32; exact round-trip
-        with `load`.  The lines go to an unnamed temporary file first and are
-        copied in under the header, so only one column's text is held."""
+        then x, each in (length, lex) order (kept by the file alone), under a
+        header with their count and CRC-32; exact round-trip with `load`.  The
+        lines go to an unnamed temporary file first and are copied in under
+        the header, so only one column's text is held."""
         perm_text = [json.dumps(list(w)) for w in self.perms]
         poly_text = [json.dumps(poly.to_pairs()) for poly in self._polys]
         path.parent.mkdir(parents=True, exist_ok=True)
+        n = len(self.perms)
+        key = list(zip(self.lengths, range(n)))  # the file's order: (length, lex rank)
         with tempfile.TemporaryFile(dir=path.parent) as body:
             count, crc = 0, 0
-            for yi, column in enumerate(self._cols):
+            for yi in sorted(range(n), key=key.__getitem__):
+                column = self._cols[yi]
                 lines = "".join(f"[{perm_text[xi]}, {perm_text[yi]}, {poly_text[column[xi]]}]\n"
-                                for xi in sorted(column) if xi != yi).encode()
+                                for xi in sorted(column, key=key.__getitem__) if xi != yi).encode()
                 count, crc = count + len(column) - 1, zlib.crc32(lines, crc)
                 body.write(lines)
             body.seek(0)
@@ -374,8 +373,9 @@ class KLTable:
 
     @classmethod
     def load(cls, path: Path, m: int) -> "KLTable":
-        """Read a table written by `save`; a file that cannot be read, or does
-        not parse as one, raises CacheVersionError naming the path."""
+        """Read a table written by `save`, lines in its (length, lex) order; a
+        file that cannot be read, or does not parse as one, raises
+        CacheVersionError naming the path."""
         table = cls(m)
         try:
             with open(path, "rb") as fh:
@@ -387,16 +387,17 @@ class KLTable:
                     )
                 if header.get("m") != m:
                     raise CacheVersionError(f"cache {path} is for m={header.get('m')}, not {m}")
-                last, lines, crc = (-1, -1), 0, 0
+                lengths, last, lines, crc = table.lengths, (-1, -1, -1, -1), 0, 0
                 for line in fh:
                     crc, lines = zlib.crc32(line, crc), lines + 1
                     x, y, pairs = json.loads(line)
                     xi, yi = table.index[tuple(x)], table.index[tuple(y)]
-                    if (yi, xi) <= last:
+                    here = (lengths[yi], yi, lengths[xi], xi)
+                    if here <= last:
                         raise ValueError(f"pair {x}, {y} is out of order")
                     if xi == yi or table._raise(xi, yi) != xi:
                         raise ValueError(f"pair {x}, {y} is not an extremal pair")
-                    last, gap = (yi, xi), table.lengths[yi] - table.lengths[xi]
+                    last, gap = here, lengths[yi] - lengths[xi]
                     h = sum(c << _SLOT * (gap - 2 * k) for k, c in pairs)
                     table._cols[yi][xi] = table._intern(h, gap)
             if lines != header["count"]:
@@ -560,16 +561,15 @@ class LeftOrder:
     invariant (checked in the test suite), so quotienting yields the honest
     inclusion order on annihilators.
 
-    Node r is the word of lex rank r, and everything is index arithmetic on
-    the table: the table keeps each index's lex rank, so a word's node is
-    that rank of its table index and `perms` is the table's words put at
-    their ranks.  The rank word of u is inverse(u w0) = w0 u^-1, whose index
-    is n - 1 - that of u^-1 (`w0 w` reverses the index order), and a word's
-    ascents are the complement of its right descent mask (`left_descents`
-    keeps the left one: bit t, rank t+2 stands left of rank t+1).  Each
-    column's mu pairs, mapped to nodes, go straight into one adjacency list
-    per node (`wall_edges`); each unordered pair comes once, so no edge
-    repeats and no edge set is built.  The class ids follow the preorder
+    Node r is the word of lex rank r, the table's own index, and everything
+    is index arithmetic on the table: `perms`, `left_descents` and the node
+    of a word are the table's.  The rank word of u is inverse(u w0) =
+    w0 u^-1, whose index is n - 1 - that of u^-1 (`w0 w` reverses lex
+    order), and a word's ascents are the complement of its right descent
+    mask (`left_descents` keeps the left one: bit t, rank t+2 stands left of
+    rank t+1).  Each column's mu pairs, mapped to nodes, go straight into
+    one adjacency list per node (`wall_edges`); each unordered pair comes
+    once, so no edge repeats and no edge set is built.  The class ids follow the preorder
     alone: a topological order of the cells, sources first, each tie going
     to the cell whose lexicographically least rank word comes first.
     """
@@ -577,21 +577,16 @@ class LeftOrder:
     def __init__(self, table: KLTable):
         self.m = m = table.m
         n, full = len(table.perms), (1 << max(m - 1, 0)) - 1
-        rank = table._lex_rank
-        self._index, self._lex_rank = table.index, rank
+        self.perms, self.left_descents, self._index = table.perms, table._dl, table.index
         # bit p of a mask: strictly on the positive side of wall p
-        self.perms = perms = [()] * n
-        self.left_descents = dl = [0] * n
-        ascent_mask = [0] * n
-        for r, w, dr, d in zip(rank, table.perms, table._dr, table._dl):
-            perms[r], ascent_mask[r], dl[r] = w, full & ~dr, d
+        ascent_mask = [full & ~dr for dr in table._dr]
         # u, antidominant-based, has rank word w0 u^-1
-        node = [rank[n - 1 - j] for j in table._mirrors[0]]
+        node = [n - 1 - j for j in table._mirrors[0]]
         partners = ((node[yi], map(node.__getitem__, table._mu_below(yi))) for yi in range(n))
         self.preorder = Preorder(n, wall_edges(ascent_mask, partners))
 
     def node(self, r: Permutation) -> int:
-        return self._lex_rank[self._index[tuple(r)]]
+        return self._index[tuple(r)]
 
     def leq(self, r_small: Permutation, r_big: Permutation) -> bool:
         """Is the ideal at rank word r_small included in the one at r_big?"""

@@ -231,12 +231,17 @@ class TestKLTable:
     def _digest(m):
         """Each column's packed h by x, then the left order with no class
         ids in it: the cells as word lists, and the closure as each cell's
-        least word with the least words of the cells below it."""
+        least word with the least words of the cells below it.  Columns, and
+        x within each, go in (length, lex) order, x keyed by its place there:
+        the numbering the digests were recorded under."""
         table = kl_classical._build_kl_table(m)
         order = LeftOrder(table)
         digest = hashlib.sha256()
-        for column in TestCache._stored(table):
-            digest.update(repr(sorted(column.items())).encode())
+        by_length = sorted(range(len(table.perms)), key=lambda i: (table.lengths[i], i))
+        place = dict(zip(by_length, range(len(by_length))))
+        stored = TestCache._stored(table)
+        for yi in by_length:
+            digest.update(repr(sorted((place[x], h) for x, h in stored[yi].items())).encode())
         cells = {}
         for r in order.perms:
             cells.setdefault(order.class_id(r), []).append(r)
@@ -281,6 +286,46 @@ class TestKLTable:
         assert len(mirrored) == 720 - 230
         for yi in mirrored:
             assert all(table._raise(xi, yi) == xi for xi in table._cols[yi]), yi
+
+    @staticmethod
+    def _schedule_failures(table, number):
+        """What breaks if the build ran its columns by `number` (index ->
+        position): Bruhat pairs x < y numbered the wrong way round (by the
+        oracle); for each column y the recursion runs, a y s (s its first
+        right descent) numbered after y, or a z read off `_mu_below(y s)`
+        numbered after y s; for each mirrored column, an orbit whose first
+        member does not have the least number."""
+        perms, n = table.perms, len(table.perms)
+        bruhat = [(x, y) for x in range(n) for y in range(n)
+                  if x != y and number[x] > number[y] and bruhat_leq(perms[x], perms[y])]
+        reads, orbits = [], []
+        for yi in range(1, n):
+            g = table._mirror(yi)
+            if g is not None:
+                orbit = {yi, *(h[yi] for h in table._mirrors)}
+                if number[g[yi]] != min(map(number.__getitem__, orbit)):
+                    orbits.append(yi)
+                continue
+            y1 = table._right[yi][table._low[table._dr[yi]]]
+            if number[y1] > number[yi]:
+                reads.append((y1, yi))
+            reads += [(z, y1) for z in table._mu_below(y1) if number[z] > number[y1]]
+        return bruhat, reads, orbits
+
+    @pytest.mark.parametrize("m", range(1, 6))
+    def test_lex_rank_extends_the_bruhat_order(self, m):
+        # the build runs columns by index, the lex rank; colex is no Bruhat
+        # extension: for y = x (i j) above x, y is smaller at position j
+        table = kl_table(m, **NO_DISK)
+        assert table.perms == sorted(table.perms)
+        assert self._schedule_failures(table, range(len(table.perms))) == ([], [], [])
+        if m > 1:
+            colex = sorted(range(len(table.perms)), key=lambda i: table.perms[i][::-1])
+            number = dict(zip(colex, range(len(colex))))
+            bruhat, reads, orbits = self._schedule_failures(table, number)
+            assert len(bruhat) == len(table)  # every comparable pair the wrong way round
+            assert reads
+            assert orbits or m < 4
 
     @pytest.mark.parametrize("m", range(2, 7))
     def test_pruned_walk_yields_the_k_tops(self, m):
@@ -535,9 +580,12 @@ class TestCache:
             and table._raise(table.index[x], table.index[y]) != table.index[x]
         )
         lines.append(json.dumps([list(x), list(y), [[0, 1]]]))
-        lines[1:] = sorted(lines[1:], key=lambda line: [
-            table.index[tuple(w)] for w in json.loads(line)[1::-1]
-        ])
+
+        def file_order(line):  # by y, then x, each by (length, lex rank)
+            yi, xi = (table.index[tuple(w)] for w in json.loads(line)[1::-1])
+            return table.lengths[yi], yi, table.lengths[xi], xi
+
+        lines[1:] = sorted(lines[1:], key=file_order)
         _restamp(path, lines)
         with pytest.raises(CacheVersionError, match="not an extremal pair"):
             KLTable.load(path, 4)
