@@ -388,11 +388,7 @@ def _solve_canonical(bar: BarInvolution, monos: list[Mono]) -> dict[tuple[int, i
             raise InvariantError("bar involution must be unitriangular")
         row = []
         for tgt, x in image.items():
-            i = index.get(tgt)
-            if i is None:
-                raise PreconditionError(
-                    f"bar image leaves the window at {tgt}; enlarge the interval"
-                )
+            i = index[tgt]  # psi keeps the weight and the window's labels
             if i != k:
                 row.append((i, x))
                 touched_by[i].append(k)

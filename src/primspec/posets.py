@@ -1,17 +1,14 @@
 """Small finite-poset helpers shared by the enumeration modules.
 
 A graph on nodes 0..n-1 is held as adjacency lists: adj[a] lists each b with
-an edge a -> b.  One iterative depth-first search, Tarjan's, serves every
-graph walk: it finds the strongly connected components, sinks first, and on
-a DAG it finishes the nodes in a reversed topological order.  The transitive
-closure follows the topological order.
-
-Component ids follow one rule of the preorder alone: they are the
-topological order of the quotient, sources first, that breaks each tie
-towards the component with the least node (Kahn's algorithm, its ready
-components held as a bitset in least-node order).  So no edge order and no
-set's iteration order shows in them.  Relations are held as bitset rows, one
-per node, and `bits` lists a row's members.
+an edge a -> b.  Tarjan's iterative depth-first search finds the strongly
+connected components, and does nothing else.  Every order comes from one
+rule, Kahn's algorithm taking the least ready node first: the topological
+order of a DAG, the component ids (that order on the quotient, each
+component named by its least node), the transitive closure's sweep and the
+canonical solve's linear extension.  So no edge order and no set's
+iteration order shows in any of them.  Relations are held as bitset rows,
+one per node, and `bits` lists a row's members.
 """
 
 from __future__ import annotations
@@ -46,9 +43,9 @@ class Preorder:
     """
 
     def __init__(self, n: int, adj: Sequence[Sequence[int]]):
-        self._comp = comp = strongly_connected_components(n, adj)
-        self._count = count = max(comp, default=-1) + 1
-        self._closure = transitive_closure(count, _quotient(count, comp, adj))
+        self._comp, quotient = strongly_connected_components(n, adj)
+        self._count = len(quotient)
+        self._closure = transitive_closure(self._count, quotient)
 
     def class_id(self, node: int) -> int:
         return self._comp[node]
@@ -131,9 +128,7 @@ def transitive_closure(n: int, adj: Sequence[Sequence[int]]) -> list[int]:
 
 def _tarjan(n: int, adj: Sequence[Sequence[int]]) -> tuple[list[int], int]:
     """Tarjan's strongly connected components: each node's component id,
-    numbered as the search completes them (so every edge a -> b has
-    id(a) >= id(b)), and their count.  Roots are taken in node order and
-    each adjacency list in its own order."""
+    in the order the search completes them, and their count."""
     # order: 1 + the preorder number, 0 while unvisited and past every
     # number once the node's component is done; low: the least order that
     # the node's subtree reaches, while it is open
@@ -175,14 +170,27 @@ def _tarjan(n: int, adj: Sequence[Sequence[int]]) -> tuple[list[int], int]:
 
 
 def topological_order(n: int, adj: Sequence[Sequence[int]]) -> list[int]:
-    """Nodes 0..n-1 with a before b for every b in adj[a] (ValueError on a cycle)."""
-    found, _ = _tarjan(n, adj)
-    # a cycle, self-loops included, puts both ends of an edge in one component
-    if any(found[a] <= found[b] for a in range(n) for b in adj[a]):
+    """Nodes 0..n-1 with a before b for every b in adj[a]: Kahn's algorithm,
+    taking the least node with no edge left into it each time.  A node that
+    is never freed lies on or past a cycle (self-loops included), and
+    raises ValueError."""
+    indegree = [0] * n
+    for row in adj:
+        for b in row:
+            indegree[b] += 1
+    ready = sum(1 << a for a in range(n) if not indegree[a])  # a bitset of nodes
+    order = []
+    while ready:
+        first = ready & -ready
+        ready ^= first
+        a = first.bit_length() - 1
+        order.append(a)
+        for b in adj[a]:
+            indegree[b] -= 1
+            if not indegree[b]:
+                ready |= 1 << b
+    if len(order) < n:
         raise ValueError("cycle detected where a DAG was required")
-    order = [0] * n
-    for node, c in enumerate(found):
-        order[n - 1 - c] = node
     return order
 
 
@@ -199,37 +207,23 @@ def transitive_reduction(down: Sequence[int]) -> list[tuple[int, int]]:
     return sorted(edges)
 
 
-def strongly_connected_components(n: int, adj: Sequence[Sequence[int]]) -> list[int]:
-    """Map each node 0..n-1 to the id of its strongly connected component.
+def strongly_connected_components(
+    n: int, adj: Sequence[Sequence[int]]
+) -> tuple[list[int], list[list[int]]]:
+    """Each node's component id, and the quotient's adjacency lists on the ids.
 
-    The ids are the topological order of the quotient, sources first, that
-    breaks each tie towards the component with the least node: the order
-    Kahn's algorithm gives when it always takes, of the components with no
-    edge left into them, the one with the least node.  So every edge a -> b
+    Tarjan's search finds the components.  Named by their least nodes, they
+    are numbered in `topological_order` of the quotient: sources first, each
+    tie going to the component with the least node.  So every edge a -> b
     has id(a) <= id(b), and the ids depend only on the preorder the edges
-    generate.
+    generate.  The quotient has each edge between two components once.
     """
     found, count = _tarjan(n, adj)
-    by_least: list[int] = []  # the components, by least node
-    place = [-1] * count  # each component's position in by_least
-    for c in found:
-        if place[c] < 0:
-            place[c] = len(by_least)
-            by_least.append(c)
-    successors = _quotient(count, found, adj)
-    indegree = [0] * count
-    for row in successors:
-        for d in row:
-            indegree[d] += 1
-    ready = sum(1 << place[c] for c in range(count) if not indegree[c])  # a bitset of places
+    rank = dict(zip(dict.fromkeys(found), range(count)))  # components by least node
+    least = list(map(rank.__getitem__, found))
+    quotient = _quotient(count, least, adj)
+    order = topological_order(count, quotient)
     ids = [0] * count
-    for k in range(count):
-        first = ready & -ready
-        ready ^= first
-        c = by_least[first.bit_length() - 1]
+    for k, c in enumerate(order):
         ids[c] = k
-        for d in successors[c]:
-            indegree[d] -= 1
-            if not indegree[d]:
-                ready |= 1 << place[d]
-    return list(map(ids.__getitem__, found))
+    return [ids[c] for c in least], [[ids[d] for d in quotient[c]] for c in order]

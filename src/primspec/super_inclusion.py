@@ -592,7 +592,7 @@ def gl22_component_classes(
     for i, j in hasse:
         linked[i].append(j)
         linked[j].append(i)
-    comp = strongly_connected_components(n, linked)
+    comp = strongly_connected_components(n, linked)[0]
     kept = [i for i in range(n) if comp[i] == comp[seed_class]]
     remap = {old: new for new, old in enumerate(kept)}
     return [classes[old] for old in kept], [(remap[i], remap[j]) for i, j in hasse if i in remap]

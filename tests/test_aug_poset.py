@@ -700,6 +700,21 @@ class TestOddReflections:
         with pytest.raises(PreconditionError, match=re.escape(text)):
             odd_reflection_ad(W(text))
 
+    @pytest.mark.parametrize(
+        "text, error, message",
+        [
+            ("1,0|0,1", PreconditionError, "odd reflections implemented for gl(m|1) only"),
+            (
+                "2,1,0|5",
+                NotSinglyAtypicalError,
+                "weight 2,1,0|5 has atypicality degree 0, expected 1",
+            ),
+        ],
+    )
+    def test_a_weight_off_the_walk_is_refused(self, text, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            odd_reflection_ad(W(text))
+
     def test_antidominant_forces_full_walk(self):
         for m in (2, 3, 4):
             anti = SuperWeight(tuple(range(m)), (0,))

@@ -1,3 +1,4 @@
+import re
 from itertools import product as iproduct
 
 import pytest
@@ -159,12 +160,14 @@ class TestBarInvolution:
                         assert lhs == rhs
 
     def test_preserves_weight_spaces(self):
-        bar = BarInvolution(TensorWindow(0, 2, 2, 1))
-        for mono in iproduct(range(3), repeat=3):
-            key = central_character(SuperWeight(mono[:2], mono[2:]))
-            assert all(
-                central_character(SuperWeight(t[:2], t[2:])) == key for t in bar.psi(mono)
-            )
+        # so every bar image the canonical solve reads lies in its weight space
+        for m, n, lo, hi in self.HECKE_WINDOWS:
+            bar = BarInvolution(TensorWindow(lo, hi, m, n))
+            for mono in iproduct(range(lo, hi + 1), repeat=m + n):
+                key = central_character(SuperWeight(mono[:m], mono[m:]))
+                for t in bar.psi(mono):
+                    assert len(t) == m + n and all(lo <= x <= hi for x in t)
+                    assert central_character(SuperWeight(t[:m], t[m:])) == key
 
     def test_enumerated_weight_space_matches_the_filter(self):
         for m, n, lo, hi in self.WINDOWS:
@@ -457,6 +460,11 @@ class TestCanonicalBasis:
             canonical_basis([W("1,0|1")], interval=(-5, 6))
         with pytest.raises(PreconditionError):
             canonical_basis([W("1,0|1"), W("2,0|1")])
+        with pytest.raises(PreconditionError, match="^empty block$"):
+            canonical_basis([])
+        outside = re.escape("1,0|1 lies outside the interval (1, 3)")
+        with pytest.raises(PreconditionError, match=outside):
+            canonical_basis([W("1,0|1")], interval=(1, 3))
 
     def test_table_dump_schema(self):
         import json

@@ -65,6 +65,9 @@ class TestInclusion:
             capsys, "inclusion", "--weights", "1,0|1", "1,1|1", "--m", "2", "--n", "1"
         )
         assert code == 0
+        code, out, err = run(capsys, "inclusion", "--weights", "1,0|1", "1,1|1", "--n", "2")
+        assert code == 1 and out == ""
+        assert err == "error: 1,0|1 has 1 right labels, --n says 2\n"
 
 
 class TestAugPoset:
@@ -281,6 +284,11 @@ class TestCounts:
         code, out, err = run(capsys, "counts", "--m", "1..x")
         assert code == 1 and out == ""
         assert err == "error: --m '1..x': 'x' is not an integer\n"
+
+    def test_range_with_two_separators_is_refused(self, capsys):
+        code, out, err = run(capsys, "counts", "--m", "1..2..3")
+        assert code == 1 and out == ""
+        assert err == "error: --m '1..2..3' is not a rank or a range like 1..6\n"
 
     def test_reversed_range_refused(self, capsys):
         code, out, err = run(capsys, "counts", "--m", "3..1")

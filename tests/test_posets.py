@@ -96,13 +96,24 @@ def _random_digraphs(seed):
 def test_components_are_mutual_reachability_classes(seed):
     for n, edges in _random_digraphs(seed):
         reach = _reachability_by_warshall(n, edges)
-        comp = strongly_connected_components(n, _adjacency(n, edges))
+        comp = strongly_connected_components(n, _adjacency(n, edges))[0]
         assert sorted(set(comp)) == list(range(len(set(comp))))
         for a in range(n):
             for b in range(n):
                 assert (comp[a] == comp[b]) == (reach[a][b] and reach[b][a])
         # ids follow a topological order of the quotient, sources first
         assert all(comp[a] <= comp[b] for a, b in edges)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_the_quotient_is_each_edge_between_components_once(seed):
+    for n, edges in _random_digraphs(seed):
+        comp, quotient = strongly_connected_components(n, _adjacency(n, edges))
+        assert len(quotient) == len(set(comp))
+        pairs = [(c, d) for c, row in enumerate(quotient) for d in row]
+        assert len(pairs) == len(set(pairs))
+        assert set(pairs) == {(comp[a], comp[b]) for a, b in edges if comp[a] != comp[b]}
+        assert all(c < d for c, d in pairs)
 
 
 def _kahn_by_least_node(n, edges):
@@ -125,11 +136,11 @@ def test_component_ids_follow_the_preorder_alone(seed):
     rng = random.Random(seed)
     for n, edges in _random_digraphs(seed):
         adj = _adjacency(n, edges)
-        comp = strongly_connected_components(n, adj)
+        comp = strongly_connected_components(n, adj)[0]
         assert comp == _kahn_by_least_node(n, edges)
         for row in adj:
             rng.shuffle(row)
-        assert strongly_connected_components(n, adj) == comp
+        assert strongly_connected_components(n, adj)[0] == comp
         assert list(map(Preorder(n, adj).class_id, range(n))) == comp
 
 
@@ -169,6 +180,17 @@ def test_strict_pairs_are_below_and_not_equivalent(seed):
         }
 
 
+def _least_ready_first(n, adj):
+    """Kahn's order by brute force: each time, the least node not yet
+    taken that no untaken node has an edge into."""
+    left, order = set(range(n)), []
+    while left:
+        first = min(b for b in left if not any(b in adj[a] for a in left))
+        order.append(first)
+        left.remove(first)
+    return order
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_topological_order_of_random_dags(seed):
     rng = random.Random(seed)
@@ -184,6 +206,7 @@ def test_topological_order_of_random_dags(seed):
         assert sorted(order) == list(range(n))
         position = {node: pos for pos, node in enumerate(order)}
         assert all(position[a] < position[b] for a in range(n) for b in adj[a])
+        assert order == _least_ready_first(n, adj)
 
 
 @pytest.mark.parametrize(

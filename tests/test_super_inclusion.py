@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from itertools import permutations as iperm
 from itertools import product
 
@@ -123,6 +124,15 @@ class TestGammaDelta:
             gamma_delta(W("1,0|0"), W("0|0"))
         with pytest.raises(ValueError, match="different Z"):
             reduction_trace(W("1,0|0"), W("0|0"))
+        for check in (theta_membership, relation):
+            with pytest.raises(ValueError, match=re.escape("weights live in different Z^(m|n)")):
+                check(W("1,0|0"), W("0|0"))
+
+    def test_rejects_a_weight_not_singly_atypical(self):
+        with pytest.raises(NotSinglyAtypicalError, match=re.escape(
+            "weight 1,0|0,1 has atypicality degree 2, expected 1"
+        )):
+            gamma_delta(W("1,0|0,1"), W("1,0|0,1"))
 
 
 class TestReductionTrace:

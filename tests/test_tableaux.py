@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 from itertools import permutations, product
 
+import pytest
+
 from primspec.tableaux import (
     all_permutations,
     inverse,
@@ -151,6 +153,10 @@ class TestInvolutionCount:
     def test_small_values(self):
         assert involution_count(1) == 1
         assert involution_count(4) == 10
+
+    def test_negative_rank_is_refused(self):
+        with pytest.raises(ValueError, match="^m must be nonnegative$"):
+            involution_count(-1)
 
     def test_matches_enumeration(self):
         for m in range(1, 6):

@@ -80,6 +80,10 @@ class TestPredicates:
         w = W("3,1|2")
         assert orbit_equal(w, w)
 
+    def test_orbit_of_another_shape_is_refused(self):
+        with pytest.raises(ValueError, match=re.escape("weights live in different Z^(m|n)")):
+            orbit_equal(W("1,0|0"), W("1,0|0,1"))
+
 
 @given(small_weights())
 def test_private_constructor_builds_the_same_weight(w):
