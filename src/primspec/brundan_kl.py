@@ -12,23 +12,25 @@ representatives of S_m x S_n, the monomials whose V labels weakly decrease
 and whose W labels weakly increase; every prefix of one is one too.
 Appending a factor composes the bar of the prefix with a triangular
 correction whose coefficients are iterated q-commutators of Chevalley
-lowering operators:
+lowering operators.  V factors take none: appending v_b adds terms
+G_{a,b}(psi(x)) (x) v_a for a < b, with G_{a,b} built from F_a, ...,
+F_{b-1}, and the V labels of a representative x (x) v_b are all at least
+b, so no F_i with i < b moves one; by induction psi(x (x) v_b) = x (x) v_b.
+On a W factor,
 
-    psi(x (x) v_b) = psi(x) (x) v_b + (q^{-1}-q) * sum_{a<b} G_{a,b}(psi(x)) (x) v_a
     psi(x (x) w_b) = psi(x) (x) w_b + (q^{-1}-q) * sum_{c>b} G'_{c,b}(psi(x)) (x) w_c
 
-with G_{b-1,b} = F_{b-1}, G_{a,b} = G_{a+1,b} F_a - q F_a G_{a+1,b}, and
-mirrored chains for the dual factor.  Every other monomial is one Hecke
-step from a monomial nearer its representative.  The Hecke generator H_p
-acts on two adjacent factors of one type, and psi(x H_p) = psi(x) H_p^-1
-(Frenkel, Khovanov and Kirillov, Transform. Groups 3 (1998); Brundan,
-J. Amer. Math. Soc. 16 (2003)).  H_p^-1 takes a monomial u with labels
-(x, y) at slots (p, p+1) to q^-1 u if x = y, to swap(u) + (q^-1 - q) u if
-x > y in V or x < y in W, and to swap(u) otherwise.  So a monomial with a
-V ascent or a W descent at p is swapped H_p, and its image is psi(swapped)
-H_p^-1.  The involution, its compatibility with the quantum group and
-Hecke actions, and the agreement of the two routes are verified in the
-test suite rather than assumed.
+with G'_{b+1,b} = F_b and G'_{c,b} = G'_{c-1,b} F_{c-1} - q F_{c-1} G'_{c-1,b}.
+Every other monomial is one Hecke step from a monomial nearer its
+representative.  The Hecke generator H_p acts on two adjacent factors of
+one type, and psi(x H_p) = psi(x) H_p^-1 (Frenkel, Khovanov and Kirillov,
+Transform. Groups 3 (1998); Brundan, J. Amer. Math. Soc. 16 (2003)).
+H_p^-1 takes a monomial u with labels (x, y) at slots (p, p+1) to q^-1 u
+if x = y, to swap(u) + (q^-1 - q) u if x > y in V or x < y in W, and to
+swap(u) otherwise.  So a monomial with a V ascent or a W descent at p is
+swapped H_p, and its image is psi(swapped) H_p^-1.  The involution, its
+compatibility with the quantum group and Hecke actions, and the agreement
+of the two routes are verified in the test suite rather than assumed.
 
 The canonical basis b_beta = sum_alpha d_{alpha,beta}(q) v_alpha is the
 unique bar-invariant unitriangular family with off-diagonal entries in
@@ -160,7 +162,7 @@ class BarInvolution:
         self._outside = ~sum((2 * _CAP - 1) << (BITS * p) for p in span)
         self._dual = tuple(slot >= window.m for slot in range(k))
         self._psi: dict[Mono, Vector] = {}
-        self._chain: dict[tuple[int, int, int], dict[Mono, Vector]] = {}
+        self._chain: dict[tuple[int, int], dict[Mono, Vector]] = {}  # (b, c) -> G'_{c,b}
         self._lower: dict[tuple[int, Mono], list[tuple[Mono, int]]] = {}  # F_i on units
 
     def _stored(self, vec: Vector) -> Vector:
@@ -191,29 +193,26 @@ class BarInvolution:
 
     # -- q-commutator chains ---------------------------------------------------
 
-    def _chain_mono(self, kind: int, start: int, end: int, mono: Mono) -> Vector:
-        """G_{a,b} (kind 0, a=start, b=end) or G'_{c,b} (kind 1, c=end, b=start)
-        on a unit monomial."""
-        cache = self._chain.setdefault((kind, start, end), {})
+    def _chain_mono(self, b: int, c: int, mono: Mono) -> Vector:
+        """G'_{c,b} on a unit monomial."""
+        cache = self._chain.setdefault((b, c), {})
         hit = cache.get(mono)
         if hit is not None:
             return hit
         off = self.offset  # a twist on k slots is at least 1 - k >= -off
-        if end == start + 1:
-            result = {tgt: 1 << (BITS * (off + tw)) for tgt, tw in self._moves(start, mono)}
+        if c == b + 1:
+            result = {tgt: 1 << (BITS * (off + tw)) for tgt, tw in self._moves(b, mono)}
         else:
-            # G_{start,end} lowers `start` in the recursion, G'_{end,start} raises `end`
-            color, inner = (start, (start + 1, end)) if kind == 0 else (end - 1, (start, end - 1))
-            result = {}  # G(F v), where F v is a sum of q^twist v'
-            for mid, twist in self._moves(color, mono):
-                for tgt, c in self._chain_mono(kind, *inner, mid).items():
-                    result[tgt] = result.get(tgt, 0) + (c << (BITS * (off + twist)))
+            result = {}  # G'_{c-1,b}(F_{c-1} v), where F v is a sum of q^twist v'
+            for mid, twist in self._moves(c - 1, mono):
+                for tgt, x in self._chain_mono(b, c - 1, mid).items():
+                    result[tgt] = result.get(tgt, 0) + (x << (BITS * (off + twist)))
             result = {tgt: _down(x, off) for tgt, x in result.items() if x}
-            # - q F(G v): the twist and the factor q in one shift
-            for mid, c in self._chain_mono(kind, *inner, mono).items():
-                for tgt, twist in self._moves(color, mid):
-                    x = c << (BITS * (twist + 1)) if twist >= 0 else _down(c, -twist) << BITS
-                    result[tgt] = result.get(tgt, 0) - x
+            # - q F_{c-1}(G'_{c-1,b} v): the twist and the factor q in one shift
+            for mid, x in self._chain_mono(b, c - 1, mono).items():
+                for tgt, twist in self._moves(c - 1, mid):
+                    y = x << (BITS * (twist + 1)) if twist >= 0 else _down(x, -twist) << BITS
+                    result[tgt] = result.get(tgt, 0) - y
             result = {tgt: x for tgt, x in result.items() if x}
         cache[mono] = self._stored(result)
         return result
@@ -258,35 +257,31 @@ class BarInvolution:
     def _appended(self, mono: Mono) -> Vector:
         """psi(mono) from psi of its prefix and the q-commutator chains of
         its last label (mono is a representative, and so is its prefix)."""
-        k = len(mono)
-        if k == 1:
-            result: Vector = {mono: self.one}
-        else:
-            prefix, b = mono[:-1], mono[-1]
-            inner = self.psi(prefix)
-            result = {pm + (b,): c for pm, c in inner.items()}
-            dual = self._dual[k - 1]
-            news = range(b + 1, self.window.hi + 1) if dual else range(self.window.lo, b)
-            # a chain coefficient's stored digits bound its L1 norm
-            if news and 2 * len(inner) * (self.offset + _SPAN) * _CAP * _CAP >= _HALF:
-                raise InvariantError("packed digits could overflow")
-            # (q^-1 - q) x q^-off is two shifts of x, whose low off+1 digits are zero
-            low, up = (1 << (BITS * (self.offset + 1))) - 1, BITS * (self.offset + 1)
-            for t in news:  # t is the new last label
-                key = (1, b, t) if dual else (0, t, b)
-                chains = self._chain.setdefault(key, {})
-                out: Vector = {}
-                for pm, coeff in inner.items():
-                    vec = chains.get(pm)
-                    if vec is None:
-                        vec = self._chain_mono(*key, pm)
-                    for tgt, c in vec.items():
-                        out[tgt] = out.get(tgt, 0) + coeff * c
-                for pm, x in out.items():
-                    if x:
-                        if x & low:
-                            raise InvariantError("exponent below the packing offset")
-                        result[pm + (t,)] = (x >> up) - (x >> (up - 2 * BITS))
+        if len(mono) <= self.window.m:  # V slots only: its own image
+            return {mono: self.one}
+        prefix, b = mono[:-1], mono[-1]
+        inner = self.psi(prefix)
+        result = {pm + (b,): x for pm, x in inner.items()}
+        news = range(b + 1, self.window.hi + 1)
+        # a chain coefficient's stored digits bound its L1 norm
+        if news and 2 * len(inner) * (self.offset + _SPAN) * _CAP * _CAP >= _HALF:
+            raise InvariantError("packed digits could overflow")
+        # (q^-1 - q) x q^-off is two shifts of x, whose low off+1 digits are zero
+        low, up = (1 << (BITS * (self.offset + 1))) - 1, BITS * (self.offset + 1)
+        for c in news:  # c is the new last label
+            chains = self._chain.setdefault((b, c), {})
+            out: Vector = {}
+            for pm, coeff in inner.items():
+                vec = chains.get(pm)
+                if vec is None:
+                    vec = self._chain_mono(b, c, pm)
+                for tgt, y in vec.items():
+                    out[tgt] = out.get(tgt, 0) + coeff * y
+            for pm, x in out.items():
+                if x:
+                    if x & low:
+                        raise InvariantError("exponent below the packing offset")
+                    result[pm + (c,)] = (x >> up) - (x >> (up - 2 * BITS))
         return result
 
 

@@ -108,7 +108,7 @@ def _pair_words(text: str, m: int) -> list[tuple[int, ...]]:
     words = []
     for half in text.split(";"):
         words.append(_ints("--pair", half, ","))
-        if sorted(words[-1]) != list(range(1, m + 1)):
+        if len(words[-1]) != m or sorted(words[-1]) != list(range(1, m + 1)):
             raise PreconditionError(f"--pair word {half!r} is not a permutation of 1..{m}")
     return words
 
@@ -161,6 +161,8 @@ def cmd_counts(args) -> int:
         raise PreconditionError(f"--m range {args.m!r} is empty: {lo} > {hi}")
     if lo < 0:
         raise PreconditionError(f"--m {args.m!r}: ranks must be nonnegative")
+    if hi > 2832:  # t(2832) has 4,300 digits, Python 3.11's limit for int to str
+        raise PreconditionError(f"--m {args.m!r}: ranks above 2832 are refused")
     rows = []
     for m in range(lo, hi + 1):
         s_m = aug_poset.involution_count(m)

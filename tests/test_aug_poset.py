@@ -29,9 +29,11 @@ from primspec.errors import (
     PreconditionError,
 )
 from primspec.kl_classical import left_preorder
+from primspec.posets import bits
 from primspec.super_inclusion import covers, frame, inclusion
 from primspec.tableaux import involution_count, rank_word, robinson_schensted, tau_of_weight
 from primspec.weights import SuperWeight
+from test_kl_classical import _shape, _strictly_dominates
 from test_tableaux import egf_series
 
 W = SuperWeight.parse
@@ -534,6 +536,16 @@ class TestMinimalAndComponents:
                 assert xk == reports[k] - (reports[k - 1] & reports[k])
 
 
+def _shape_failures(poset, down):
+    """The strict pairs (lower, upper) of the rows `down`, and those whose
+    upper class's RS shape does not strictly dominate the lower's.  The
+    shape is read off each representative's left rank word; a class is one
+    left cell, so it is the shape of every member."""
+    shape = [_shape(rank_word(c.representative.left)) for c in poset.classes]
+    strict = [(a, b) for b, row in enumerate(down) for a in bits(row)]
+    return len(strict), [(a, b) for a, b in strict if not _strictly_dominates(shape[b], shape[a])]
+
+
 class TestOrderProperties:
     def test_strata_monotone_and_p_gap(self, posets, assignments):
         for m in range(2, 6):
@@ -556,6 +568,25 @@ class TestOrderProperties:
                     t_lo = tau_of_weight(poset.classes[lo].representative.left)
                     t_hi = tau_of_weight(poset.classes[hi].representative.left)
                     assert t_lo >= t_hi | {m - i_lo}
+
+    @pytest.mark.parametrize(
+        "m, pairs", [(2, 2), (3, 13), (4, 91), (5, 561), (6, 3936), (7, 27831)]
+    )
+    def test_strict_pairs_climb_in_shape_dominance(self, posets, m, pairs):
+        """J(lower) strictly inside J(upper) shrinks the associated variety,
+        a nilpotent orbit closure fixed by the RS shape, so in the classical
+        case the upper shape strictly dominates the lower (Borho-Brylinski
+        1982; Joseph 1984).  Across orbits this is observed here, not
+        proved."""
+        poset = posets[m] if m in posets else enumerate_X(m)
+        assert _shape_failures(poset, poset.down) == (pairs, [])
+
+    def test_a_doctored_down_row_breaks_shape_dominance(self, posets):
+        poset = posets[4]
+        lower, upper = min(poset.strict)
+        down = list(poset.down)
+        down[lower] |= 1 << upper  # the upper class put below the lower one
+        assert _shape_failures(poset, down) == (92, [(upper, lower)])
 
     def test_readers_agree_with_the_rows(self, posets):
         for m in range(1, 6):

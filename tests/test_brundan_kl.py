@@ -1,3 +1,5 @@
+import hashlib
+import json
 import re
 from itertools import product as iproduct
 
@@ -5,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from primspec import brundan_kl
+from primspec.aug_poset import IdealPoset
 from primspec.brundan_kl import (
     BITS,
     BarInvolution,
@@ -18,6 +21,7 @@ from primspec.brundan_kl import (
 from primspec.errors import BoundExceededError, InvariantError, PreconditionError
 from primspec.kl_classical import kl_table, left_preorder
 from primspec.laurent import ONE, ZERO, LaurentPolynomial
+from primspec.posets import transitive_reduction
 from primspec.super_inclusion import inclusion
 from primspec.tableaux import rank_word
 from primspec.weights import SuperWeight, atypicality_degree, central_character
@@ -54,31 +58,60 @@ def _psi_vector(bar, vec):
     return {t: c for t, c in out.items() if c}
 
 
-def _chain_psi(bar, mono, memo):
-    """psi by the prefix recursion of the module docstring alone, packed as
-    `bar` packs: every monomial and every prefix through q-commutator
-    chains, with no Hecke step."""
+def _commutator_chain(bar, colors, vec, k):
+    """The iterated q-commutator of lowering operators over `colors`,
+    outermost first, on a packed vector of k slots: F_i alone for one color,
+    else G F_i - q F_i G with G the chain of the rest.  So G_{a,b} has colors
+    a, ..., b-1 and G'_{c,b} has c-1, ..., b."""
+    i, rest = colors[0], colors[1:]
+    if not rest:
+        return apply_f(bar, i, vec, k)
+    out = dict(_commutator_chain(bar, rest, apply_f(bar, i, vec, k), k))
+    for mono, x in apply_f(bar, i, _commutator_chain(bar, rest, vec, k), k).items():
+        out[mono] = out.get(mono, 0) - (x << BITS)
+    return {mono: x for mono, x in out.items() if x}
+
+
+def _unit_chain(bar, colors, mono, chains):
+    """The chain over `colors` on a unit monomial, unpacked and kept in
+    `chains`.  The unit is packed deep enough that no twist, one per color
+    and each above -len(mono), reaches below the offset."""
+    cache = chains.setdefault(colors, {})
+    if mono not in cache:
+        deep = len(colors) * len(mono)
+        vec = _commutator_chain(bar, colors, {mono: 1 << (BITS * deep)}, len(mono))
+        cache[mono] = {tgt: unpack(x, deep) for tgt, x in vec.items()}
+    return cache[mono]
+
+
+def _chain_psi(bar, mono, memo, chains):
+    """psi by the prefix recursion alone, on unpacked vectors: every
+    monomial and every prefix through chains of both kinds, with no Hecke
+    step.  The chains are the oracle's own, through `apply_f`:
+
+        psi(x (x) v_b) = psi(x) (x) v_b + (q^-1 - q) sum_{a<b} G_{a,b}(psi(x)) (x) v_a
+        psi(x (x) w_b) = psi(x) (x) w_b + (q^-1 - q) sum_{c>b} G'_{c,b}(psi(x)) (x) w_c
+    """
     hit = memo.get(mono)
     if hit is not None:
         return hit
     if len(mono) == 1:
-        out = {mono: bar.one}
+        out = {mono: ONE}
     else:
-        inner, b, window = _chain_psi(bar, mono[:-1], memo), mono[-1], bar.window
+        inner, b, window = _chain_psi(bar, mono[:-1], memo, chains), mono[-1], bar.window
         out = {pm + (b,): c for pm, c in inner.items()}
-        # x below is packed at twice the offset: (q^-1 - q) x q^-offset
-        scale = 1 << (BITS * (bar.offset + 1))
-        dual = len(mono) > window.m
-        for t in range(b + 1, window.hi + 1) if dual else range(window.lo, b):
-            key = (1, b, t) if dual else (0, t, b)
+        if len(mono) > window.m:
+            news = {c: tuple(range(c - 1, b - 1, -1)) for c in range(b + 1, window.hi + 1)}
+        else:
+            news = {a: tuple(range(a, b)) for a in range(window.lo, b)}
+        for t, colors in news.items():  # t is the new last label
             terms = {}
             for pm, c in inner.items():
-                for tgt, g in bar._chain_mono(*key, pm).items():
-                    terms[tgt] = terms.get(tgt, 0) + c * g
-            for tgt, x in terms.items():
-                assert x % scale == 0  # no exponent below the offset
-                if x:
-                    out[tgt + (t,)] = x // scale - (x // scale << (2 * BITS))
+                for tgt, g in _unit_chain(bar, colors, pm, chains).items():
+                    terms[tgt] = _add(terms[tgt], c * g) if tgt in terms else c * g
+            for tgt, g in terms.items():
+                if g:
+                    out[tgt + (t,)] = g * _Q_GAP
     memo[mono] = out
     return out
 
@@ -111,11 +144,12 @@ def _entries(chains):
 
 
 def _psi_matches_the_chain_route(window, monos):
-    bar, memo = BarInvolution(window), {}
-    oracle = BarInvolution(window)  # its own chain caches
+    """Asserts psi against `_chain_psi` on each monomial; returns the bar and
+    the oracle's chains."""
+    bar, memo, chains = BarInvolution(window), {}, {}
     for mono in monos:
-        assert bar.psi(mono) == _chain_psi(oracle, mono, memo), mono
-    return bar, oracle
+        assert _decoded(bar, bar.psi(mono)) == _chain_psi(bar, mono, memo, chains), mono
+    return bar, chains
 
 
 class TestBarInvolution:
@@ -126,9 +160,9 @@ class TestBarInvolution:
     def test_hecke_steps_match_the_chain_route(self):
         for m, n, lo, hi in self.HECKE_WINDOWS:
             monos = list(iproduct(range(lo, hi + 1), repeat=m + n))
-            bar, oracle = _psi_matches_the_chain_route(TensorWindow(lo, hi, m, n), monos)
+            bar, chains = _psi_matches_the_chain_route(TensorWindow(lo, hi, m, n), monos)
             if max(m, n) > 1:  # a Hecke step saved some chains
-                assert _entries(bar._chain) < _entries(oracle._chain)
+                assert _entries(bar._chain) < _entries(chains)
 
     def test_psi_intertwines_the_hecke_action(self):
         # psi(x H_p) = psi(x) H_p^-1 for every monomial x and every slot pair
@@ -255,10 +289,10 @@ class TestPacking:
         # (q^-1 - q) c q^-offset must not drop a digit: a stored chain
         # coefficient q^-1 (the lowest offset 1 holds) would reach q^-2
         bar = BarInvolution(TensorWindow(0, 2, 1, 1))
-        bar._chain[1, 1, 2] = {(1,): {(0,): 1 << BITS}}
+        bar._chain[1, 2] = {(1,): {(0,): 1 << BITS}}
         assert bar.psi((1, 1)) == {(1, 1): bar.one, (0, 2): 1 - (1 << (2 * BITS))}  # q^-1 - q
         bar = BarInvolution(TensorWindow(0, 2, 1, 1))
-        bar._chain[1, 1, 2] = {(1,): {(0,): 1}}
+        bar._chain[1, 2] = {(1,): {(0,): 1}}
         with pytest.raises(InvariantError, match="below the packing offset"):
             bar.psi((1, 1))
 
@@ -275,15 +309,19 @@ class TestPacking:
             bar.psi((0, 1))
 
     def test_a_twisted_chain_term_below_the_offset_raises(self):
-        # -q F_0 on a chain term: the twist q^-1 of F_0 on (0, 0) is tested
-        # on the chain coefficient before the factor q is applied
-        bar = BarInvolution(TensorWindow(0, 2, 2, 0))
-        bar._chain[0, 1, 2] = {(2, 2): {(0, 0): bar.one}}
-        assert bar._chain_mono(0, 0, 2, (2, 2)) == {(1, 0): -bar.one, (0, 1): -(1 << (2 * BITS))}
-        bar = BarInvolution(TensorWindow(0, 2, 2, 0))
-        bar._chain[0, 1, 2] = {(2, 2): {(0, 0): 1}}
+        # G'_{2,0} = G'_{1,0} F_1 - q F_1 G'_{1,0}; F_1 finds no 2 in (0, 0, 0),
+        # and on a chain term (0, 2, 2) it lowers slot 1 past a later W label
+        # 2, a twist by q^-1 that is tested on the chain coefficient before
+        # the factor q is applied
+        bar = BarInvolution(TensorWindow(0, 2, 1, 2))
+        bar._chain[0, 1] = {(0, 0, 0): {(0, 2, 2): bar.one}}
+        assert bar._chain_mono(0, 2, (0, 0, 0)) == {
+            (0, 1, 2): -bar.one, (0, 2, 1): -(bar.one << BITS)
+        }
+        bar = BarInvolution(TensorWindow(0, 2, 1, 2))
+        bar._chain[0, 1] = {(0, 0, 0): {(0, 2, 2): 1}}
         with pytest.raises(InvariantError, match="below the packing offset"):
-            bar._chain_mono(0, 0, 2, (2, 2))
+            bar._chain_mono(0, 2, (0, 0, 0))
 
     def test_a_column_that_could_overflow_raises(self):
         # r = c (q^-1 - q) gives d_ab = c q; the column's norm sum then
@@ -467,8 +505,6 @@ class TestCanonicalBasis:
             canonical_basis([W("1,0|1")], interval=(1, 3))
 
     def test_table_dump_schema(self):
-        import json
-
         doc = canonical_basis([W("1,0|1")], interval=(-1, 3)).to_json_dict()
         assert {"interval", "m", "n", "weights", "entries"} <= set(doc)
         json.dumps(doc)
@@ -602,6 +638,90 @@ class TestLeftOrder:
                     assert order.leq(b, a) == inclusion(a, b)
 
 
+def _against_the_order(poset, order):
+    """The disagreements between an augmentation poset and the order on the
+    canonical basis: a member not equivalent to its representative, two
+    equivalent representatives, a `down` row unlike the strict order
+    between representatives, and a Hasse diagram unlike its reduction."""
+    reps = [c.representative for c in poset.classes]
+    failures = [
+        ("member", w) for c in poset.classes for w in c.members
+        if not (order.leq(w, c.representative) and order.leq(c.representative, w))
+    ]
+    leq = [[order.leq(a, b) for b in reps] for a in reps]  # leq[a][b]: a below b
+    failures += [
+        ("equivalent", a, b) for a in range(len(reps)) for b in range(a)
+        if leq[a][b] and leq[b][a]
+    ]
+    rows = [
+        sum(1 << a for a in range(len(reps)) if leq[a][b] and not leq[b][a])
+        for b in range(len(reps))
+    ]
+    failures += [("down", b) for b, row in enumerate(rows) if row != poset.down[b]]
+    if transitive_reduction(rows) != list(poset.hasse):
+        failures.append(("hasse",))
+    return failures
+
+
+class TestAugmentationPosetAgainstTheOrder:
+    """The gl(5|1) augmentation poset, built by the ladder and the classical
+    left order, against the order the canonical basis of the weight space
+    of all its members generates, on two label windows.  The source paper
+    proves the two orders equal on singly atypical blocks."""
+
+    # sha256 of each table's JSON (sorted keys), recorded before psi stopped
+    # taking chains on V factors
+    WINDOWS = {
+        (-1, 5): (600, "4d96a8181ce6273c298a5150251e07b20e9745d6bd4974974bfa0013cf4dd175"),
+        (-2, 6): (840, "b8a67e6755a3f756bf31ca887d26e3df2521806635b236a74a191089ae4877cc"),
+    }
+
+    @pytest.fixture(scope="class")
+    def poset(self):
+        from primspec.aug_poset import enumerate_X
+
+        return enumerate_X(5)
+
+    @pytest.fixture(scope="class")
+    def orders(self, poset):
+        members = [w for c in poset.classes for w in c.members]
+        out = {}
+        for (lo, hi), (size, digest) in self.WINDOWS.items():
+            table = canonical_basis(
+                members, interval=(lo, hi), rank_bound=6, interval_bound=hi - lo + 1
+            )
+            assert len(table.weights) == size
+            text = json.dumps(table.to_json_dict(), sort_keys=True).encode()
+            assert hashlib.sha256(text).hexdigest() == digest
+            out[lo, hi] = kl_left_order(table.weights, table)
+        return out
+
+    def test_classes_order_and_hasse_diagram_agree(self, poset, orders):
+        assert len(poset.classes) == 78
+        for order in orders.values():
+            assert _against_the_order(poset, order) == []
+
+    def test_a_doctored_down_row_fails(self, poset, orders):
+        b = next(b for b, row in enumerate(poset.down) if row)
+        down = list(poset.down)
+        down[b] &= down[b] - 1  # one strict pair dropped
+        doctored = IdealPoset(poset.m, poset.classes, tuple(down), poset.hasse, poset.order)
+        for order in orders.values():
+            assert _against_the_order(doctored, order) == [("down", b)]
+
+    def test_a_member_moved_to_another_class_fails(self, poset, orders):
+        first, second = poset.classes[:2]
+        moved = second.members[-1]
+        classes = (
+            first._replace(members=first.members + (moved,)),
+            second._replace(members=second.members[:-1]),
+            *poset.classes[2:],
+        )
+        doctored = IdealPoset(poset.m, classes, poset.down, poset.hasse, poset.order)
+        for order in orders.values():
+            assert _against_the_order(doctored, order) == [("member", moved)]
+
+
 class TestGoldenDigests:
     """sha256 of the table JSON, recorded from the dict-of-LaurentPolynomial
     solve the packed kernel replaced; any change to D shows here."""
@@ -627,8 +747,6 @@ class TestGoldenDigests:
 
     @staticmethod
     def _text(table) -> bytes:
-        import json
-
         return json.dumps(table.to_json_dict(), sort_keys=True).encode()
 
     @staticmethod
@@ -643,17 +761,12 @@ class TestGoldenDigests:
 
     @pytest.mark.parametrize("shape", sorted(SMALL_WINDOWS))
     def test_every_weight_space_of_a_small_window(self, shape):
-        import hashlib
-
         digest = hashlib.sha256()
         for table in self._tables(*shape, 0, 3):
             digest.update(self._text(table))
         assert digest.hexdigest() == self.SMALL_WINDOWS[shape]
 
     def test_every_weight_space_with_its_order(self):
-        import hashlib
-        import json
-
         digest, spaces = hashlib.sha256(), 0
         for (m, n), (lo, hi) in self.ORDERED_WINDOWS:
             for table in self._tables(m, n, lo, hi):
@@ -666,8 +779,6 @@ class TestGoldenDigests:
         assert digest.hexdigest() == self.ORDERED_DIGEST
 
     def test_dimension_108_block(self):
-        import hashlib
-
         table = canonical_basis([W("3,2,1,0|0")], interval=(-1, 4))
         assert len(table.weights) == 108
         assert hashlib.sha256(self._text(table)).hexdigest() == (
@@ -682,16 +793,14 @@ def test_dimension_600_hecke_steps_match_the_chain_route():
     window = TensorWindow(-1, 5, 5, 1)
     monos = _weight_space(window, central_character(W("4,3,2,1,0|0")))
     assert len(monos) == 600
-    bar, oracle = _psi_matches_the_chain_route(window, monos)
-    assert _entries(bar._chain) < _entries(oracle._chain)
+    bar, chains = _psi_matches_the_chain_route(window, monos)
+    assert _entries(bar._chain) < _entries(chains)
 
 
 @pytest.mark.slow
 def test_dimension_600_block_command_output(capsys):
     # the gl(5|1) block of ROADMAP item 6, outside tier-1 (a few seconds):
     # run with `pytest -m slow`
-    import hashlib
-
     from primspec.cli import main
 
     assert main(["super-kl", "--weights", "4,3,2,1,0|0", "--interval=-1:5", "--rank-bound", "6"]) == 0

@@ -1,15 +1,20 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import time
 import zlib
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import primspec
 from primspec import kl_classical
 from primspec.cli import main
+from primspec.weights import SuperWeight
 
 
 def run(capsys, *argv):
@@ -176,6 +181,17 @@ class TestKl:
         assert code == 1 and out == ""
         assert "permutation of 1..4" in err
 
+    def test_pair_with_a_huge_rank_is_refused(self, capsys, tmp_path):
+        # the word is checked against its own length, not a range of --m
+        code, out, err = run(
+            capsys, "--cache-dir", str(tmp_path), "kl", "--m", "99999999999999999999",
+            "--pair", "1,2;2,1",
+        )
+        assert code == 1 and out == ""
+        assert err == (
+            "error: --pair word '1,2' is not a permutation of 1..99999999999999999999\n"
+        )
+
     @pytest.mark.parametrize("pair", ["1,2", "1,2;2,1;1,2"])
     def test_pair_without_one_separator(self, capsys, tmp_path, pair):
         # refused before any table is built, so nothing is cached
@@ -301,6 +317,22 @@ class TestCounts:
         assert code == 1 and out == ""
         assert err == f"error: --m {ranks!r}: ranks must be nonnegative\n"
 
+    def test_the_last_rank_that_prints_everywhere_is_accepted(self, capsys):
+        # t at rank 2832 has 4,300 digits, the int-to-str limit of Python 3.11+
+        code, out, _ = run(capsys, "counts", "--m", "2832")
+        assert code == 0
+        (row,) = json.loads(out)["counts"]
+        assert row["m"] == 2832 and len(str(row["t"])) == 4300
+
+    @pytest.mark.parametrize("ranks", ["2833", "99999999999999999999", "1..2833"])
+    def test_a_rank_above_the_limit_names_the_flag(self, capsys, ranks):
+        # refused before any row is computed, so a huge rank does not hang
+        started = time.perf_counter()
+        code, out, err = run(capsys, "counts", "--m", ranks)
+        assert time.perf_counter() - started < 0.5
+        assert code == 1 and out == ""
+        assert err == f"error: --m {ranks!r}: ranks above 2832 are refused\n"
+
     def test_rank_zero_keeps_its_output(self, capsys):
         code, out, _ = run(capsys, "counts", "--m", "0", "--no-enumerate")
         assert code == 0
@@ -381,3 +413,93 @@ class TestDeterminism:
         _, first, _ = run(capsys, *args)
         _, second, _ = run(capsys, *args)
         assert first == second
+
+
+_INTS = ["0", "1", "2", "3", "-1", "+2", " 3", "", "x", "99999999999999999999",
+         "-99999999999999999999"]
+_SMALL_INTS = [i for i in _INTS if len(i) < 20]
+_LABELS = ["0", "1", "2", "-1", "+1", " 2", "", "1.0", "99999999999999999999"]
+
+
+@st.composite
+def _weight_text(draw):
+    """A weight with at most two labels a side, separators and labels
+    drawn near a well-formed one."""
+    side = st.lists(st.sampled_from(_LABELS), max_size=2)
+    sep = st.sampled_from([",", ",", ",,", ", ", ";"])
+    bar = st.sampled_from(["|", "|", "||", "", " | "])
+    return draw(sep).join(draw(side)) + draw(bar) + draw(sep).join(draw(side))
+
+
+def _pair(sep, ints):
+    return st.builds(lambda a, s, b: a + s + b, ints, sep, ints)
+
+
+_INT = st.sampled_from(_INTS)
+_WEIGHT = _weight_text()
+# a raised --interval-bound is a request for that much work, so it stays small
+_COMMANDS = {
+    "inclusion": [("--weights", st.tuples(_WEIGHT, _WEIGHT)), ("--m", _INT), ("--n", _INT)],
+    "aug-poset": [("--m", _INT), ("--format", st.sampled_from(["json", "dot", "svg"]))],
+    "crystal": [
+        ("--weight", _WEIGHT),
+        ("--op", st.sampled_from(["e", "f", "eps", "phi", "signature", "g"])),
+        ("--i", _INT),
+    ],
+    "kl": [("--m", _INT), ("--pair", _pair(st.sampled_from([";", ";;", ","]),
+                                           st.sampled_from(["1,2", "2,1", "1,,2", "1", ""])))],
+    "super-kl": [
+        ("--weights", st.lists(_WEIGHT, min_size=1, max_size=2).map(tuple)),
+        ("--interval", _pair(st.sampled_from([":", "::", ".."]), st.sampled_from(_INTS))),
+        ("--rank-bound", _INT),
+        ("--interval-bound", st.sampled_from(_SMALL_INTS)),
+    ],
+    "counts": [
+        ("--m", st.one_of(_INT, _pair(st.sampled_from(["..", "...", ".", ":"]), _INT))),
+        ("--no-enumerate", st.just(())),
+    ],
+    "components": [("--m", _INT)],
+}
+
+
+@st.composite
+def _near_miss_argv(draw):
+    """argv for one subcommand: each flag kept or dropped, and the last one
+    perhaps cut short of its value."""
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    argv, weights = [command], []
+    for flag, values in _COMMANDS[command]:
+        if draw(st.booleans()):
+            value = draw(values)
+            value = value if isinstance(value, tuple) else (value,)
+            argv += [flag, *value]
+            if "weight" in flag:
+                weights += value
+    if len(argv) > 1 and draw(st.integers(0, 4)) == 0:
+        argv.pop()
+    return argv, weights
+
+
+class TestNearMissArgv:
+    @settings(max_examples=150, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(_near_miss_argv())
+    def test_exit_codes_and_error_lines(self, drawn):
+        argv, weights = drawn
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's usage errors
+                code = exc.code
+        assert code in (0, 1, 2), (argv, code)
+        if code == 1:
+            lines = err.getvalue().splitlines()
+            assert sum("error:" in line for line in lines) == 1, (argv, lines)
+            assert "Traceback" not in err.getvalue()
+        for text in weights:
+            try:
+                w = SuperWeight.parse(text)
+            except ValueError:
+                continue
+            assert SuperWeight.parse(str(w)) == w
