@@ -327,12 +327,9 @@ def exceptional_coverings(
     poset: IdealPoset, assignments: dict[int, StratumAssignment]
 ) -> list[tuple[int, int]]:
     """Hasse edges along which both indices of `assignments` (`strata(poset)`) jump."""
-    out = []
-    for lower, upper in poset.hasse:
-        alo, aup = assignments[lower], assignments[upper]
-        if alo.i_index != aup.i_index and alo.j_index != aup.j_index:
-            out.append((lower, upper))
-    return out
+    a = assignments
+    return [(lo, up) for lo, up in poset.hasse
+            if a[lo].i_index != a[up].i_index and a[lo].j_index != a[up].j_index]
 
 
 class CountsReport(NamedTuple):

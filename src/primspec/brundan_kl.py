@@ -34,9 +34,10 @@ of the two routes are verified in the test suite rather than assumed.
 
 The canonical basis b_beta = sum_alpha d_{alpha,beta}(q) v_alpha is the
 unique bar-invariant unitriangular family with off-diagonal entries in
-q Z[q]; the Ext^1 pairing between simples is read off the q-linear terms
-of d.  The left order on a block is generated, per simple reflection, by
-a wall-crossing condition plus nonvanishing of that pairing.
+q Z[q], solved column by column in a label order psi is triangular in;
+the Ext^1 pairing between simples is read off the q-linear terms of d.
+The left order on a block is generated, per simple reflection, by a
+wall-crossing condition plus nonvanishing of that pairing.
 
 Coefficients are packed (Kronecker substitution): sum_e c_e q^e is the int
 sum_e c_e 2^(BITS (e + offset)), with balanced digits in [-H, H), H =
@@ -53,7 +54,7 @@ the offset, and when a sum of products could carry a digit to H: stored
 digits of magnitude at most 2^8 bound a q-commutator sum of n terms with
 first factors of L1 norm at most l by n l 2^8, doubled by the (q^-1 - q)
 step, and a column of the solve by 2^8 times the L1 norms of its solved
-entries.
+entries; and when psi is not triangular in the label order.
 
 Tables are not cached; the bar involution is, for the latest window only,
 with its caches of psi, of each chain and of F_i on unit monomials: a
@@ -69,7 +70,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import BoundExceededError, InvariantError, PreconditionError
 from .laurent import ONE, LaurentPolynomial
-from .posets import Preorder, topological_order, wall_edges
+from .posets import Preorder, wall_edges
 from .weights import SuperWeight, _Frozen, central_character
 
 __all__ = [
@@ -371,33 +372,30 @@ def _solve_canonical(bar: BarInvolution, monos: list[Mono]) -> dict[tuple[int, i
     under q -> q^-1 with no constant term; d_ij is then the part of g_ij
     below q^0, reflected.  g stays packed at the bar's offset, since d is in
     Z[q], so no product is shifted.
+
+    Columns go in the label order: slot by slot, V labels descending, then
+    W labels ascending.  psi(v_u) - v_u has terms v_t with t below u in the
+    Bruhat order (Brundan 2003): where t first differs from u, labels a in
+    u and b in t, u's prefix weight exceeds t's by eps_a - eps_b (V slot,
+    so a < b) or eps_b - eps_a (W slot, so b < a).  A term out of this
+    order is refused; D is unique, so any linear extension gives this D.
     """
-    index = {mono: i for i, mono in enumerate(monos)}
-    n = len(monos)
-    off = bar.offset
+    index = {mono: i for i, mono in enumerate(monos)}  # psi keeps the weight space
+    m, off = bar.window.m, bar.offset
     psi: list[list[tuple[int, int]]] = []  # k -> (i, r_ik) for i != k
-    touched_by: list[list[int]] = [[] for _ in range(n)]  # i -> k whose bar image has i
-    for k, mono in enumerate(monos):
+    for mono in monos:
         image = bar.psi(mono)
         if image.get(mono) != bar.one:
             raise InvariantError("bar involution must be unitriangular")
-        row = []
-        for tgt, x in image.items():
-            i = index[tgt]  # psi keeps the weight and the window's labels
-            if i != k:
-                row.append((i, x))
-                touched_by[i].append(k)
-        psi.append(row)
-
-    # the canonical basis is unique, so every linear extension gives the same D
-    order = topological_order(n, touched_by)
+        psi.append([(index[tgt], x) for tgt, x in image.items() if tgt != mono])
+    order = sorted(range(len(monos)), key=lambda k: ([-a for a in monos[k][:m]], monos[k][m:]))
     low = (1 << (BITS * off)) - 1
     bias = sum(_HALF << (BITS * p) for p in range(off))  # balances the digits below q^0
     D: dict[tuple[int, int], int] = {}
     for pos, j in enumerate(order):
         g_of = dict(psi[j])  # row -> g, scattered from each solved entry
         norms = 1  # L1 norms of the column's solved entries, d_jj = 1 included
-        # rows strictly below j in the linear order, nearest first
+        # rows strictly before j in the label order, nearest first
         for i in reversed(order[:pos]):
             if not g_of:  # psi(v_i) touches only rows before i: nothing more can appear
                 break
@@ -418,6 +416,8 @@ def _solve_canonical(bar: BarInvolution, monos: list[Mono]) -> dict[tuple[int, i
                 raise InvariantError("packed digits could overflow")
             for t, x in psi[i]:
                 g_of[t] = g_of.get(t, 0) + x * d
+        if g_of:  # a row at or after j: some psi term is not before its monomial
+            raise InvariantError("bar involution is not triangular in the label order")
     return D
 
 

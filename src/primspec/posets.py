@@ -5,10 +5,9 @@ an edge a -> b.  Tarjan's iterative depth-first search finds the strongly
 connected components, and does nothing else.  Every order comes from one
 rule, Kahn's algorithm taking the least ready node first: the topological
 order of a DAG, the component ids (that order on the quotient, each
-component named by its least node), the transitive closure's sweep and the
-canonical solve's linear extension.  So no edge order and no set's
-iteration order shows in any of them.  Relations are held as bitset rows,
-one per node, and `bits` lists a row's members.
+component named by its least node) and the transitive closure's sweep.  So
+no edge order and no set's iteration order shows in any of them.  Relations
+are held as bitset rows, one per node, and `bits` lists a row's members.
 """
 
 from __future__ import annotations

@@ -27,18 +27,18 @@ distinct from False.
 
 `relation` and `decide` classify a pair first (`_classify`: central
 characters, orbit, one atypicality degree) and read both directions off
-that one classification.  Equal ideals share an orbit, so only a same-orbit
-pair is tested for equality, by one `classical_relation` call that reads
-the pair once.  `covers` enters through `inclusion`.  What the
-classification and the ladder read of a weight is kept in two
-`functools.lru_cache` memos of MEMO_SIZE entries each, shared across
-pairs: `_invariants` (central character and sorted orbit key) and
-`_atypical` (atypicality degree and, for a singly atypical weight, its
-frame).  A miss calls `central_character`, `atypicality_degree` and
-`frame` through this module's globals at call time, so whatever patches
-those names sees every miss; a hit calls none of them.  The degree is read
-only for cross-orbit pairs, and memoised frames, whose `q_values` is a
-mutable dict, never leave the module.
+that one classification.  Equal ideals share an orbit, so only a
+same-orbit pair is tested for equality, by one `classical_relation` call
+that reads the pair once.  `covers` enters through `inclusion`, then reads
+its route off `_classify`.  What the classification and the ladder read of
+a weight is kept in two `functools.lru_cache` memos of MEMO_SIZE entries
+each, shared across pairs: `_invariants` (central character and sorted
+orbit key) and `_atypical` (atypicality degree and, for a singly atypical
+weight, its frame).  A miss calls `central_character`,
+`atypicality_degree` and `frame` through this module's globals at call
+time, so whatever patches those names sees every miss; a hit calls none of
+them.  The degree is read only for cross-orbit pairs, and memoised frames,
+whose `q_values` is a mutable dict, never leave the module.
 """
 
 from __future__ import annotations
@@ -527,24 +527,19 @@ def covers(alpha: SuperWeight, beta: SuperWeight, **kw) -> bool:
     patterns, and only another pattern in beta's orbit can lie between.
     """
     _check_keywords(kw)
-    if not inclusion(alpha, beta, **kw):
+    if alpha == beta or not inclusion(alpha, beta, **kw):
         return False
-    # one central character, so one degree serves both weights; equal ideals
-    # share an orbit, and every left cell, so `classical_cover` refuses them
-    same_orbit = _invariants(alpha)[1] == _invariants(beta)[1]
-    degree = _atypical(alpha)[0]
-    if same_orbit and (degree == 0 or (degree == 2 and len(alpha.left) == len(alpha.right) == 2)):
+    route, degree = _classify(alpha, beta), _atypical(alpha)[0]  # one degree serves both
+    if route == "gl22":
+        return not any(classical_relation(beta, k, **kw) == "subset" for k in _gl22_patterns(alpha))
+    # equal ideals share an orbit, and every left cell, so `classical_cover` refuses them
+    if degree == 0 or (degree == 2 and len(alpha.left) == len(alpha.right) == 2):
         return classical_cover(beta, alpha, **kw)
-    if same_orbit and equal_ideal(alpha, beta):
+    if route == "same_orbit" and equal_ideal(alpha, beta):
         return False
-    if degree == 1:
-        # `inclusion` answers a bool, so the ladder pass runs again here
-        _, gamma, delta = _required_ladder(alpha, beta)
+    if degree == 1:  # `inclusion` held, so the ladder pass applies
+        _, gamma, delta = _ladder(alpha, beta)
         return classical_cover(delta, gamma, **kw)
-    if not same_orbit:
-        return not any(
-            classical_relation(beta, kappa, **kw) == "subset" for kappa in _gl22_patterns(alpha)
-        )
     raise UnsupportedRegimeError(
         f"covering undecidable at atypicality {degree} for gl({alpha.m}|{alpha.n})"
     )

@@ -22,9 +22,10 @@ from __future__ import annotations
 
 import re
 from functools import cache
+from operator import index
 from typing import Iterable
 
-from .errors import WeightParseError
+from .errors import PreconditionError, WeightParseError
 
 __all__ = [
     "SuperWeight",
@@ -74,7 +75,14 @@ class SuperWeight(_Frozen):
     right: tuple[int, ...]
 
     def __init__(self, left: Iterable[int], right: Iterable[int]):
-        left, right = tuple(map(int, left)), tuple(map(int, right))
+        left, right = tuple(left), tuple(right)
+        try:
+            left, right = tuple(map(index, left)), tuple(map(index, right))
+        except TypeError:  # not all ints: "2" and 1.0 are read, 1.5 is refused
+            bad = [x for x in left + right if not isinstance(x, str) and int(x) != x]
+            if bad:
+                raise WeightParseError(f"non-integral label {bad[0]!r}") from None
+            left, right = tuple(map(int, left)), tuple(map(int, right))
         if not left:
             raise WeightParseError("a weight needs at least one left label")
         _set_left(self, left)
@@ -105,9 +113,10 @@ class SuperWeight(_Frozen):
     def replace(self, position: int, value: int) -> "SuperWeight":
         """Copy with the label at a 1-based position replaced."""
         labels = list(self.labels)
+        if not 1 <= position <= len(labels):
+            raise PreconditionError(f"position {position} is outside 1..{len(labels)}")
         labels[position - 1] = value
-        m = self.m
-        return SuperWeight(tuple(labels[:m]), tuple(labels[m:]))
+        return SuperWeight(labels[: self.m], labels[self.m :])
 
     @classmethod
     def parse(cls, text: str) -> "SuperWeight":

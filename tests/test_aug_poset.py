@@ -570,15 +570,18 @@ class TestOrderProperties:
                     assert t_lo >= t_hi | {m - i_lo}
 
     @pytest.mark.parametrize(
-        "m, pairs", [(2, 2), (3, 13), (4, 91), (5, 561), (6, 3936), (7, 27831)]
+        "m, pairs",
+        [(2, 2), (3, 13), (4, 91), (5, 561), (6, 3936), (7, 27831),
+         pytest.param(8, 218258, marks=pytest.mark.slow)],
     )
     def test_strict_pairs_climb_in_shape_dominance(self, posets, m, pairs):
         """J(lower) strictly inside J(upper) shrinks the associated variety,
         a nilpotent orbit closure fixed by the RS shape, so in the classical
         case the upper shape strictly dominates the lower (Borho-Brylinski
         1982; Joseph 1984).  Across orbits this is observed here, not
-        proved."""
-        poset = posets[m] if m in posets else enumerate_X(m)
+        proved: a necessary check that needs no canonical basis, not a
+        certificate of the order."""
+        poset = posets[m] if m in posets else enumerate_X(m, bound=8)
         assert _shape_failures(poset, poset.down) == (pairs, [])
 
     def test_a_doctored_down_row_breaks_shape_dominance(self, posets):

@@ -203,6 +203,16 @@ class TestBarInvolution:
                     assert len(t) == m + n and all(lo <= x <= hi for x in t)
                     assert central_character(SuperWeight(t[:m], t[m:])) == key
 
+    def test_psi_is_triangular_in_the_label_order(self):
+        # every other term of psi(v_u) precedes u slot by slot, V labels
+        # descending and W labels ascending: the order the canonical solve takes
+        for m, n, lo, hi in self.HECKE_WINDOWS:
+            bar = BarInvolution(TensorWindow(lo, hi, m, n))
+            for mono in iproduct(range(lo, hi + 1), repeat=m + n):
+                key = ([-a for a in mono[:m]], mono[m:])
+                for t in bar.psi(mono):
+                    assert t == mono or ([-a for a in t[:m]], t[m:]) < key
+
     def test_enumerated_weight_space_matches_the_filter(self):
         for m, n, lo, hi in self.WINDOWS:
             window = TensorWindow(lo, hi, m, n)
@@ -219,13 +229,15 @@ def _pack(poly, offset=0):
 
 
 class _StubBar:
-    """Two monomials, psi(v_b) = v_b + r v_a: enough to drive the solve."""
+    """Two monomials of one W slot, psi(v_b) = v_b + r v_a: enough to drive
+    the solve, which takes v_0 before v_1."""
 
     offset = 1
     one = 1 << BITS
+    window = TensorWindow(0, 1, 0, 1)
 
-    def __init__(self, r):
-        self._images = {(0,): {(0,): self.one}, (1,): {(1,): self.one, (0,): _pack(r, 1)}}
+    def __init__(self, r, a=0, b=1):
+        self._images = {(a,): {(a,): self.one}, (b,): {(b,): self.one, (a,): _pack(r, 1)}}
 
     def psi(self, mono):
         return self._images[mono]
@@ -335,6 +347,14 @@ class TestPacking:
     def test_a_symmetric_correction_raises(self):
         with pytest.raises(InvariantError, match="canonical correction failed"):
             _solve_canonical(_StubBar(LaurentPolynomial({-1: 1, 1: 1})), [(0,), (1,)])
+
+    def test_a_psi_term_after_its_monomial_raises(self):
+        # psi(v_0) with a v_1 term: v_1 follows v_0 in the label order, so
+        # column 0's walk over the rows before it leaves row 1 unsolved
+        r = LaurentPolynomial({-1: 5, 1: -5})
+        assert _solve_canonical(_StubBar(r), [(0,), (1,)]) == {(0, 1): 5 << BITS}
+        with pytest.raises(InvariantError, match="^bar involution is not triangular in the"):
+            _solve_canonical(_StubBar(r, a=1, b=0), [(0,), (1,)])
 
 
 class TestCanonicalBasis:

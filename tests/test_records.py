@@ -16,7 +16,7 @@ import pytest
 import primspec.cli
 from primspec.aug_poset import IdealPoset, enumerate_X
 from primspec.brundan_kl import TensorWindow
-from primspec.errors import WeightParseError
+from primspec.errors import PreconditionError, WeightParseError
 from primspec.kl_classical import left_preorder
 from primspec.super_inclusion import decide
 from primspec.weights import SuperWeight
@@ -51,6 +51,24 @@ class TestSuperWeight:
         w = SuperWeight(("2", 1.0), [True])
         assert w.left == (2, 1) and w.right == (1,)
         assert all(type(x) is int for x in w.labels)
+
+    @pytest.mark.parametrize("left, right", [((1.5, 2.9), (0.2,)), ((1,), (2, -0.5))])
+    def test_a_non_integral_label_is_refused(self, left, right):
+        bad = next(x for x in left + right if x != int(x))
+        with pytest.raises(WeightParseError, match=f"^non-integral label {bad}$"):
+            SuperWeight(left, right)
+
+    def test_labels_from_iterators_survive_the_slow_path(self):
+        assert SuperWeight(iter(["2", 1]), iter([1.0])) == W("2,1|1")
+
+    @pytest.mark.parametrize("position", [0, -1, 5, 6])
+    def test_replace_refuses_a_position_outside_the_labels(self, position):
+        with pytest.raises(PreconditionError, match=f"^position {position} is outside 1..4$"):
+            W("3,2,1|1").replace(position, 9)
+
+    def test_replace_reaches_both_ends(self):
+        assert W("3,2,1|1").replace(1, 9) == W("9,2,1|1")
+        assert W("3,2,1|1").replace(4, 9) == W("3,2,1|9")
 
     def test_is_immutable(self):
         w = W("1,0|0")

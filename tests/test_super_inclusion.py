@@ -315,6 +315,14 @@ class TestCovers:
         assert covers(W("1,0|0,1"), W("1,1|1,1"))
         assert not covers(W("2,1,0|0"), W("2,1,0|0"))
 
+    def test_equal_ideals_are_no_cover_where_covering_is_undecided(self):
+        # doubly atypical gl(3|2): covering is unsupported there, but a pair
+        # of equal ideals is answered before the regime is refused
+        alpha, beta = W("0,1,0|0,0"), W("1,0,0|0,0")
+        assert equal_ideal(alpha, beta) and not covers(alpha, beta)
+        with pytest.raises(UnsupportedRegimeError):
+            covers(W("0,0,1|0,1"), W("0,0,1|1,0"))
+
     def test_non_cover_with_intermediate(self):
         # (012|0) < (201|0) < (210|0), so the outer pair is not a cover
         assert inclusion(W("2,1,0|0"), W("0,1,2|0"))
