@@ -34,10 +34,20 @@ of the two routes are verified in the test suite rather than assumed.
 
 The canonical basis b_beta = sum_alpha d_{alpha,beta}(q) v_alpha is the
 unique bar-invariant unitriangular family with off-diagonal entries in
-q Z[q], solved column by column in a label order psi is triangular in;
-the Ext^1 pairing between simples is read off the q-linear terms of d.
-The left order on a block is generated, per simple reflection, by a
-wall-crossing condition plus nonvanishing of that pairing.
+q Z[q].  The Ext^1 pairing between simples is read off the q-linear terms
+of d, and the left order on a block is generated, per simple reflection,
+by a wall-crossing condition plus nonvanishing of that pairing.
+
+The columns of D go in a label order psi is triangular in.  Only an orbit
+representative's column is solved from psi.  Every other column u is one
+Hecke step from the column of u', u with the slots psi steps at swapped:
+b_u = b_u' (H_p + q) - sum_t mu_t b_t, mu_t the constant terms the
+product leaves (the parabolic KL recursion of Deodhar, J. Algebra 111
+(1987)).  The solve reads bar invariance as sum_k r_ik d_kj = d_ij at
+q^-1, psi's coefficients conjugated, so its H_p is the conjugate of the
+one above: q^-1 t on equal labels, swap(t) on a V descent or W ascent,
+and swap(t) + (q^-1 - q) t otherwise.  The test suite checks the
+recursion against the solve from psi on every column.
 
 Coefficients are packed (Kronecker substitution): sum_e c_e q^e is the int
 sum_e c_e 2^(BITS (e + offset)), with balanced digits in [-H, H), H =
@@ -54,19 +64,22 @@ the offset, and when a sum of products could carry a digit to H: stored
 digits of magnitude at most 2^8 bound a q-commutator sum of n terms with
 first factors of L1 norm at most l by n l 2^8, doubled by the (q^-1 - q)
 step, and a column of the solve by 2^8 times the L1 norms of its solved
-entries; and when psi is not triangular in the label order.
+entries; when psi is not triangular in the label order; and when a Hecke
+step leaves a diagonal other than 1 or a constant term off it, or its
+columns' digit bounds could reach H.
 
 Tables are not cached; the bar involution is, for the latest window only,
 with its caches of psi, of each chain and of F_i on unit monomials: a
 caller that takes its blocks window by window builds each window's bar
-once and frees it on moving on.
+once and frees it on moving on.  psi is read, and cached, only for the
+representatives, the rows their solves reach and what those are built from.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import permutations, product
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import BoundExceededError, InvariantError, PreconditionError
 from .laurent import ONE, LaurentPolynomial
@@ -365,60 +378,146 @@ class CanonicalBasisTable:
 
 
 def _solve_canonical(bar: BarInvolution, monos: list[Mono]) -> dict[tuple[int, int], int]:
-    """Unitriangular bar-invariant correction with off-diagonals in qZ[q].
-
-    With psi(v_k) = sum_i r_ik v_i and b_j = sum_k d_kj v_k, bar invariance
-    asks that g_ij = sum_k r_ik d_kj (over the solved k) be antisymmetric
-    under q -> q^-1 with no constant term; d_ij is then the part of g_ij
-    below q^0, reflected.  g stays packed at the bar's offset, since d is in
-    Z[q], so no product is shifted.
+    """Unitriangular bar-invariant correction with off-diagonals in qZ[q],
+    keyed by (row, column) indices into `monos`.
 
     Columns go in the label order: slot by slot, V labels descending, then
     W labels ascending.  psi(v_u) - v_u has terms v_t with t below u in the
     Bruhat order (Brundan 2003): where t first differs from u, labels a in
     u and b in t, u's prefix weight exceeds t's by eps_a - eps_b (V slot,
-    so a < b) or eps_b - eps_a (W slot, so b < a).  A term out of this
-    order is refused; D is unique, so any linear extension gives this D.
+    so a < b) or eps_b - eps_a (W slot, so b < a).  D is unique, so any
+    linear extension gives this D.
+
+    An orbit representative's column is solved from psi (`_walk_column`);
+    every other column is one Hecke step from an earlier one
+    (`_hecke_column`).  psi of a monomial is read once, and only when a
+    representative's solve reaches it.  Each column carries a bound on the
+    digits of its entries, which the Hecke steps check.
     """
-    index = {mono: i for i, mono in enumerate(monos)}  # psi keeps the weight space
     m, off = bar.window.m, bar.offset
-    psi: list[list[tuple[int, int]]] = []  # k -> (i, r_ik) for i != k
-    for mono in monos:
-        image = bar.psi(mono)
-        if image.get(mono) != bar.one:
-            raise InvariantError("bar involution must be unitriangular")
-        psi.append([(index[tgt], x) for tgt, x in image.items() if tgt != mono])
-    order = sorted(range(len(monos)), key=lambda k: ([-a for a in monos[k][:m]], monos[k][m:]))
+    order = sorted(monos, key=lambda u: ([-a for a in u[:m]], u[m:]))
+    pos = {mono: i for i, mono in enumerate(order)}  # psi and swaps keep the weight space
+    # position of each monomial with slots p and p+1 exchanged, p+1 of p's type
+    swaps = {
+        p: [pos[u[:p] + (u[p + 1], u[p]) + u[p + 2:]] for u in order]
+        for p in range(len(order[0]) - 1) if p != m - 1
+    }
+    rows: dict[int, list[tuple[int, int]]] = {}  # i -> (t, r_ti) for t != i, read on demand
+
+    def row(i: int) -> list[tuple[int, int]]:
+        out = rows.get(i)
+        if out is None:
+            image = bar.psi(order[i])
+            if image.get(order[i]) != bar.one:
+                raise InvariantError("bar involution must be unitriangular")
+            out = rows[i] = [(pos[t], x) for t, x in image.items() if t != order[i]]
+        return out
+
+    cols: list[dict[int, int]] = []  # j -> {i: d_ij}, positions in the label order
+    bounds: list[int] = []  # j -> a bound on every digit of column j, d_jj = 1 included
+    for j in range(len(order)):
+        # the first V ascent or W descent, the slot pair psi steps at
+        p = next((p for p, swap in swaps.items() if swap[j] < j), None)
+        if p is not None:
+            col, bound = _hecke_column(cols, bounds, swaps[p], j)
+        else:
+            col, bound = _walk_column(row, j, off)
+        cols.append(col)
+        bounds.append(bound)
+    index = {mono: i for i, mono in enumerate(monos)}
+    at = [index[mono] for mono in order]
+    return {(at[i], at[j]): d for j, col in enumerate(cols) for i, d in col.items()}
+
+
+def _walk_column(
+    row: Callable[[int], list[tuple[int, int]]], j: int, off: int
+) -> tuple[dict[int, int], int]:
+    """Column j of a representative, solved from psi, and its digit bound.
+
+    `row(i)` gives psi(v_i)'s off-diagonal terms (t, r_ti), packed at
+    offset `off`.  With psi(v_k) = sum_i r_ik v_i and b_j = sum_k d_kj v_k,
+    bar invariance asks that g_ij = sum_k r_ik d_kj (over the solved k) be
+    antisymmetric under q -> q^-1 with no constant term; d_ij is then the
+    part of g_ij below q^0, reflected.  g stays packed at the bar's offset,
+    since d is in Z[q], so no product is shifted.  The walk visits the rows
+    before j, nearest first, and reads a row once a nonzero g reaches it; a
+    psi term out of the label order is refused.  The bound is the sum of
+    the entries' L1 norms, d_jj = 1 included.
+    """
     low = (1 << (BITS * off)) - 1
     bias = sum(_HALF << (BITS * p) for p in range(off))  # balances the digits below q^0
-    D: dict[tuple[int, int], int] = {}
-    for pos, j in enumerate(order):
-        g_of = dict(psi[j])  # row -> g, scattered from each solved entry
-        norms = 1  # L1 norms of the column's solved entries, d_jj = 1 included
-        # rows strictly before j in the label order, nearest first
-        for i in reversed(order[:pos]):
-            if not g_of:  # psi(v_i) touches only rows before i: nothing more can appear
-                break
-            g = g_of.pop(i, 0)
-            if not g:
-                continue
-            below = ((g + bias) & low) - bias
-            d = (below - g) >> (BITS * off)  # -(the part from q^0 up), at offset 0
-            reflected = norm = 0
-            for e, c in _digits(below, off):
-                reflected += c << (BITS * -e)
-                norm += abs(c)
-            if d != reflected:
-                raise InvariantError("canonical correction failed")
-            D[(i, j)] = d
-            norms += norm
-            if norms * _CAP >= _HALF:
-                raise InvariantError("packed digits could overflow")
-            for t, x in psi[i]:
-                g_of[t] = g_of.get(t, 0) + x * d
-        if g_of:  # a row at or after j: some psi term is not before its monomial
-            raise InvariantError("bar involution is not triangular in the label order")
-    return D
+    g_of = dict(row(j))  # row -> g, scattered from each solved entry
+    col, norms = {}, 1
+    for i in range(j - 1, -1, -1):
+        if not g_of:  # psi(v_i) touches only rows before i: nothing more can appear
+            break
+        g = g_of.pop(i, 0)
+        if not g:
+            continue
+        below = ((g + bias) & low) - bias
+        d = (below - g) >> (BITS * off)  # -(the part from q^0 up), at offset 0
+        reflected = norm = 0
+        for e, c in _digits(below, off):
+            reflected += c << (BITS * -e)
+            norm += abs(c)
+        if d != reflected:
+            raise InvariantError("canonical correction failed")
+        col[i] = d
+        norms += norm
+        if norms * _CAP >= _HALF:
+            raise InvariantError("packed digits could overflow")
+        for t, x in row(i):
+            g_of[t] = g_of.get(t, 0) + x * d
+    if g_of:  # a row at or after j: some psi term is not before its monomial
+        raise InvariantError("bar involution is not triangular in the label order")
+    return col, norms
+
+
+def _hecke_column(
+    cols: list[dict[int, int]], bounds: list[int], swap: list[int], j: int
+) -> tuple[dict[int, int], int]:
+    """Column j and its digit bound, from column u' = swap[j] < j:
+
+        b_j = b_u' (H_p + q) - sum_t mu_t b_t
+
+    with mu_t the constant term the product leaves at t != j, every b_t
+    before j.  On a monomial t with s = swap[t], t (H_p + q) is
+    (q + q^-1) t if s = t (equal labels), s + q t if s follows t (a V
+    descent or W ascent at p) and s + q^-1 t otherwise.  The product is in
+    Z[q] with diagonal 1, and the corrections clear its constant terms; a
+    column left otherwise is refused.
+    """
+    src = swap[j]
+    out: dict[int, int] = {}
+    for t, d in (*cols[src].items(), (src, 1)):
+        s = swap[t]
+        if s == t:
+            out[t] = out.get(t, 0) + (d << BITS) + _down(d, 1)
+            continue
+        out[s] = out.get(s, 0) + d
+        out[t] = out.get(t, 0) + ((d << BITS) if s > t else _down(d, 1))
+    if out.pop(j, 0) != 1:
+        raise InvariantError("the Hecke step's diagonal is not 1")
+    bound = 2 * bounds[src]  # q^k d_t + d_s, or (q + q^-1) d_t
+    corrections = []
+    for t, x in out.items():
+        mu = ((x + _HALF) & _MASK) - _HALF
+        if mu and t < j:
+            corrections.append((t, mu))
+            bound += abs(mu) * bounds[t]
+    if bound >= _HALF:
+        raise InvariantError("a Hecke step's digits could overflow")
+    for t, mu in corrections:
+        out[t] -= mu
+        for i, d in cols[t].items():
+            out[i] = out.get(i, 0) - mu * d
+    col = {}
+    for t, x in out.items():
+        if x & _MASK:
+            raise InvariantError("a constant term survives the Hecke step")
+        if x:
+            col[t] = x
+    return col, bound
 
 
 def canonical_basis(
@@ -449,6 +548,8 @@ def canonical_basis(
         labels = [x for w in weights for x in w.labels]
         interval = (min(labels) - 1, max(labels) + 1)
     lo, hi = interval
+    if hi < lo:
+        raise PreconditionError(f"the interval {interval} is empty")
     if hi - lo + 1 > interval_bound:
         raise BoundExceededError("interval length", hi - lo + 1, interval_bound)
     window = TensorWindow(lo, hi, m, n)

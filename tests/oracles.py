@@ -3,15 +3,16 @@
 Each computes, independently of the package, a quantity some test checks
 the package against: the Bruhat order by prefix sorting, Coxeter length by
 counting inversions, the strict descent sets of a label tuple, the colors
-on which a crystal statistic can be nonzero, and the Chevalley generators
-E_i and F_i on packed vectors of a bar involution.
+on which a crystal statistic can be nonzero, the Chevalley generators
+E_i and F_i on packed vectors of a bar involution, and the canonical basis
+solved column by column from psi alone.
 """
 
 from __future__ import annotations
 
 from typing import Literal, Sequence
 
-from primspec.brundan_kl import BITS, BarInvolution, _down
+from primspec.brundan_kl import _HALF, BITS, BarInvolution, _digits, _down
 from primspec.tableaux import Permutation
 from primspec.weights import SuperWeight
 
@@ -116,3 +117,41 @@ def _raising_moves(dual: Sequence[bool], i: int, mono: tuple) -> list[tuple[tupl
             twist += -w if dual[l] else w
         out.append((mono[:j] + ((i + 1) if up else i,) + mono[j + 1:], twist))
     return out
+
+
+def solve_canonical(bar: BarInvolution, monos: list[tuple]) -> dict[tuple[int, int], int]:
+    """D of the weight space `monos` (indices into it, packed at offset 0)
+    with every column solved from psi by the triangular walk.
+
+    With psi(v_k) = sum_i r_ik v_i and b_j = sum_k d_kj v_k, bar invariance
+    asks that g_ij = sum_k r_ik d_kj be antisymmetric under q -> q^-1 with
+    no constant term; d_ij is the part of g_ij below q^0, reflected.
+    Columns go in the label order (V labels descending, then W labels
+    ascending), in which psi is triangular, and each walks the rows before
+    it, nearest first.
+    """
+    index = {mono: i for i, mono in enumerate(monos)}
+    m, off = bar.window.m, bar.offset
+    psi = []  # k -> (i, r_ik) for i != k
+    for mono in monos:
+        image = bar.psi(mono)
+        assert image[mono] == bar.one, mono
+        psi.append([(index[tgt], x) for tgt, x in image.items() if tgt != mono])
+    order = sorted(range(len(monos)), key=lambda k: ([-a for a in monos[k][:m]], monos[k][m:]))
+    low = (1 << (BITS * off)) - 1
+    bias = sum(_HALF << (BITS * p) for p in range(off))  # balances the digits below q^0
+    D = {}
+    for pos, j in enumerate(order):
+        g_of = dict(psi[j])
+        for i in reversed(order[:pos]):
+            g = g_of.pop(i, 0)
+            if not g:
+                continue
+            below = ((g + bias) & low) - bias
+            d = (below - g) >> (BITS * off)  # -(the part from q^0 up), at offset 0
+            assert d == sum(c << (BITS * -e) for e, c in _digits(below, off)), (i, j)
+            D[i, j] = d
+            for t, x in psi[i]:
+                g_of[t] = g_of.get(t, 0) + x * d
+        assert not g_of, j
+    return D

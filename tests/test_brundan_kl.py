@@ -12,6 +12,7 @@ from primspec.brundan_kl import (
     BITS,
     BarInvolution,
     TensorWindow,
+    _hecke_column,
     _solve_canonical,
     _weight_space,
     canonical_basis,
@@ -25,7 +26,7 @@ from primspec.posets import transitive_reduction
 from primspec.super_inclusion import inclusion
 from primspec.tableaux import rank_word
 from primspec.weights import SuperWeight, atypicality_degree, central_character
-from oracles import apply_e, apply_f, bruhat_leq, inversions
+from oracles import apply_e, apply_f, bruhat_leq, inversions, solve_canonical
 
 W = SuperWeight.parse
 
@@ -213,6 +214,32 @@ class TestBarInvolution:
                 for t in bar.psi(mono):
                     assert t == mono or ([-a for a in t[:m]], t[m:]) < key
 
+    def test_hecke_recursion_matches_the_reference_solve(self):
+        # every weight space of every window: D by the Hecke recursion off
+        # the representatives against every column solved from psi
+        for m, n, lo, hi in self.HECKE_WINDOWS:
+            window = TensorWindow(lo, hi, m, n)
+            bar = BarInvolution(window)
+            keys = {
+                central_character(SuperWeight(labs[:m], labs[m:]))
+                for labs in iproduct(range(lo, hi + 1), repeat=m + n)
+            }
+            for key in keys:
+                monos = _weight_space(window, key)
+                assert _solve_canonical(bar, monos) == solve_canonical(bar, monos), (window, key)
+
+    def test_psi_is_read_only_on_the_representatives_walks(self):
+        # the solve asks psi for each representative and for each row its
+        # walk solves, and for no other monomial
+        window = TensorWindow(-1, 4, 3, 1)
+        monos = _weight_space(window, central_character(W("2,1,0|0")))
+        bar = _Recorded(BarInvolution(window))
+        D = _solve_canonical(bar, monos)
+        reps = {j for j, u in enumerate(monos) if _is_representative(u, window.m)}
+        expected = reps | {i for i, j in D if j in reps}
+        assert len(bar.asked) == len(set(bar.asked)) == len(expected) < len(monos)
+        assert {monos.index(u) for u in bar.asked} == expected
+
     def test_enumerated_weight_space_matches_the_filter(self):
         for m, n, lo, hi in self.WINDOWS:
             window = TensorWindow(lo, hi, m, n)
@@ -222,6 +249,25 @@ class TestBarInvolution:
                 spaces.setdefault(key, []).append(mono)
             for key, monos in spaces.items():
                 assert _weight_space(window, key) == sorted(monos)
+
+
+class _Recorded:
+    """A bar involution that records the monomials it is asked psi of
+    (its own recursion goes to the bar it wraps)."""
+
+    def __init__(self, bar):
+        self.window, self.offset, self.one = bar.window, bar.offset, bar.one
+        self._psi, self.asked = bar.psi, []
+
+    def psi(self, mono):
+        self.asked.append(mono)
+        return self._psi(mono)
+
+
+def _is_representative(mono, m):
+    """V labels weakly decreasing, W labels weakly increasing."""
+    left, right = mono[:m], mono[m:]
+    return list(left) == sorted(left, reverse=True) and list(right) == sorted(right)
 
 
 def _pack(poly, offset=0):
@@ -355,6 +401,33 @@ class TestPacking:
         assert _solve_canonical(_StubBar(r), [(0,), (1,)]) == {(0, 1): 5 << BITS}
         with pytest.raises(InvariantError, match="^bar involution is not triangular in the"):
             _solve_canonical(_StubBar(r, a=1, b=0), [(0,), (1,)])
+
+
+    # _hecke_column on doctored columns: `swap` pairs the positions that
+    # differ at slots p, p+1, and a position it fixes has equal labels there
+
+    def test_a_hecke_step_off_the_diagonal_raises(self):
+        # column 1 from column 0 = v_0 + q v_1: the q v_1 term lands at v_1
+        # as q^-1 q, beside the swapped diagonal
+        assert _hecke_column([{}], [1], [1, 0], 1) == ({0: 1 << BITS}, 2)
+        with pytest.raises(InvariantError, match="^the Hecke step's diagonal is not 1$"):
+            _hecke_column([{1: 1 << BITS}], [1], [1, 0], 1)
+
+    def test_a_constant_term_at_an_unsolved_column_raises(self):
+        # a term q v_t with equal labels at t leaves (q + q^-1) q there: b_0,
+        # solved before column 2, clears its constant term; b_2, not solved
+        # before column 1, cannot
+        q = 1 << BITS
+        assert _hecke_column([{}, {0: q}], [1, 1], [0, 2, 1], 2) == ({0: q * q, 1: q}, 3)
+        with pytest.raises(InvariantError, match="^a constant term survives the Hecke step$"):
+            _hecke_column([{2: q}], [1], [1, 0, 2], 1)
+
+    def test_a_hecke_step_that_could_overflow_raises(self):
+        # the product's digits are bounded by twice column 0's bound
+        half = 1 << (BITS - 2)
+        assert _hecke_column([{}], [half - 1], [1, 0], 1)[1] == 2 * half - 2
+        with pytest.raises(InvariantError, match="^a Hecke step's digits could overflow$"):
+            _hecke_column([{}], [half], [1, 0], 1)
 
 
 class TestCanonicalBasis:
@@ -523,6 +596,8 @@ class TestCanonicalBasis:
         outside = re.escape("1,0|1 lies outside the interval (1, 3)")
         with pytest.raises(PreconditionError, match=outside):
             canonical_basis([W("1,0|1")], interval=(1, 3))
+        with pytest.raises(PreconditionError, match=re.escape("the interval (5, 3) is empty")):
+            canonical_basis([W("4|4")], interval=(5, 3))
 
     def test_table_dump_schema(self):
         doc = canonical_basis([W("1,0|1")], interval=(-1, 3)).to_json_dict()
@@ -686,8 +761,9 @@ def _against_the_order(poset, order):
 class TestAugmentationPosetAgainstTheOrder:
     """The gl(5|1) augmentation poset, built by the ladder and the classical
     left order, against the order the canonical basis of the weight space
-    of all its members generates, on two label windows.  The source paper
-    proves the two orders equal on singly atypical blocks."""
+    of all its members generates, on two label windows, and the gl(6|1)
+    poset on one (slow).  The source paper proves the two orders equal on
+    singly atypical blocks."""
 
     # sha256 of each table's JSON (sorted keys), recorded before psi stopped
     # taking chains on V factors
@@ -728,6 +804,24 @@ class TestAugmentationPosetAgainstTheOrder:
         doctored = IdealPoset(poset.m, poset.classes, tuple(down), poset.hasse, poset.order)
         for order in orders.values():
             assert _against_the_order(doctored, order) == [("down", b)]
+
+    @pytest.mark.slow
+    def test_gl61_classes_order_and_hasse_diagram_agree(self):
+        # 266 classes on [-1, 6], a weight space of 3,960 monomials; the
+        # digest was recorded from the solve that walked every column
+        from primspec.aug_poset import enumerate_X
+
+        poset = enumerate_X(6)
+        assert len(poset.classes) == 266
+        members = [w for c in poset.classes for w in c.members]
+        table = canonical_basis(members, interval=(-1, 6), rank_bound=7, interval_bound=8)
+        assert len(table.weights) == 3960
+        text = json.dumps(table.to_json_dict(), sort_keys=True).encode()
+        assert hashlib.sha256(text).hexdigest() == (
+            "d118a561c82d5ada893150e88177beb3053cd0513a2040cd151a51bb86c81e8c"
+        )
+        del text
+        assert _against_the_order(poset, kl_left_order(table.weights, table)) == []
 
     def test_a_member_moved_to_another_class_fails(self, poset, orders):
         first, second = poset.classes[:2]
