@@ -78,13 +78,13 @@ representatives, the rows their solves reach and what those are built from.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import combinations_with_replacement, permutations
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import BoundExceededError, InvariantError, PreconditionError
 from .laurent import ONE, LaurentPolynomial
 from .posets import Preorder, wall_edges
-from .weights import SuperWeight, _Frozen, central_character
+from .weights import SuperWeight, _Frozen, _weight, central_character
 
 __all__ = [
     "TensorWindow",
@@ -306,18 +306,23 @@ def bar_involution(window: TensorWindow) -> BarInvolution:
 
 
 def _weight_space(window: TensorWindow, invariant) -> list[Mono]:
-    """The monomials of the window with this central character, sorted: for
-    each right factor, the left multiset is the central character plus the
-    right labels."""
+    """The monomials of the window with this central character, sorted.
+
+    The right labels' multiset fixes the left one, the central character
+    plus the right counts, which must be nonnegative everywhere.  So each
+    multiset of the window's labels is tested once, and a kept one gives
+    every distinct arrangement of its right labels after every distinct
+    arrangement of its left ones."""
     out = []
-    for right in product(range(window.lo, window.hi + 1), repeat=window.n):
+    for right in combinations_with_replacement(range(window.lo, window.hi + 1), window.n):
         counts = dict(invariant)
         for a in right:
             counts[a] = counts.get(a, 0) + 1
         if min(counts.values(), default=0) < 0:
             continue
         left = [a for a, c in counts.items() for _ in range(c)]
-        out.extend(p + right for p in set(permutations(left)))
+        rights = set(permutations(right))
+        out.extend(p + r for p in set(permutations(left)) for r in rights)
     return sorted(out)
 
 
@@ -330,17 +335,19 @@ class CanonicalBasisTable:
         self.window = window
         self._index = {mono: i for i, mono in enumerate(monos)}
         self._d = d_matrix  # packed at offset 0
-        self._weights = [SuperWeight(mono[: window.m], mono[window.m :]) for mono in monos]
+        m = window.m
+        self._weights = [_weight(mono[:m], mono[m:]) for mono in monos]
 
     @property
     def weights(self) -> list[SuperWeight]:
         return list(self._weights)
 
     def _key(self, weight: SuperWeight) -> int:
-        mono = weight.labels
-        if mono not in self._index:
+        """The table position of a weight of the table's weight space."""
+        i = self._index.get(weight.labels)
+        if i is None or len(weight.left) != self.window.m:
             raise KeyError(f"{weight} is not in this table's weight space")
-        return self._index[mono]
+        return i
 
     def d(self, alpha: SuperWeight, beta: SuperWeight) -> LaurentPolynomial:
         """Coefficient of the alpha-monomial in the beta-canonical vector."""
@@ -354,13 +361,19 @@ class CanonicalBasisTable:
         i, j = self._key(alpha), self._key(beta)
         return _q_digit(self._d.get((i, j), 0)) + _q_digit(self._d.get((j, i), 0))
 
-    def mu_pairs(self) -> Iterable[tuple[SuperWeight, SuperWeight, int]]:
-        """All (alpha, beta, mu) with mu != 0; D is unitriangular, so at most
-        one of d(alpha, beta) and d(beta, alpha) is nonzero: each pair once."""
-        ws = self._weights
+    def _mu_positions(self) -> Iterator[tuple[int, int, int]]:
+        """(i, j, mu) on table positions for each pair with mu != 0; D is
+        unitriangular, so at most one of d_ij and d_ji is nonzero: each pair
+        once."""
         for (i, j), x in self._d.items():
             if c := _q_digit(x):
-                yield ws[i], ws[j], c
+                yield i, j, c
+
+    def mu_pairs(self) -> Iterable[tuple[SuperWeight, SuperWeight, int]]:
+        """All (alpha, beta, mu) with mu != 0, each pair once."""
+        ws = self._weights
+        for i, j, c in self._mu_positions():
+            yield ws[i], ws[j], c
 
     def to_json_dict(self) -> dict:
         names = [str(w) for w in self._weights]
@@ -573,13 +586,12 @@ class SuperOrder:
     def __init__(self, weights: Sequence[SuperWeight], table: CanonicalBasisTable):
         self.weights = list(weights)
         self._index = {w: i for i, w in enumerate(self.weights)}
-        for w in self.weights:
-            table._key(w)
+        node = {table._key(w): i for i, w in enumerate(self.weights)}  # table position -> node
         masks = [_wall_mask(w) for w in self.weights]
         partners: list[list[int]] = [[] for _ in self.weights]
-        for alpha, beta, _ in table.mu_pairs():
-            if alpha in self._index and beta in self._index:
-                partners[self._index[alpha]].append(self._index[beta])
+        for i, j, _ in table._mu_positions():
+            if i in node and j in node:
+                partners[node[i]].append(node[j])
         self.preorder = Preorder(len(self.weights), wall_edges(masks, enumerate(partners)))
 
     def leq(self, beta: SuperWeight, alpha: SuperWeight) -> bool:

@@ -31,14 +31,20 @@ that one classification.  Equal ideals share an orbit, so only a
 same-orbit pair is tested for equality, by one `classical_relation` call
 that reads the pair once.  `covers` enters through `inclusion`, then reads
 its route off `_classify`.  What the classification and the ladder read of
-a weight is kept in two `functools.lru_cache` memos of MEMO_SIZE entries
-each, shared across pairs: `_invariants` (central character and sorted
-orbit key) and `_atypical` (atypicality degree and, for a singly atypical
-weight, its frame).  A miss calls `central_character`,
-`atypicality_degree` and `frame` through this module's globals at call
-time, so whatever patches those names sees every miss; a hit calls none of
-them.  The degree is read only for cross-orbit pairs, and memoised frames,
-whose `q_values` is a mutable dict, never leave the module.
+a weight is kept in one record per weight (`_record`, a
+`functools.lru_cache` memo of MEMO_SIZE records shared across pairs), and
+`_classify` hands the pair's two records on, so a pair reads the memo
+twice.  A record is made with the central character and the sorted orbit
+key.  Its cross-orbit part is read on the first cross-orbit pair the
+weight is in (`_crossed`): the atypicality degree and, for a singly
+atypical weight, the frame and the ladder core, the orbit key less one
+copy of the atypical label on each side.  The ladder's orbit test is
+0 <= p <= p_alpha and equal cores, with nothing copied or sorted per
+pair.  A miss calls `central_character`, `atypicality_degree` and `frame`
+through this module's globals at call time, so whatever patches those
+names sees every miss; a hit calls none of them, and a pair of different
+central characters reads no degree and no frame.  Memoised frames, whose
+`q_values` is a mutable dict, never leave the module.
 """
 
 from __future__ import annotations
@@ -225,61 +231,79 @@ def _delta(beta: SuperWeight, fb: AtypicalityFrame) -> SuperWeight:
     return SuperWeight(tuple(labels[: beta.m]), tuple(labels[beta.m:]))
 
 
-# -- per-weight memos ----------------------------------------------------------
+# -- the per-weight memo ------------------------------------------------------
 
-MEMO_SIZE = 128  # entries per memo: every weight of a cross-checked block (at most 108)
+MEMO_SIZE = 128  # records in the memo: every weight of a cross-checked block (at most 108)
 
 
 def _orbit_key(left, right) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(sorted(left)), tuple(sorted(right))
 
 
-@lru_cache(maxsize=MEMO_SIZE)
-def _invariants(weight: SuperWeight) -> tuple[tuple, tuple]:
-    """Central character and orbit key."""
-    return central_character(weight), _orbit_key(weight.left, weight.right)
+class _Record:
+    """What the decision procedure reads of one weight; `degree`, `frame`
+    and `core` stay None until `_crossed` reads them."""
+
+    __slots__ = ("character", "orbit", "degree", "frame", "core")
+
+    def __init__(self, weight: SuperWeight):
+        self.character = central_character(weight)
+        self.orbit = _orbit_key(weight.left, weight.right)
+        self.degree = self.frame = self.core = None
 
 
-@lru_cache(maxsize=MEMO_SIZE)
-def _atypical(weight: SuperWeight) -> tuple[int, AtypicalityFrame | None]:
-    """Atypicality degree, and the frame of a singly atypical weight."""
-    degree = atypicality_degree(weight)
-    return degree, frame(weight) if degree == 1 else None
+_record = lru_cache(maxsize=MEMO_SIZE)(_Record)
 
 
-def _singly(weight: SuperWeight) -> AtypicalityFrame:
-    """The frame of a weight that must be singly atypical."""
-    degree, fw = _atypical(weight)
+def _crossed(weight: SuperWeight, rec: _Record) -> _Record:
+    """`rec`, the record of `weight`, with its cross-orbit part read.  Beta
+    lies in the orbit of alpha's pair shifted to a+p = a_beta exactly when
+    their cores agree: beta has a copy of a_beta on each side to take back."""
+    if rec.degree is None:
+        degree = atypicality_degree(weight)
+        if degree == 1:
+            rec.frame = fw = frame(weight)
+            (left, right), a = rec.orbit, fw.a_value
+            i, j = left.index(a), right.index(a)
+            rec.core = left[:i] + left[i + 1:], right[:j] + right[j + 1:]
+        rec.degree = degree
+    return rec
+
+
+def _singly(weight: SuperWeight, rec: _Record) -> AtypicalityFrame:
+    """The frame of a weight that must be singly atypical, from its record."""
+    fw = _crossed(weight, rec).frame
     if fw is None:
-        raise NotSinglyAtypicalError(weight, degree)
+        raise NotSinglyAtypicalError(weight, rec.degree)
     return fw
 
 
-def _ladder(alpha: SuperWeight, beta: SuperWeight) -> tuple[int, SuperWeight, SuperWeight] | None:
+def _ladder(
+    alpha: SuperWeight, beta: SuperWeight, ra: _Record, rb: _Record
+) -> tuple[int, SuperWeight, SuperWeight] | None:
     """The ladder pass: (p, gamma, delta), or None unless beta lies in the
-    orbit of alpha's atypical pair shifted by 0 <= p <= p_alpha."""
-    fa, fb = _singly(alpha), _singly(beta)
-    a, p = fa.a_value, fb.a_value - fa.a_value
-    if not 0 <= p <= fa.p_value:
-        return None
-    # the orbit is blind to which copy of a moves to a+p
-    left, right = list(alpha.left), list(alpha.right)
-    left[left.index(a)] = a + p
-    right[right.index(a)] = a + p
-    if _orbit_key(left, right) != _invariants(beta)[1]:
+    orbit of alpha's atypical pair shifted by 0 <= p <= p_alpha.  `ra` and
+    `rb` are the weights' records, their cross-orbit parts read, and both
+    weights are singly atypical."""
+    fa, fb = ra.frame, rb.frame
+    p = fb.a_value - fa.a_value
+    if not 0 <= p <= fa.p_value or ra.core != rb.core:
         return None
     return p, _gamma(alpha, fa, p), _delta(beta, fb)
 
 
 def _required_ladder(alpha: SuperWeight, beta: SuperWeight) -> tuple[int, SuperWeight, SuperWeight]:
     """The ladder pass, which must apply to the pair."""
-    found = _ladder(alpha, beta)
+    ra, rb = _record(alpha), _record(beta)
+    fa = _singly(alpha, ra)
+    _singly(beta, rb)
+    found = _ladder(alpha, beta, ra, rb)
     if found is None:
         if (alpha.m, alpha.n) != (beta.m, beta.n):
             raise ValueError("weights live in different Z^(m|n)")
         raise PreconditionError(
             f"{beta} is not in the shifted orbits of {alpha} "
-            f"for 0 <= p <= {_singly(alpha).p_value}"
+            f"for 0 <= p <= {fa.p_value}"
         )
     return found
 
@@ -348,7 +372,7 @@ def reduction_trace(alpha: SuperWeight, beta: SuperWeight) -> ReductionTrace:
 def _trace(alpha: SuperWeight, beta: SuperWeight, ladder: tuple) -> ReductionTrace:
     """The reduction trace of a ladder pair, given its ladder pass (p, gamma, delta)."""
     p, gamma, delta = ladder
-    a = _singly(alpha).a_value
+    a = _singly(alpha, _record(alpha)).a_value
     steps: list[TraceStep] = []
 
     # crystal powers lowering every label below a by one, smallest first; those
@@ -402,38 +426,41 @@ def _gl22_patterns(alpha: SuperWeight) -> tuple[SuperWeight, ...]:
     return tuple(_weight((c + a, c + b), (c + x, c + y)) for a, b, x, y in _GL22_OFFSETS)
 
 
-def _classify(alpha: SuperWeight, beta: SuperWeight) -> str:
+def _classify(alpha: SuperWeight, beta: SuperWeight) -> tuple[str, _Record, _Record]:
     """The route of two distinct weights, for both directions: 'central_character'
-    (incomparable), 'same_orbit', 'ladder' or 'gl22'.  Equal central
-    characters give equal atypicality degrees (m minus the positive counts),
-    so one degree serves both weights."""
+    (incomparable), 'same_orbit', 'ladder' or 'gl22'; with the weights'
+    records.  Equal central characters give equal atypicality degrees (m
+    minus the positive counts), so one degree serves both weights."""
     m, n = len(alpha.left), len(alpha.right)
     if m != len(beta.left) or n != len(beta.right):
         raise ValueError("weights live in different Z^(m|n)")
-    (character, orbit), (other_character, other_orbit) = _invariants(alpha), _invariants(beta)
-    if character != other_character:
-        return "central_character"
-    if orbit == other_orbit:
-        return "same_orbit"
-    degree = _atypical(alpha)[0]
+    ra, rb = _record(alpha), _record(beta)
+    if ra.character != rb.character:
+        return "central_character", ra, rb
+    if ra.orbit == rb.orbit:
+        return "same_orbit", ra, rb
+    degree = _crossed(alpha, ra).degree
     if degree == 1:
-        return "ladder"
+        _crossed(beta, rb)  # the ladder reads both frames
+        return "ladder", ra, rb
     if degree == 2 and m == n == 2:
-        return "gl22"
+        return "gl22", ra, rb
     raise UnsupportedRegimeError(
         f"cross-orbit inclusion undecidable here: atypicality degrees "
         f"({degree}, {degree}) for gl({m}|{n})"
     )
 
 
-def _includes(route: str, alpha: SuperWeight, beta: SuperWeight, **kw):
-    """J(beta) subseteq J(alpha) for a classified pair, in either direction:
-    on the ladder route the ladder pass (p, gamma, delta) that proved it,
-    else a bool."""
+def _includes(
+    route: str, alpha: SuperWeight, beta: SuperWeight, ra: _Record, rb: _Record, **kw
+):
+    """J(beta) subseteq J(alpha) for a classified pair, in either direction,
+    given their records: on the ladder route the ladder pass (p, gamma,
+    delta) that proved it, else a bool."""
     if route == "same_orbit":
         return classical_inclusion(beta, alpha, **kw)
     if route == "ladder":
-        found = _ladder(alpha, beta)
+        found = _ladder(alpha, beta, ra, rb)
         return found is not None and classical_inclusion(found[2], found[1], **kw) and found
     return route == "gl22" and beta in _gl22_patterns(alpha)
 
@@ -445,7 +472,10 @@ def inclusion(alpha: SuperWeight, beta: SuperWeight, **kw) -> bool:
     degree >= 2 outside gl(2|2).
     """
     _check_keywords(kw)
-    return alpha == beta or bool(_includes(_classify(alpha, beta), alpha, beta, **kw))
+    if alpha == beta:
+        return True
+    route, ra, rb = _classify(alpha, beta)
+    return bool(_includes(route, alpha, beta, ra, rb, **kw))
 
 
 def equal_ideal(alpha: SuperWeight, beta: SuperWeight) -> bool:
@@ -458,14 +488,16 @@ def _relate(alpha: SuperWeight, beta: SuperWeight, **kw) -> tuple[str, str | Non
     strict cross-orbit pair, what `_includes` returned; a same-orbit pair is
     read once, by `classical_relation`."""
     try:
-        route = _classify(alpha, beta)
+        route, ra, rb = _classify(alpha, beta)
     except UnsupportedRegimeError:
         return "unsupported", None, None
     if route == "same_orbit":
         return classical_relation(alpha, beta, **kw), route, None
     # equal ideals share an orbit, so a cross-orbit pair is never equal
-    for rel, big, small in (("subset", beta, alpha), ("superset", alpha, beta)):
-        found = _includes(route, big, small, **kw)
+    for rel, big, small, rbig, rsmall in (
+        ("subset", beta, alpha, rb, ra), ("superset", alpha, beta, ra, rb)
+    ):
+        found = _includes(route, big, small, rbig, rsmall, **kw)
         if found:
             return rel, route, found
     return "incomparable", route, None
@@ -529,7 +561,8 @@ def covers(alpha: SuperWeight, beta: SuperWeight, **kw) -> bool:
     _check_keywords(kw)
     if alpha == beta or not inclusion(alpha, beta, **kw):
         return False
-    route, degree = _classify(alpha, beta), _atypical(alpha)[0]  # one degree serves both
+    route, ra, rb = _classify(alpha, beta)
+    degree = _crossed(alpha, ra).degree  # one degree serves both
     if route == "gl22":
         return not any(classical_relation(beta, k, **kw) == "subset" for k in _gl22_patterns(alpha))
     # equal ideals share an orbit, and every left cell, so `classical_cover` refuses them
@@ -538,7 +571,7 @@ def covers(alpha: SuperWeight, beta: SuperWeight, **kw) -> bool:
     if route == "same_orbit" and equal_ideal(alpha, beta):
         return False
     if degree == 1:  # `inclusion` held, so the ladder pass applies
-        _, gamma, delta = _ladder(alpha, beta)
+        _, gamma, delta = _ladder(alpha, beta, ra, _crossed(beta, rb))
         return classical_cover(delta, gamma, **kw)
     raise UnsupportedRegimeError(
         f"covering undecidable at atypicality {degree} for gl({alpha.m}|{alpha.n})"

@@ -241,7 +241,10 @@ class TestBarInvolution:
         assert {monos.index(u) for u in bar.asked} == expected
 
     def test_enumerated_weight_space_matches_the_filter(self):
-        for m, n, lo, hi in self.WINDOWS:
+        # three or four right factors: the multisets walked are fewest there
+        # against the right tuples, so the walk differs most from the filter
+        extra = [(1, 3, 0, 3), (1, 4, 1, 4), (2, 3, 0, 2), (2, 3, 1, 4), (3, 3, 0, 1)]
+        for m, n, lo, hi in self.WINDOWS + extra:
             window = TensorWindow(lo, hi, m, n)
             spaces: dict = {}
             for mono in iproduct(range(lo, hi + 1), repeat=m + n):
@@ -548,6 +551,19 @@ class TestCanonicalBasis:
                 if a != b:
                     assert not (table.d(a, b).coeff(1) and table.d(b, a).coeff(1))
 
+    def test_a_weight_of_another_shape_is_not_in_the_table(self):
+        # gl(2|1) and gl(3|0) weights carry the labels of gl(1|2) monomials
+        table = canonical_basis([W("0|0,1")], interval=(-1, 2))
+        inside = W("0|0,1")
+        assert table.d(inside, inside) == ONE
+        for stray in ("0,0|1", "0,0,1|"):
+            with pytest.raises(KeyError, match="not in this table's weight space"):
+                table.d(W(stray), inside)
+            with pytest.raises(KeyError, match="not in this table's weight space"):
+                table.d(inside, W(stray))
+            with pytest.raises(KeyError, match="not in this table's weight space"):
+                table.mu(inside, W(stray))
+
     def test_mu_pairs_lists_each_nonzero_mu_once(self):
         table = canonical_basis([W("1,0|0,1")], interval=(-1, 3))
         listed = [(frozenset((a, b)), value) for a, b, value in table.mu_pairs()]
@@ -622,6 +638,13 @@ class TestLeftOrder:
         for stray in ("3,0|3", "1,1|0"):
             with pytest.raises(KeyError, match="not in this table's weight space"):
                 kl_left_order([W("1,0|1"), W(stray)], table)
+
+    def test_weight_of_another_shape_raises(self):
+        # 0,0|1 has the labels of the gl(1|2) monomial 0|0,1
+        table = canonical_basis([W("0|0,1")], interval=(-1, 2))
+        for stray in ("0,0|1", "0,0,1|"):
+            with pytest.raises(KeyError, match="not in this table's weight space"):
+                kl_left_order([W("0|0,1"), W(stray)], table)
 
     @pytest.mark.parametrize("seed, interval", [("3,2,1,0|", (-1, 4)), ("2,1,0|", (-1, 3))])
     def test_regular_even_block_matches_classical_left_preorder(self, seed, interval):

@@ -120,8 +120,7 @@ def _count_reads(monkeypatch) -> Counter:
 
 
 def _clear_memos():
-    super_inclusion._invariants.cache_clear()
-    super_inclusion._atypical.cache_clear()
+    super_inclusion._record.cache_clear()
 
 
 @pytest.mark.parametrize("call", [relation, decide])

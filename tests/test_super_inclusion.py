@@ -99,6 +99,29 @@ class TestTheta:
             rep = theta_representative(RUNNING, p)
             assert atypicality_degree(rep) == 1
 
+    # windows where a side repeats the atypical label, so that which copy
+    # moves to a+p matters
+    CORE_WINDOWS = [((2, 1), 0, 3), ((3, 1), 0, 3), ((2, 2), 0, 3), ((3, 2), 0, 2)]
+
+    def test_ladder_core_test_is_the_shifted_orbit_test(self):
+        # the ladder compares cores (each side's sorted labels less one copy of
+        # the atypical label); the library route shifts alpha's pair to a+p
+        # and compares orbits
+        shifted = 0
+        for (m, n), lo, hi in self.CORE_WINDOWS:
+            weights = [SuperWeight(t[:m], t[m:]) for t in product(range(lo, hi + 1), repeat=m + n)]
+            singly = [w for w in weights if atypicality_degree(w) == 1]
+            records = {w: super_inclusion._crossed(w, super_inclusion._record(w)) for w in singly}
+            for alpha in singly:
+                p_alpha = frame(alpha).p_value
+                for beta in singly:
+                    p = theta_membership(alpha, beta)
+                    expected = p is not None and 0 <= p <= p_alpha
+                    found = super_inclusion._ladder(alpha, beta, records[alpha], records[beta])
+                    assert (found is not None) == expected, (alpha, beta)
+                    shifted += expected and p > 0
+        assert shifted
+
 
 class TestGammaDelta:
     def test_running_example_ladder_top(self):
