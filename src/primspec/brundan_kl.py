@@ -68,16 +68,14 @@ entries; when psi is not triangular in the label order; and when a Hecke
 step leaves a diagonal other than 1 or a constant term off it, or its
 columns' digit bounds could reach H.
 
-Tables are not cached; the bar involution is, for the latest window only,
-with its caches of psi, of each chain and of F_i on unit monomials: a
-caller that takes its blocks window by window builds each window's bar
-once and frees it on moving on.  psi is read, and cached, only for the
-representatives, the rows their solves reach and what those are built from.
+Nothing is cached across calls: each `canonical_basis` call builds its
+own bar involution, with its caches of psi and of each chain, and drops it
+on return.  psi is read, and cached, only for the representatives, the rows
+their solves reach and what those are built from.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import combinations_with_replacement, permutations
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -161,8 +159,7 @@ class BarInvolution:
     """Bar involution on prefixes of the tensor space of one window.
 
     Coefficients are packed at `offset` (`unpack(x, bar.offset)` reads
-    one); `one` is the packed unit.  Caches are shared across weight
-    spaces; returned vectors must not be mutated.
+    one); `one` is the packed unit.  Returned vectors must not be mutated.
     """
 
     def __init__(self, window: TensorWindow):
@@ -177,7 +174,6 @@ class BarInvolution:
         self._dual = tuple(slot >= window.m for slot in range(k))
         self._psi: dict[Mono, Vector] = {}
         self._chain: dict[tuple[int, int], dict[Mono, Vector]] = {}  # (b, c) -> G'_{c,b}
-        self._lower: dict[tuple[int, Mono], list[tuple[Mono, int]]] = {}  # F_i on units
 
     def _stored(self, vec: Vector) -> Vector:
         """vec, after the headroom check every cached coefficient passes."""
@@ -188,9 +184,6 @@ class BarInvolution:
 
     def _moves(self, i: int, mono: Mono) -> list[tuple[Mono, int]]:
         """(target, q-power) of each term of F_i on a unit monomial."""
-        out = self._lower.get((i, mono))
-        if out is not None:
-            return out
         dual, k, out = self._dual, len(mono), []
         for j in range(k):
             # label i moves up to i+1 in a V slot, i+1 down to i in a W slot
@@ -202,7 +195,6 @@ class BarInvolution:
                 w = 1 if mono[l] == i else -1 if mono[l] == i + 1 else 0
                 twist += w if dual[l] else -w
             out.append((mono[:j] + ((i + 1) if up else i,) + mono[j + 1:], twist))
-        self._lower[i, mono] = out
         return out
 
     # -- q-commutator chains ---------------------------------------------------
@@ -283,13 +275,9 @@ class BarInvolution:
         # (q^-1 - q) x q^-off is two shifts of x, whose low off+1 digits are zero
         low, up = (1 << (BITS * (self.offset + 1))) - 1, BITS * (self.offset + 1)
         for c in news:  # c is the new last label
-            chains = self._chain.setdefault((b, c), {})
             out: Vector = {}
             for pm, coeff in inner.items():
-                vec = chains.get(pm)
-                if vec is None:
-                    vec = self._chain_mono(b, c, pm)
-                for tgt, y in vec.items():
+                for tgt, y in self._chain_mono(b, c, pm).items():
                     out[tgt] = out.get(tgt, 0) + coeff * y
             for pm, x in out.items():
                 if x:
@@ -297,12 +285,6 @@ class BarInvolution:
                         raise InvariantError("exponent below the packing offset")
                     result[pm + (c,)] = (x >> up) - (x >> (up - 2 * BITS))
         return result
-
-
-@lru_cache(maxsize=1)
-def bar_involution(window: TensorWindow) -> BarInvolution:
-    """The bar involution of the window, cached for the latest window only."""
-    return BarInvolution(window)
 
 
 def _weight_space(window: TensorWindow, invariant) -> list[Mono]:
@@ -571,7 +553,7 @@ def canonical_basis(
             raise PreconditionError(f"{w} lies outside the interval {interval}")
 
     monos = _weight_space(window, invariant)
-    return CanonicalBasisTable(window, monos, _solve_canonical(bar_involution(window), monos))
+    return CanonicalBasisTable(window, monos, _solve_canonical(BarInvolution(window), monos))
 
 
 class SuperOrder:

@@ -51,16 +51,13 @@ class _Frozen:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
-    def _key(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._compared)
-
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._key() == other._key()
+        return all(getattr(self, name) == getattr(other, name) for name in self._compared)
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        return hash(tuple(getattr(self, name) for name in self._compared))
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._compared)

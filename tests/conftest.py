@@ -3,6 +3,10 @@ import tempfile
 
 import pytest
 
+# the reference routes guard themselves with assert statements; rewriting
+# them keeps those checks live under python -O
+pytest.register_assert_rewrite("oracles")
+
 
 @pytest.fixture(scope="session", autouse=True)
 def _cache_sandbox():

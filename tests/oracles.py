@@ -135,7 +135,7 @@ def solve_canonical(bar: BarInvolution, monos: list[tuple]) -> dict[tuple[int, i
     psi = []  # k -> (i, r_ik) for i != k
     for mono in monos:
         image = bar.psi(mono)
-        assert image[mono] == bar.one, mono
+        assert image.get(mono) == bar.one, mono
         psi.append([(index[tgt], x) for tgt, x in image.items() if tgt != mono])
     order = sorted(range(len(monos)), key=lambda k: ([-a for a in monos[k][:m]], monos[k][m:]))
     low = (1 << (BITS * off)) - 1

@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import json
 import re
+import weakref
 from itertools import product as iproduct
 
 import pytest
@@ -320,15 +322,12 @@ class TestPacking:
 
     def test_a_bar_image_off_the_diagonal_is_refused(self, monkeypatch):
         # psi(v_k) is v_k plus lower terms; a bar whose images lose their
-        # diagonal is refused before any column is solved.  The doctored bar
-        # is a fresh one, so no image of it reaches the cached bar.
-        def doctored(window):
-            bar = BarInvolution(window)
-            psi = bar.psi
-            bar.psi = lambda mono: {i: c for i, c in psi(mono).items() if i != mono}
-            return bar
+        # diagonal is refused before any column is solved
+        class Doctored(BarInvolution):
+            def psi(self, mono):
+                return {i: c for i, c in super().psi(mono).items() if i != mono}
 
-        monkeypatch.setattr(brundan_kl, "bar_involution", doctored)
+        monkeypatch.setattr(brundan_kl, "BarInvolution", Doctored)
         with pytest.raises(InvariantError, match="^bar involution must be unitriangular$"):
             canonical_basis([W("1,0|1")], interval=(-1, 3))
 
@@ -405,6 +404,17 @@ class TestPacking:
         with pytest.raises(InvariantError, match="^bar involution is not triangular in the"):
             _solve_canonical(_StubBar(r, a=1, b=0), [(0,), (1,)])
 
+    def test_the_reference_solve_checks_hold_under_python_O(self):
+        # conftest registers `oracles` for assert rewriting, so the oracle's
+        # checks raise under python -O too, where bare asserts are stripped
+        r = LaurentPolynomial({-1: 5, 1: -5})
+        bar = _StubBar(r)
+        bar._images[(0,)] = {}  # psi(v_0) without its diagonal
+        with pytest.raises(AssertionError):
+            solve_canonical(bar, [(0,), (1,)])
+        with pytest.raises(AssertionError):  # a psi term after its monomial
+            solve_canonical(_StubBar(r, a=1, b=0), [(0,), (1,)])
+
 
     # _hecke_column on doctored columns: `swap` pairs the positions that
     # differ at slots p, p+1, and a position it fixes has equal labels there
@@ -460,18 +470,30 @@ class TestCanonicalBasis:
         assert not table.d(W("0,5|"), W("5,0|"))
 
     def test_block_after_bar_eviction_matches_a_cold_build(self):
-        # the bar involution is cached for the latest window only: a block on
-        # window B evicts window A's, and the next block on A rebuilds it;
-        # window A is gl(2|1) on [0, 3], window B gl(3|1) on [0, 3]
-        brundan_kl.bar_involution.cache_clear()
+        # two builds of one window, gl(2|1) on [0, 3], with blocks of that
+        # window and of gl(3|1) on [0, 3] before the second, give equal tables
         canonical_basis([W("1,0|0")], interval=(0, 3))
         canonical_basis([W("2,1,0|0")], interval=(0, 3))
-        assert brundan_kl.bar_involution.cache_info().currsize == 1
         warm = canonical_basis([W("2,1|1")], interval=(0, 3))
-        brundan_kl.bar_involution.cache_clear()
         cold = canonical_basis([W("2,1|1")], interval=(0, 3))
         assert warm is not cold
         assert warm.to_json_dict() == cold.to_json_dict()
+
+    def test_no_bar_involution_outlives_its_call(self, monkeypatch):
+        # each call builds its own bar involution and drops it on return
+        made = []
+
+        class Watched(BarInvolution):
+            def __init__(self, window):
+                super().__init__(window)
+                made.append(weakref.ref(self))
+
+        monkeypatch.setattr(brundan_kl, "BarInvolution", Watched)
+        for block in ([W("1,0|0")], [W("2,1|1")], [W("2,1,0|0")]):
+            canonical_basis(block, interval=(0, 3))
+        gc.collect()
+        assert len(made) == 3
+        assert all(ref() is None for ref in made)
 
     def test_off_diagonal_in_q_polynomials(self):
         table = canonical_basis([W("1,0|0,1")], interval=(-1, 2))
