@@ -29,7 +29,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import PreconditionError
-from .weights import SuperWeight
+from .weights import SuperWeight, _weight
 
 __all__ = [
     "Signature",
@@ -111,7 +111,7 @@ def _moved(weight: SuperWeight, positions: list[int], sign: int) -> SuperWeight:
     labels = list(weight.labels)
     for pos in positions:
         labels[pos] += sign if pos < m else -sign
-    return SuperWeight(labels[:m], labels[m:])
+    return _weight(tuple(labels[:m]), tuple(labels[m:]))
 
 
 def e_tilde(weight: SuperWeight, i: int) -> SuperWeight | None:

@@ -668,8 +668,11 @@ def classical_relation(delta: SuperWeight, gamma: SuperWeight, **kw) -> str:
     orbits).  Equality is decided as `classical_equal` does; each direction
     then fetches a factor's order only where `classical_inclusion` would."""
     _check_keywords(kw)
-    if not orbit_equal(delta, gamma):
-        return "incomparable"
+    return _orbit_relation(delta, gamma, kw) if orbit_equal(delta, gamma) else "incomparable"
+
+
+def _orbit_relation(delta: SuperWeight, gamma: SuperWeight, kw: dict) -> str:
+    """`classical_relation` of two weights of one orbit, keywords checked."""
     factors = list(_factors(delta, gamma))
     if all(_insertion(d) == _insertion(g) for _, d, g in factors):
         return "equal"

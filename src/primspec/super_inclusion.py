@@ -20,31 +20,31 @@ Decidable regimes and their routes:
   No pattern has that form itself, so covers follow from the list: a
   same-orbit cover is a classical cover, and (c+1,c|c,c+1) covers a
   pattern unless another pattern of a different class lies classically
-  above it.
+  above it: a table of four answers, `_GL22_COVERED`.
 
 Everything else raises UnsupportedRegimeError: a loud "cannot decide",
 distinct from False.
 
-`relation` and `decide` classify a pair first (`_classify`: central
-characters, orbit, one atypicality degree) and read both directions off
-that one classification.  Equal ideals share an orbit, so only a
-same-orbit pair is tested for equality, by one `classical_relation` call
-that reads the pair once.  `covers` enters through `inclusion`, then reads
-its route off `_classify`.  What the classification and the ladder read of
-a weight is kept in one record per weight (`_record`, a
+`relation` and `decide` classify a pair first (`_classify`: orbit, then
+central characters, then one atypicality degree) and read both directions
+off that one classification.  Equal ideals share an orbit, so only a
+same-orbit pair is tested for equality, by `classical_relation`'s in-orbit
+step, which reads the pair once.  `covers` enters through `inclusion`, then
+reads its route off `_classify`.  What the classification and the ladder
+read of a weight is kept in one record per weight (`_record`, a
 `functools.lru_cache` memo of MEMO_SIZE records shared across pairs), and
 `_classify` hands the pair's two records on, so a pair reads the memo
-twice.  A record is made with the central character and the sorted orbit
-key.  Its cross-orbit part is read on the first cross-orbit pair the
-weight is in (`_crossed`): the atypicality degree and, for a singly
-atypical weight, the frame and the ladder core, the orbit key less one
-copy of the atypical label on each side.  The ladder's orbit test is
-0 <= p <= p_alpha and equal cores, with nothing copied or sorted per
-pair.  A miss calls `central_character`, `atypicality_degree` and `frame`
-through this module's globals at call time, so whatever patches those
-names sees every miss; a hit calls none of them, and a pair of different
-central characters reads no degree and no frame.  Memoised frames, whose
-`q_values` is a mutable dict, never leave the module.
+twice.  A record is made with the sorted orbit key.  A cross-orbit pair
+reads the central characters (`_character`), and one of equal characters
+the rest (`_crossed`): the atypicality degree and, for a singly atypical
+weight, the frame and the ladder core, the orbit key less one copy of the
+atypical label on each side.  The ladder's orbit test is 0 <= p <= p_alpha
+and equal cores, with nothing copied or sorted per pair.  A miss calls
+`central_character`, `atypicality_degree` and `frame` through this
+module's globals at call time, so whatever patches those names sees every
+miss; a hit calls none of them, a same-orbit pair reads no character, and
+a pair of different central characters reads no degree and no frame.
+Memoised frames, whose `q_values` is a mutable dict, never leave the module.
 """
 
 from __future__ import annotations
@@ -62,10 +62,10 @@ from .errors import (
 )
 from .kl_classical import (
     _check_keywords,
+    _orbit_relation,
     classical_cover,
     classical_equal,
     classical_inclusion,
-    classical_relation,
 )
 from .posets import strongly_connected_components, transitive_reduction
 from .weights import (
@@ -113,7 +113,10 @@ class AtypicalityFrame(NamedTuple):
 
 
 def frame(weight: SuperWeight) -> AtypicalityFrame:
-    """Ladder data of a singly atypical weight.
+    """Ladder data of a singly atypical weight, read off the label tuples:
+    each ladder step is one `index` call, on the reversed left prefix or on
+    the right suffix.  Raises NotSinglyAtypicalError with the degree unless
+    it is 1.
 
     >>> f = frame(SuperWeight.parse("7,6,2,3,6,1,3,1|4,3,4,5"))
     >>> f.a_value, f.i_set, f.p_value
@@ -121,52 +124,37 @@ def frame(weight: SuperWeight) -> AtypicalityFrame:
     >>> [f.q_values[i] for i in f.i_set]
     [0, 2, 0, 2, 0, 0]
     """
-    m = weight.m
-    left_positions: dict[int, list[int]] = {}  # label -> positions ascending (1-based)
-    right_positions: dict[int, list[int]] = {}
-    for pos, lab in enumerate(weight.left, start=1):
-        left_positions.setdefault(lab, []).append(pos)
-    for pos, lab in enumerate(weight.right, start=m + 1):
-        right_positions.setdefault(lab, []).append(pos)
+    left, right = weight.left, weight.right
     degree = 0
-    for x, here in left_positions.items():
-        there = right_positions.get(x)
-        if there:
-            degree += min(len(here), len(there))
-            a = x
+    for x in set(left).intersection(right):
+        degree += min(left.count(x), right.count(x))
+        a = x
     if degree != 1:
         raise NotSinglyAtypicalError(weight, degree)
 
-    left_a = left_positions[a][-1]  # nearest the separator
-    right_a = right_positions[a][0]
-
-    # positions of a+1, a+2, ...: each value lives on one side only, and the
-    # chain must decrease through left positions and increase through right
-    # ones; extremal choices are optimal, so the walk is greedy.
+    # rev[k] sits at 1-based position m - k, right[k] at m + 1 + k; each of a+1,
+    # a+2, ... is on one side only, and its nearest copy past the last step is optimal
+    m, rev = len(left), left[::-1]
+    at_left, at_right = rev.index(a), right.index(a)
+    first_two = m - at_left, m + 1 + at_right
     ladder: list[int] = []
-    last_left, last_right = left_a, right_a
     target = a + 1
     while True:
-        if target in left_positions:
-            candidates = [p for p in left_positions[target] if p < last_left]
-            if not candidates:
+        if target in left:
+            if target not in rev[at_left + 1:]:
                 break
-            last_left = pick = candidates[-1]
-        elif target in right_positions:
-            candidates = [p for p in right_positions[target] if p > last_right]
-            if not candidates:
-                break
-            last_right = pick = candidates[0]
+            at_left = rev.index(target, at_left + 1)
+            ladder.append(m - at_left)
+        elif target in right[at_right + 1:]:
+            at_right = right.index(target, at_right + 1)
+            ladder.append(m + 1 + at_right)
         else:
             break
-        ladder.append(pick)
         target += 1
 
     p_value = len(ladder)
-    if p_value and ladder[0] <= m:
-        first_two = (left_a, right_a)  # make pi(i_0) differ from pi(i_1)
-    else:
-        first_two = (right_a, left_a)
+    if not (p_value and ladder[0] <= m):
+        first_two = first_two[::-1]  # make pi(i_0) differ from pi(i_1)
     i_set = first_two + tuple(ladder)
 
     # the runs sum to p_value: i_set[1] lies opposite i_set[2], so each ladder
@@ -216,7 +204,7 @@ def _gamma(alpha: SuperWeight, fa: AtypicalityFrame, p: int) -> SuperWeight:
         else lab - 1
         for pos, lab in enumerate(alpha.labels, start=1)
     ]
-    return SuperWeight(tuple(labels[: alpha.m]), tuple(labels[alpha.m:]))
+    return _weight(tuple(labels[: alpha.m]), tuple(labels[alpha.m:]))
 
 
 def _delta(beta: SuperWeight, fb: AtypicalityFrame) -> SuperWeight:
@@ -228,7 +216,7 @@ def _delta(beta: SuperWeight, fb: AtypicalityFrame) -> SuperWeight:
         lab - 1 if lab <= fb.a_value and pos not in keep else lab
         for pos, lab in enumerate(beta.labels, start=1)
     ]
-    return SuperWeight(tuple(labels[: beta.m]), tuple(labels[beta.m:]))
+    return _weight(tuple(labels[: beta.m]), tuple(labels[beta.m:]))
 
 
 # -- the per-weight memo ------------------------------------------------------
@@ -241,18 +229,24 @@ def _orbit_key(left, right) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 class _Record:
-    """What the decision procedure reads of one weight; `degree`, `frame`
-    and `core` stay None until `_crossed` reads them."""
+    """What the decision procedure reads of one weight: the orbit key; the
+    rest stays None until `_character` or `_crossed` reads it."""
 
-    __slots__ = ("character", "orbit", "degree", "frame", "core")
+    __slots__ = ("orbit", "character", "degree", "frame", "core")
 
     def __init__(self, weight: SuperWeight):
-        self.character = central_character(weight)
         self.orbit = _orbit_key(weight.left, weight.right)
-        self.degree = self.frame = self.core = None
+        self.character = self.degree = self.frame = self.core = None
 
 
 _record = lru_cache(maxsize=MEMO_SIZE)(_Record)
+
+
+def _character(weight: SuperWeight, rec: _Record) -> tuple:
+    """The central character of `weight`, kept in its record `rec`."""
+    if rec.character is None:
+        rec.character = central_character(weight)
+    return rec.character
 
 
 def _crossed(weight: SuperWeight, rec: _Record) -> _Record:
@@ -413,8 +407,10 @@ def _trace(alpha: SuperWeight, beta: SuperWeight, ladder: tuple) -> ReductionTra
 # -- the decision procedure ---------------------------------------------------
 
 
-# the four labels, less c, of each pattern of alpha = (c+1, c | c, c+1)
+# the four labels, less c, of each pattern of alpha = (c+1, c | c, c+1), and whether
+# alpha covers it: for every c only the last lies classically below another pattern
 _GL22_OFFSETS = ((1, 1, 1, 1), (2, 1, 2, 1), (1, 2, 1, 2), (1, 2, 2, 1))
+_GL22_COVERED = (True, True, True, False)
 
 
 def _gl22_patterns(alpha: SuperWeight) -> tuple[SuperWeight, ...]:
@@ -427,18 +423,18 @@ def _gl22_patterns(alpha: SuperWeight) -> tuple[SuperWeight, ...]:
 
 
 def _classify(alpha: SuperWeight, beta: SuperWeight) -> tuple[str, _Record, _Record]:
-    """The route of two distinct weights, for both directions: 'central_character'
-    (incomparable), 'same_orbit', 'ladder' or 'gl22'; with the weights'
-    records.  Equal central characters give equal atypicality degrees (m
-    minus the positive counts), so one degree serves both weights."""
+    """The route of two distinct weights, for both directions: 'same_orbit',
+    'central_character' (incomparable), 'ladder' or 'gl22'; with the
+    weights' records.  Equal central characters give equal atypicality
+    degrees (m minus the positive counts), so one degree serves both."""
     m, n = len(alpha.left), len(alpha.right)
     if m != len(beta.left) or n != len(beta.right):
         raise ValueError("weights live in different Z^(m|n)")
     ra, rb = _record(alpha), _record(beta)
-    if ra.character != rb.character:
-        return "central_character", ra, rb
-    if ra.orbit == rb.orbit:
+    if ra.orbit == rb.orbit:  # one orbit, one central character
         return "same_orbit", ra, rb
+    if _character(alpha, ra) != _character(beta, rb):
+        return "central_character", ra, rb
     degree = _crossed(alpha, ra).degree
     if degree == 1:
         _crossed(beta, rb)  # the ladder reads both frames
@@ -486,13 +482,13 @@ def equal_ideal(alpha: SuperWeight, beta: SuperWeight) -> bool:
 def _relate(alpha: SuperWeight, beta: SuperWeight, **kw) -> tuple[str, str | None, object]:
     """`relation` from one classification, with the route taken and, for a
     strict cross-orbit pair, what `_includes` returned; a same-orbit pair is
-    read once, by `classical_relation`."""
+    read once, by `classical_relation`'s in-orbit step."""
     try:
         route, ra, rb = _classify(alpha, beta)
     except UnsupportedRegimeError:
         return "unsupported", None, None
     if route == "same_orbit":
-        return classical_relation(alpha, beta, **kw), route, None
+        return _orbit_relation(alpha, beta, kw), route, None
     # equal ideals share an orbit, so a cross-orbit pair is never equal
     for rel, big, small, rbig, rsmall in (
         ("subset", beta, alpha, rb, ra), ("superset", alpha, beta, ra, rb)
@@ -564,7 +560,7 @@ def covers(alpha: SuperWeight, beta: SuperWeight, **kw) -> bool:
     route, ra, rb = _classify(alpha, beta)
     degree = _crossed(alpha, ra).degree  # one degree serves both
     if route == "gl22":
-        return not any(classical_relation(beta, k, **kw) == "subset" for k in _gl22_patterns(alpha))
+        return _GL22_COVERED[_gl22_patterns(alpha).index(beta)]
     # equal ideals share an orbit, and every left cell, so `classical_cover` refuses them
     if degree == 0 or (degree == 2 and len(alpha.left) == len(alpha.right) == 2):
         return classical_cover(beta, alpha, **kw)

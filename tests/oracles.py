@@ -3,9 +3,10 @@
 Each computes, independently of the package, a quantity some test checks
 the package against: the Bruhat order by prefix sorting, Coxeter length by
 counting inversions, the strict descent sets of a label tuple, the colors
-on which a crystal statistic can be nonzero, the Chevalley generators
-E_i and F_i on packed vectors of a bar involution, and the canonical basis
-solved column by column from psi alone.
+on which a crystal statistic can be nonzero, the ladder frame of a singly
+atypical weight through per-label position lists, the Chevalley
+generators E_i and F_i on packed vectors of a bar involution, and the
+canonical basis solved column by column from psi alone.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ from __future__ import annotations
 from typing import Literal, Sequence
 
 from primspec.brundan_kl import _HALF, BITS, BarInvolution, _digits, _down
+from primspec.errors import NotSinglyAtypicalError
+from primspec.super_inclusion import AtypicalityFrame
 from primspec.tableaux import Permutation
 from primspec.weights import SuperWeight
 
@@ -79,6 +82,64 @@ def active_colors(weight: SuperWeight) -> range:
     """
     labels = weight.labels
     return range(min(labels) - 1, max(labels) + 1)
+
+
+def frame_by_positions(weight: SuperWeight) -> AtypicalityFrame:
+    """`super_inclusion.frame` from the ascending 1-based positions of each
+    label on each side: the degree sums the smaller copy count of each
+    shared label, and each ladder value a+1, a+2, ... takes the last left
+    position before the previous left step, or the first right position
+    after the previous right step.
+
+    >>> frame_by_positions(SuperWeight.parse("7,6,2,3,6,1,3,1|4,3,4,5")).i_set
+    (10, 7, 11, 12, 5, 1)
+    """
+    m = weight.m
+    left_positions: dict[int, list[int]] = {}
+    right_positions: dict[int, list[int]] = {}
+    for pos, lab in enumerate(weight.left, start=1):
+        left_positions.setdefault(lab, []).append(pos)
+    for pos, lab in enumerate(weight.right, start=m + 1):
+        right_positions.setdefault(lab, []).append(pos)
+    degree = 0
+    for x, here in left_positions.items():
+        there = right_positions.get(x)
+        if there:
+            degree += min(len(here), len(there))
+            a = x
+    if degree != 1:
+        raise NotSinglyAtypicalError(weight, degree)
+
+    left_a, right_a = left_positions[a][-1], right_positions[a][0]
+    ladder: list[int] = []
+    last_left, last_right = left_a, right_a
+    target = a + 1
+    while True:
+        if target in left_positions:
+            candidates = [p for p in left_positions[target] if p < last_left]
+            if not candidates:
+                break
+            last_left = pick = candidates[-1]
+        elif target in right_positions:
+            candidates = [p for p in right_positions[target] if p > last_right]
+            if not candidates:
+                break
+            last_right = pick = candidates[0]
+        else:
+            break
+        ladder.append(pick)
+        target += 1
+
+    p_value = len(ladder)
+    first_two = (left_a, right_a) if p_value and ladder[0] <= m else (right_a, left_a)
+    i_set = first_two + tuple(ladder)
+    q_values = {i_set[0]: 0}
+    for idx in range(1, len(i_set)):
+        side, end = i_set[idx] <= m, idx + 1
+        while end < len(i_set) and (i_set[end] <= m) != side:
+            end += 1
+        q_values[i_set[idx]] = end - idx - 1
+    return AtypicalityFrame(a, i_set, p_value, q_values)
 
 
 def apply_f(bar: BarInvolution, i: int, vec: dict, k: int) -> dict:

@@ -9,6 +9,7 @@ import zlib
 from collections import Counter
 from itertools import combinations_with_replacement as multisets
 from itertools import permutations as iperm
+from itertools import product
 from itertools import zip_longest
 
 import pytest
@@ -26,6 +27,7 @@ from primspec.kl_classical import (
     classical_cover,
     classical_equal,
     classical_inclusion,
+    classical_relation,
     kl_table,
     left_preorder,
     mu,
@@ -924,6 +926,23 @@ class TestClassicalInclusion:
                         SuperWeight(d, ()), SuperWeight(g, ()), **NO_DISK
                     ):
                         assert tau_of_weight(d) >= tau_of_weight(g)
+
+    def test_relation_reads_equality_and_inclusion_both_ways(self):
+        weights = [
+            SuperWeight(labels[:m], labels[m:])
+            for m, n in ((3, 0), (2, 1), (2, 2))
+            for labels in product(range(3), repeat=m + n)
+        ]
+        for d in weights:
+            for g in weights:
+                if (d.m, d.n) != (g.m, g.n):
+                    continue
+                below = classical_inclusion(d, g, **NO_DISK)
+                above = classical_inclusion(g, d, **NO_DISK)
+                want = "equal" if classical_equal(d, g) else {
+                    (True, False): "subset", (False, True): "superset",
+                }.get((below, above), "incomparable")
+                assert classical_relation(d, g, **NO_DISK) == want, (d, g)
 
     def test_antisymmetric_modulo_classes(self):
         for m in (3, 4):

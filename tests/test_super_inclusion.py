@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 import re
 from itertools import permutations as iperm
 from itertools import product
@@ -13,7 +14,9 @@ from primspec.errors import (
     PreconditionError,
     UnsupportedRegimeError,
 )
+from primspec.kl_classical import classical_relation
 from primspec.super_inclusion import (
+    _GL22_COVERED,
     _gl22_patterns,
     covers,
     decide,
@@ -29,10 +32,47 @@ from primspec.super_inclusion import (
 )
 from primspec.posets import transitive_reduction
 from primspec.weights import SuperWeight, atypicality_degree, central_character, orbit_equal
-from oracles import active_colors, strict_tau
+from oracles import active_colors, frame_by_positions, strict_tau
 
 W = SuperWeight.parse
 RUNNING = W("7,6,2,3,6,1,3,1|4,3,4,5")
+
+
+def _frame_sample():
+    """Every weight of gl(m|n), m+n <= 5, on labels 0..4, then seeded random
+    weights up to m+n = 9 on label windows as wide as the weight."""
+    for m in range(1, 5):
+        for n in range(1, 6 - m):
+            for labels in product(range(5), repeat=m + n):
+                yield SuperWeight(labels[:m], labels[m:])
+    rng = random.Random(41)
+    for _ in range(4000):
+        m = rng.randint(1, 8)
+        n = rng.randint(1, 9 - m)
+        labels = [rng.randrange(m + n) for _ in range(m + n)]
+        yield SuperWeight(labels[:m], labels[m:])
+
+
+def _read_frame(fn, weight):
+    """What a frame function gives for one weight: its four fields, or the
+    degree it refuses with."""
+    try:
+        f = fn(weight)
+    except NotSinglyAtypicalError as err:
+        return err.degree
+    return f.a_value, f.i_set, f.p_value, f.q_values
+
+
+def _frame_mismatches(fn) -> tuple[int, list]:
+    """How many sample weights are singly atypical with a ladder, and the
+    weights where `fn` and the position-list reference disagree."""
+    laddered, wrong = 0, []
+    for w in _frame_sample():
+        want = _read_frame(frame_by_positions, w)
+        laddered += isinstance(want, tuple) and want[2] > 0
+        if _read_frame(fn, w) != want:
+            wrong.append(w)
+    return laddered, wrong
 
 
 class TestFrame:
@@ -75,6 +115,23 @@ class TestFrame:
         assert len(rows) == 3028
         digest = hashlib.sha256(repr(rows).encode()).hexdigest()
         assert digest == "40aac13ed3ca849bede7cca89e3e3d9405df67fa4a709a627d4c10846d308f1b"
+
+    def test_matches_the_position_list_reference(self):
+        laddered, wrong = _frame_mismatches(frame)
+        assert wrong == []
+        assert laddered > 1000
+
+    def test_a_moved_ladder_position_is_caught(self):
+        def doctored(weight):
+            f = frame(weight)
+            if f.p_value < 2:
+                return f
+            moved = f.i_set[-1] + (1 if f.i_set[-1] > weight.m else -1)
+            q_values = {**f.q_values, moved: f.q_values[f.i_set[-1]]}
+            del q_values[f.i_set[-1]]
+            return f._replace(i_set=f.i_set[:-1] + (moved,), q_values=q_values)
+
+        assert _frame_mismatches(doctored)[1] != []
 
 
 class TestTheta:
@@ -444,6 +501,18 @@ def test_gl22_patterns_on_labels_0_to_4():
 
 
 class TestGl22Covers:
+    def test_cover_table_is_the_classical_order_on_the_patterns(self):
+        # alpha covers a pattern unless another pattern lies classically above it
+        for c in range(-3, 7):
+            alpha = SuperWeight((c + 1, c), (c, c + 1))
+            patterns = _gl22_patterns(alpha)
+            table = tuple(
+                not any(classical_relation(beta, k) == "subset" for k in patterns)
+                for beta in patterns
+            )
+            assert table == _GL22_COVERED, c
+            assert tuple(covers(alpha, beta) for beta in patterns) == table, c
+
     def test_covers_match_component_hasse(self):
         classes, hasse = gl22_component_classes(-1, 4)
         reps = [cls[0] for cls in classes]
